@@ -2,7 +2,7 @@
 //! detection, and propagation extraction (golden-vs-faulty comparison).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ftb_inject::{fold_propagation_lockstep, Classifier};
+use ftb_inject::{Classifier, Injector};
 use ftb_kernels::{Kernel, StencilConfig, StencilKernel};
 use ftb_trace::bits::{flip_bit_f64, injected_error, Precision};
 use ftb_trace::{divergence_cursor, propagation, FaultSpec, RecordMode};
@@ -42,25 +42,20 @@ fn benches(c: &mut Criterion) {
         b.iter(|| golden.flip_errors(black_box(100)));
     });
 
-    // buffered vs lockstep propagation extraction (the §5 memory
-    // trade-off: O(sites) buffer vs O(capacity) channel + a second run)
+    // buffered vs streamed propagation extraction (the §5 memory
+    // trade-off: an O(sites) faulty trace vs a one-sided comparison
+    // against the shared compact golden)
     group.bench_function("propagation_buffered_end_to_end", |b| {
         b.iter(|| {
             let run = kernel.run_injected(FaultSpec { site: 150, bit: 30 }, RecordMode::Full);
             propagation(&golden, &run).touched(0.0)
         });
     });
-    group.bench_function("propagation_lockstep_end_to_end", |b| {
-        let classifier = Classifier::new(1e-6);
+    group.bench_function("propagation_streamed_end_to_end", |b| {
+        let injector = Injector::new(&kernel, Classifier::new(1e-6));
         b.iter(|| {
             let mut n = 0usize;
-            fold_propagation_lockstep(
-                &kernel,
-                FaultSpec { site: 150, bit: 30 },
-                &classifier,
-                64,
-                |_, _| n += 1,
-            );
+            injector.extract_propagation(150, 30, |_, _| n += 1);
             n
         });
     });

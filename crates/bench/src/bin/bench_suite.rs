@@ -1,6 +1,6 @@
 //! The extraction-path performance suite: exhaustive + adaptive
 //! campaigns over the instrumented kernels at pinned seeds and sizes,
-//! run through all three extraction paths, with a machine-readable
+//! streamed extraction timed against the buffered reference, with a machine-readable
 //! report (the quick tier also characterizes serial-vs-parallel outcome
 //! distributions per workload and gates their TVD at exactly zero).
 //!
@@ -9,8 +9,9 @@
 //!
 //! `--quick` runs the tiny CI-smoke tier; the default full tier is what
 //! the committed `BENCH_ppopp21.json` reports. Exits nonzero if the
-//! three paths disagree on any outcome table — a throughput number from
-//! a path that produces different results is meaningless.
+//! streamed path disagrees with the reference on any outcome table — a
+//! throughput number from a path that produces different results is
+//! meaningless.
 
 use ftb_bench::perf::{merge_tier, run_suite};
 
@@ -43,13 +44,15 @@ fn main() {
         );
         for p in &w.paths {
             println!(
-                "  {:9} {:>9.0} exp/s  ({} experiments in {:.2}s, stride {}, adaptive {:.2}s)",
+                "  {:9} {:>9.0} exp/s  ({} experiments in {:.2}s, stride {}{})",
                 p.path,
                 p.experiments_per_sec,
                 p.exhaustive_experiments,
                 p.exhaustive_secs,
                 p.site_stride,
-                p.adaptive_secs,
+                p.adaptive_secs
+                    .map(|s| format!(", adaptive {s:.2}s"))
+                    .unwrap_or_default(),
             );
         }
         println!(
@@ -169,7 +172,7 @@ fn main() {
     println!("wrote {out} ({tier} tier)");
 
     if !report.all_paths_agree {
-        eprintln!("FAIL: extraction paths disagree on at least one outcome table");
+        eprintln!("FAIL: streamed extraction disagrees with the buffered reference on at least one outcome table");
         std::process::exit(1);
     }
     if !report.compose_ok {

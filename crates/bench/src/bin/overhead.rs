@@ -1,13 +1,13 @@
 //! **§5 "Overhead" study** — the memory and time costs the paper
 //! discusses: the golden-trace footprint per kernel, the
-//! instrumentation-overhead of tracing, and the buffered-vs-lockstep
-//! propagation extraction trade-off (computation duplication, the
-//! paper's proposed fix, implemented in `ftb_inject::lockstep`).
+//! instrumentation-overhead of tracing, and the buffered-vs-streamed
+//! propagation extraction trade-off (a full faulty trace per experiment
+//! against a one-sided comparison with the shared compact golden).
 //!
 //! Usage: `cargo run --release -p ftb-bench --bin overhead`
 
 use ftb_bench::{paper_suite, Scale};
-use ftb_inject::{fold_propagation_lockstep, Classifier};
+use ftb_inject::{Classifier, Injector};
 use ftb_report::Table;
 use ftb_trace::{propagation, FaultSpec, RecordMode};
 use std::time::Instant;
@@ -61,17 +61,17 @@ fn main() {
     }
     print!("{}", t.render());
 
-    println!("\n=== propagation extraction: buffered vs lockstep ===\n");
+    println!("\n=== propagation extraction: buffered vs streamed ===\n");
     let mut t = Table::new(&[
         "bench",
         "buffered (O(sites) mem)",
-        "lockstep cap=64 (O(cap) mem)",
+        "streamed (O(1) mem)",
         "identical fold?",
     ]);
     for b in &suite {
         let kernel = b.build();
         let golden = kernel.golden();
-        let classifier = Classifier::new(b.tolerance);
+        let injector = Injector::new(kernel.as_ref(), Classifier::new(b.tolerance));
         let site = golden.n_sites() / 4;
         let fault = FaultSpec { site, bit: 20 };
 
@@ -83,15 +83,15 @@ fn main() {
 
         let t0 = Instant::now();
         let mut streamed: Vec<(usize, f64)> = Vec::new();
-        let _ = fold_propagation_lockstep(kernel.as_ref(), fault, &classifier, 64, |s, d| {
+        let _ = injector.extract_propagation(fault.site, fault.bit, |s, d| {
             streamed.push((s, d));
         });
-        let lockstep_time = t0.elapsed().as_secs_f64();
+        let streamed_time = t0.elapsed().as_secs_f64();
 
         t.row(&[
             b.name.to_string(),
             format!("{:.2} ms", buffered_time * 1e3),
-            format!("{:.2} ms", lockstep_time * 1e3),
+            format!("{:.2} ms", streamed_time * 1e3),
             if streamed == buffered {
                 "yes".into()
             } else {
@@ -101,8 +101,7 @@ fn main() {
     }
     print!("{}", t.render());
     println!(
-        "\nlockstep trades a second execution (plus channel hand-off) for O(capacity) \
-         memory — the §5 'computation duplication' direction, useful when the golden \
-         trace itself dominates memory"
+        "\nstreamed compares against the shared compact golden while the faulty run \
+         executes, so no per-experiment trace is buffered"
     );
 }

@@ -1,8 +1,9 @@
 //! Reproducible extraction-path performance suite (`bench_suite` binary).
 //!
-//! Measures the three propagation-extraction paths — buffered, lockstep
-//! and streamed — against each other on exhaustive and adaptive
-//! campaigns at pinned seeds and sizes, and emits a machine-readable
+//! Measures streamed propagation extraction against the buffered
+//! reference (`Injector::run_one_traced`: record the full faulty trace,
+//! compare afterwards) on exhaustive campaigns, plus the streamed
+//! adaptive campaign, at pinned seeds and sizes, and emits a machine-readable
 //! report (`BENCH_ppopp21.json`) so every PR has a throughput
 //! trajectory to answer to. The full tier runs Jacobi, GEMM and CG (the
 //! paper's scale on Jacobi); the quick tier covers every
@@ -10,9 +11,9 @@
 //! matvec, spmv — and additionally records each workload's
 //! serial-vs-parallel outcome-distribution delta (per-site
 //! total-variation distance under 1- and 8-thread pools, gated at
-//! exactly zero). The suite also *asserts* that all paths agree on the
-//! exhaustive outcome table: a performance number from a path that
-//! disagrees with the reference is meaningless.
+//! exactly zero). The suite also *asserts* that the streamed table equals
+//! the reference table: a performance number from a path that disagrees
+//! with the reference is meaningless.
 //!
 //! The full tier's Jacobi workload runs at paper scale (~10M dynamic
 //! instructions per execution): that is where the paths separate, because
@@ -29,18 +30,16 @@
 //! (sites × bits ≈ 300M runs) infeasible on one machine, so every path
 //! runs the same site-strided subsample of the exhaustive table
 //! (`site_stride`, full bit coverage at each kept site); throughput is
-//! experiments-per-second over the experiments actually run. Lockstep
-//! spawns two threads and a channel hand-off per experiment and is far
-//! slower, so it runs a sparser subsample (`lockstep_stride`, a multiple
-//! of `site_stride` so its agreement check overlaps the reference).
+//! experiments-per-second over the experiments actually run.
 
 use ftb_core::prelude::*;
-use ftb_inject::{ExhaustiveResult, ExtractionMode, DEFAULT_MAX_SNAPSHOTS};
+use ftb_inject::{ExhaustiveResult, Experiment, DEFAULT_MAX_SNAPSHOTS};
 use ftb_kernels::{
     CgConfig, CgStorage, FftConfig, GemmConfig, JacobiConfig, Kernel, KernelConfig, LuConfig,
     MatvecConfig, SpmvConfig, StencilConfig, SweepTweak,
 };
 use ftb_trace::{CompactGolden, Precision};
+use rayon::prelude::*;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -552,9 +551,6 @@ pub struct PerfWorkload {
     /// Site stride of the exhaustive campaign, applied to every path
     /// (1 = full table; paper-scale workloads subsample).
     pub site_stride: usize,
-    /// Site stride for the lockstep path. Must be a multiple of
-    /// `site_stride` so the agreement check overlaps the reference.
-    pub lockstep_stride: usize,
     /// Pinned adaptive-campaign configuration (seed and round budget
     /// fixed per tier; paper-scale workloads bound the round count so
     /// the adaptive leg stays a fixed, small number of experiments).
@@ -651,7 +647,6 @@ fn quick_stanza(name: &'static str, config: KernelConfig, tolerance: f64) -> Per
         config: config.clone(),
         tolerance,
         site_stride: 1,
-        lockstep_stride: 4,
         adaptive: AdaptiveConfig {
             seed: 7,
             ..AdaptiveConfig::default()
@@ -698,7 +693,6 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 }),
                 tolerance: 1e-6,
                 site_stride: 1,
-                lockstep_stride: 4,
                 adaptive: adaptive_default.clone(),
                 staticbound: Some((
                     KernelConfig::Jacobi(JacobiConfig {
@@ -748,7 +742,6 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 }),
                 tolerance: 1e-6,
                 site_stride: 1,
-                lockstep_stride: 4,
                 adaptive: adaptive_default.clone(),
                 staticbound: Some((
                     KernelConfig::Gemm(GemmConfig {
@@ -791,7 +784,6 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 }),
                 tolerance: 1e-1,
                 site_stride: 1,
-                lockstep_stride: 4,
                 adaptive: adaptive_default,
                 staticbound: Some((
                     KernelConfig::Cg(CgConfig {
@@ -899,10 +891,6 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 tolerance: 1e-3,
                 // 17 sites × 32 bits = 544 experiments per path
                 site_stride: 614_000,
-                // 2 sites × 32 bits = 64 experiments (two threads + a
-                // channel hand-off per experiment make lockstep several
-                // times slower per run)
-                lockstep_stride: 8 * 614_000,
                 // bound the adaptive leg to a handful of ~30-experiment
                 // rounds — a 0.1% round of a 9.9M-site table would be
                 // ~10k experiments, hours at ~150 ms each
@@ -985,7 +973,6 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 tolerance: 1e-6,
                 // 18 sites × 64 bits = 1152 experiments per path
                 site_stride: 6_144,
-                lockstep_stride: 8 * 6_144,
                 adaptive: AdaptiveConfig {
                     seed: 7,
                     round_fraction: 3e-4,
@@ -1046,7 +1033,6 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 tolerance: 3e-5,
                 // 19 sites × 64 bits = 1216 experiments per path
                 site_stride: 67_000,
-                lockstep_stride: 8 * 67_000,
                 // bound the adaptive leg the same way jacobi's is: a
                 // few ~40-experiment rounds instead of 0.1% of 1.2M
                 adaptive: AdaptiveConfig {
@@ -1104,7 +1090,6 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 }),
                 tolerance: 1e-1,
                 site_stride: 1,
-                lockstep_stride: 16,
                 adaptive: adaptive_default,
                 staticbound: Some((
                     KernelConfig::Cg(CgConfig {
@@ -1355,7 +1340,7 @@ fn run_batch_leg(
 pub struct PathStats {
     /// Extraction path name.
     pub path: String,
-    /// Site stride used (lockstep subsamples at full scale).
+    /// Site stride used.
     pub site_stride: usize,
     /// Experiments executed by the exhaustive campaign.
     pub exhaustive_experiments: u64,
@@ -1363,17 +1348,20 @@ pub struct PathStats {
     pub exhaustive_secs: f64,
     /// Headline throughput: exhaustive experiments per second.
     pub experiments_per_sec: f64,
-    /// Experiments executed by the adaptive campaign.
-    pub adaptive_experiments: u64,
-    /// Adaptive campaign wall time in seconds.
-    pub adaptive_secs: f64,
+    /// Experiments executed by the adaptive campaign (`None` on the
+    /// buffered reference leg: adaptive inference always runs streamed).
+    pub adaptive_experiments: Option<u64>,
+    /// Adaptive campaign wall time in seconds (`None` on the buffered
+    /// reference leg).
+    pub adaptive_secs: Option<f64>,
     /// Outcome histogram of the (possibly strided) exhaustive table.
     pub outcomes: OutcomeCounts,
     /// Process peak RSS (KiB) after this path ran, if available.
     pub peak_rss_kb_after: Option<u64>,
 }
 
-/// Report for one workload across all three paths.
+/// Report for one workload: streamed against the buffered reference,
+/// plus the snapshot and batched legs.
 #[derive(Debug, Clone, Serialize)]
 pub struct WorkloadReport {
     /// Workload name.
@@ -1392,7 +1380,7 @@ pub struct WorkloadReport {
     pub golden_bytes_full: usize,
     /// Bytes held by the shared compact golden the streamed path reads.
     pub golden_bytes_compact: usize,
-    /// Per-path measurements (buffered, lockstep, streamed).
+    /// Per-path measurements (buffered reference, streamed).
     pub paths: Vec<PathStats>,
     /// Streamed over buffered exhaustive throughput.
     pub speedup_streamed_vs_buffered: f64,
@@ -1404,8 +1392,8 @@ pub struct WorkloadReport {
     /// Lane-batched execution leg (`None` for non-batch-capable
     /// kernels or when the workload pins no lane width).
     pub batch: Option<BatchStats>,
-    /// Whether every path produced the same outcome table (on the
-    /// experiments it ran).
+    /// Whether the streamed outcome table equals the buffered
+    /// reference's.
     pub paths_agree: bool,
     /// Zero-injection static-bound stanza (`None` when the workload
     /// disables it or the kernel is not provenance-instrumented).
@@ -1420,26 +1408,37 @@ pub struct WorkloadReport {
     pub tvd: Option<TvdStats>,
 }
 
+/// Time one path's exhaustive campaign: the buffered reference
+/// (`reference`) or streamed extraction. The streamed path also times the
+/// adaptive campaign.
 fn run_path(
     kernel: &dyn Kernel,
     w: &PerfWorkload,
-    mode: ExtractionMode,
+    reference: bool,
 ) -> (PathStats, ExhaustiveResult) {
-    let stride = match mode {
-        ExtractionMode::Lockstep { .. } => w.lockstep_stride,
-        _ => w.site_stride,
-    };
-    let analysis = Analysis::new(kernel, Classifier::new(w.tolerance)).with_extraction(mode);
+    let stride = w.site_stride;
+    let analysis = Analysis::new(kernel, Classifier::new(w.tolerance));
+    let injector = analysis.injector();
     let bits = kernel.precision().bits();
 
     let mut table = None;
     let mut exhaustive_secs = f64::INFINITY;
     for _ in 0..w.timing_repeats.max(1) {
         let t0 = Instant::now();
-        let t = if stride == 1 {
+        let t = if reference {
+            let plan = strided_plan(injector, stride);
+            let experiments: Vec<Experiment> = plan
+                .par_iter()
+                .map(|f| injector.run_one_traced(f.site, f.bit).0)
+                .collect();
+            strided_table(injector, &experiments)
+        } else if stride == 1 {
             analysis.exhaustive()
         } else {
-            strided_exhaustive(analysis.injector(), stride)
+            strided_table(
+                injector,
+                &injector.run_batch(&strided_plan(injector, stride)),
+            )
         };
         exhaustive_secs = exhaustive_secs.min(t0.elapsed().as_secs_f64());
         table.get_or_insert(t);
@@ -1447,31 +1446,32 @@ fn run_path(
     let table = table.expect("at least one timing repeat");
     let exhaustive_experiments = (analysis.n_sites().div_ceil(stride) * bits as usize) as u64;
 
-    let t1 = Instant::now();
-    let adaptive = analysis.adaptive(&w.adaptive);
-    let adaptive_secs = t1.elapsed().as_secs_f64();
+    let adaptive = (!reference).then(|| {
+        let t1 = Instant::now();
+        let adaptive = analysis.adaptive(&w.adaptive);
+        (adaptive.samples.len() as u64, t1.elapsed().as_secs_f64())
+    });
 
     let stats = PathStats {
-        path: mode.name().to_string(),
+        path: if reference { "buffered" } else { "streamed" }.to_string(),
         site_stride: stride,
         exhaustive_experiments,
         exhaustive_secs,
         experiments_per_sec: exhaustive_experiments as f64 / exhaustive_secs.max(1e-9),
-        adaptive_experiments: adaptive.samples.len() as u64,
-        adaptive_secs,
+        adaptive_experiments: adaptive.map(|a| a.0),
+        adaptive_secs: adaptive.map(|a| a.1),
         outcomes: OutcomeCounts::of(&table, stride),
         peak_rss_kb_after: peak_rss_kb(),
     };
     (stats, table)
 }
 
-/// An exhaustive table over every `stride`-th site (full bit coverage),
-/// with skipped sites marked masked so the layout stays dense.
-fn strided_exhaustive(injector: &Injector<'_>, stride: usize) -> ExhaustiveResult {
+/// The exhaustive table of a strided campaign's experiments, with
+/// skipped sites marked masked so the layout stays dense.
+fn strided_table(injector: &Injector<'_>, experiments: &[Experiment]) -> ExhaustiveResult {
     let bits = injector.bits();
-    let experiments = injector.run_batch(&strided_plan(injector, stride));
     let mut codes = vec![0u8; injector.n_sites() * bits as usize];
-    for e in &experiments {
+    for e in experiments {
         codes[e.site * bits as usize + e.bit as usize] = e.outcome.code();
     }
     ExhaustiveResult {
@@ -1490,30 +1490,20 @@ fn strided_plan(injector: &Injector<'_>, stride: usize) -> Vec<ftb_trace::FaultS
         .collect()
 }
 
-/// The same strided table via the outcome-only path (`run_many`): no
+/// The strided table via the outcome-only path (`run_many`): no
 /// propagation extraction, just classification — the snapshot leg's
 /// execution model, where the campaign's product is the outcome table.
 fn strided_outcome_table(injector: &Injector<'_>, stride: usize) -> ExhaustiveResult {
-    let bits = injector.bits();
-    let experiments = injector.run_many(&strided_plan(injector, stride));
-    let mut codes = vec![0u8; injector.n_sites() * bits as usize];
-    for e in &experiments {
-        codes[e.site * bits as usize + e.bit as usize] = e.outcome.code();
-    }
-    ExhaustiveResult {
-        n_sites: injector.n_sites(),
-        bits,
-        codes,
-    }
+    strided_table(
+        injector,
+        &injector.run_many(&strided_plan(injector, stride)),
+    )
 }
 
-/// Run one workload through all three extraction paths and check that
-/// they agree wherever they overlap.
+/// Run one workload through streamed extraction and the buffered
+/// reference and check that their outcome tables agree.
 pub fn run_workload(w: &PerfWorkload) -> WorkloadReport {
-    assert!(
-        w.site_stride >= 1 && w.lockstep_stride % w.site_stride == 0,
-        "lockstep_stride must be a multiple of site_stride for the agreement check"
-    );
+    assert!(w.site_stride >= 1, "site_stride must be positive");
     let kernel = w.config.build();
     let golden = kernel.golden();
     let compact = CompactGolden::from_golden(&golden);
@@ -1524,17 +1514,9 @@ pub fn run_workload(w: &PerfWorkload) -> WorkloadReport {
 
     // streamed first so the buffered path's full-trace allocations are
     // visible as an RSS increase, not hidden under an earlier peak
-    let (streamed, streamed_table) = run_path(kernel.as_ref(), w, ExtractionMode::Streamed);
-    let (lockstep, lockstep_table) = run_path(
-        kernel.as_ref(),
-        w,
-        ExtractionMode::Lockstep { capacity: 64 },
-    );
-    let (buffered, buffered_table) = run_path(kernel.as_ref(), w, ExtractionMode::Buffered);
+    let (streamed, streamed_table) = run_path(kernel.as_ref(), w, false);
+    let (buffered, buffered_table) = run_path(kernel.as_ref(), w, true);
 
-    let full_agree = buffered_table == streamed_table;
-    let strided_agree = OutcomeCounts::of(&buffered_table, w.lockstep_stride)
-        == OutcomeCounts::of(&lockstep_table, w.lockstep_stride);
     let speedup = streamed.experiments_per_sec / buffered.experiments_per_sec.max(1e-9);
     let snapshot = run_snapshot_leg(kernel.as_ref(), w, &streamed, &streamed_table);
     let batch = run_batch_leg(
@@ -1553,12 +1535,12 @@ pub fn run_workload(w: &PerfWorkload) -> WorkloadReport {
         bits: kernel.precision().bits(),
         golden_bytes_full,
         golden_bytes_compact,
-        paths: vec![buffered, lockstep, streamed],
+        paths: vec![buffered, streamed],
         speedup_streamed_vs_buffered: speedup,
         min_streamed_speedup: w.min_streamed_speedup,
         snapshot,
         batch,
-        paths_agree: full_agree && strided_agree,
+        paths_agree: buffered_table == streamed_table,
         staticbound: w
             .staticbound
             .as_ref()

@@ -2,7 +2,6 @@
 //! dependency set has no argument-parsing crate, and the surface is
 //! small enough not to need one).
 
-use ftb_inject::ExtractionMode;
 use ftb_kernels::{
     CgConfig, CgStorage, FftConfig, GemmConfig, JacobiConfig, KernelConfig, LuConfig, MatvecConfig,
     SpmvConfig, StencilConfig, SweepTweak,
@@ -63,14 +62,9 @@ KERNEL OPTIONS (defaults in parentheses):
 
 ANALYSIS OPTIONS:
     --tolerance T          output tolerance, L-inf (1e-6)
-    --rate R               sampling rate for analyze (0.01)
+    --rate R               sampling rate for analyze, in (0, 1] (0.01)
     --samples N            experiment count for campaign (1000)
     --filter MODE          off | per-site | global (per-site)
-    --extraction MODE      propagation-extraction path: buffered |
-                           lockstep | streamed (streamed). All paths
-                           produce identical results.
-    --capacity N           lockstep channel capacity, >= 1 (64); only
-                           meaningful with --extraction lockstep
     --safety F             analyze static: divide analytical thresholds
                            by F >= 1 as a rounding margin (1.0)
     --no-validate          analyze static/bits: skip the exhaustive
@@ -118,7 +112,7 @@ ANALYSIS OPTIONS:
     --batch-lanes N        campaign/exhaustive with --snapshot: run up to
                            N experiments sharing a serving snapshot as
                            one lane-batched sweep (batch-capable kernels:
-                           jacobi, gemm, lu; streamed extraction only).
+                           jacobi, gemm, lu).
                            Results stay bit-identical to scalar runs.
                            1 (the default) disables batching.
     --json PATH            also write results as JSON
@@ -149,8 +143,6 @@ pub struct Args {
     pub samples: u64,
     /// Filter mode string (validated in the command layer).
     pub filter: String,
-    /// Propagation-extraction path for campaigns and inference.
-    pub extraction: ExtractionMode,
     /// Seed.
     pub seed: u64,
     /// Optional JSON output path.
@@ -210,6 +202,55 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
+/// Flags that take no value.
+const BOOLEAN_FLAGS: [&str; 9] = [
+    "f32",
+    "f64",
+    "csr",
+    "resume",
+    "no-validate",
+    "static-prior",
+    "secant",
+    "bit-prune",
+    "snapshot",
+];
+
+/// Flags that take a value. Anything in neither list is refused, so a
+/// misspelt or retired flag fails loudly instead of silently falling
+/// back to a default.
+const VALUE_FLAGS: [&str; 30] = [
+    "kernel",
+    "grid",
+    "rtol",
+    "max-iters",
+    "n",
+    "block",
+    "n1",
+    "n2",
+    "sweeps",
+    "fine",
+    "resid-every",
+    "tweak-sweep",
+    "tweak-omega",
+    "seed",
+    "tolerance",
+    "rate",
+    "samples",
+    "filter",
+    "json",
+    "checkpoint",
+    "metrics-out",
+    "chunk",
+    "safety",
+    "max-sections",
+    "snapshot-max",
+    "batch-lanes",
+    "widen",
+    "domain",
+    "budget",
+    "threads",
+];
+
 /// Parse raw arguments (excluding the program name).
 pub fn parse(raw: &[String]) -> Result<Args, CliError> {
     let command = raw
@@ -260,27 +301,17 @@ pub fn parse(raw: &[String]) -> Result<Args, CliError> {
         let key = raw[i]
             .strip_prefix("--")
             .ok_or_else(|| err(format!("expected a --flag, got '{}'", raw[i])))?;
-        let boolean = matches!(
-            key,
-            "f32"
-                | "f64"
-                | "csr"
-                | "resume"
-                | "no-validate"
-                | "static-prior"
-                | "secant"
-                | "bit-prune"
-                | "snapshot"
-        );
-        if boolean {
+        if BOOLEAN_FLAGS.contains(&key) {
             flags.insert(key.to_string(), "true".to_string());
             i += 1;
-        } else {
+        } else if VALUE_FLAGS.contains(&key) {
             let value = raw
                 .get(i + 1)
                 .ok_or_else(|| err(format!("--{key} needs a value")))?;
             flags.insert(key.to_string(), value.clone());
             i += 2;
+        } else {
+            return Err(err(format!("unknown flag --{key}")));
         }
     }
 
@@ -395,33 +426,22 @@ pub fn parse(raw: &[String]) -> Result<Args, CliError> {
         other => return Err(err(format!("unknown kernel '{other}'"))),
     };
 
-    // validated here, once, so every command sees a well-formed mode
-    let capacity = get_usize("capacity", 64)?;
-    if capacity == 0 {
-        return Err(err("--capacity must be at least 1"));
-    }
-    let extraction_name = flags
-        .get("extraction")
-        .map(String::as_str)
-        .unwrap_or("streamed");
-    let extraction = ExtractionMode::from_name(extraction_name, capacity).ok_or_else(|| {
-        err(format!(
-            "--extraction: unknown mode '{extraction_name}' (expected {})",
-            ExtractionMode::NAMES.join(" | ")
-        ))
-    })?;
-
     Ok(Args {
         command,
         kernel,
         tolerance: get_f64("tolerance", 1e-6)?,
-        rate: get_f64("rate", 0.01)?,
+        rate: {
+            let r = get_f64("rate", 0.01)?;
+            if !(r.is_finite() && r > 0.0 && r <= 1.0) {
+                return Err(err("--rate must be in (0, 1]"));
+            }
+            r
+        },
         samples: get_usize("samples", 1000)? as u64,
         filter: flags
             .get("filter")
             .cloned()
             .unwrap_or_else(|| "per-site".into()),
-        extraction,
         seed,
         json: flags.get("json").cloned(),
         checkpoint: flags.get("checkpoint").cloned(),
@@ -883,66 +903,40 @@ mod tests {
     }
 
     #[test]
-    fn extraction_defaults_to_streamed() {
-        let a = parse(&v(&["campaign", "--kernel", "matvec"])).unwrap();
-        assert_eq!(a.extraction, ExtractionMode::Streamed);
-    }
-
-    #[test]
-    fn extraction_modes_parse() {
-        let a = parse(&v(&[
+    fn unknown_flags_rejected() {
+        // a typo must not silently fall back to the default tolerance
+        let e = parse(&v(&[
             "campaign",
             "--kernel",
             "matvec",
-            "--extraction",
-            "buffered",
+            "--tolerence",
+            "1e-3",
         ]))
-        .unwrap();
-        assert_eq!(a.extraction, ExtractionMode::Buffered);
-        let a = parse(&v(&[
-            "campaign",
-            "--kernel",
-            "matvec",
-            "--extraction",
-            "lockstep",
-            "--capacity",
-            "16",
-        ]))
-        .unwrap();
-        assert_eq!(a.extraction, ExtractionMode::Lockstep { capacity: 16 });
-    }
-
-    #[test]
-    fn unknown_extraction_mode_rejected_with_choices() {
+        .unwrap_err();
+        assert_eq!(e.0, "unknown flag --tolerence");
+        // the retired extraction-path options fail loudly too
         let e = parse(&v(&[
             "campaign",
             "--kernel",
             "matvec",
             "--extraction",
-            "warp",
+            "streamed",
         ]))
         .unwrap_err();
-        assert!(e.0.contains("buffered | lockstep | streamed"), "{}", e.0);
+        assert_eq!(e.0, "unknown flag --extraction");
+        let e = parse(&v(&["campaign", "--kernel", "matvec", "--capacity", "0"])).unwrap_err();
+        assert_eq!(e.0, "unknown flag --capacity");
     }
 
     #[test]
-    fn zero_capacity_rejected_at_parse_time() {
-        // regression: the lockstep extractor asserts on capacity > 0, so
-        // a zero capacity must die here with a clear message, not deep in
-        // a worker thread mid-campaign
-        let e = parse(&v(&[
-            "campaign",
-            "--kernel",
-            "matvec",
-            "--extraction",
-            "lockstep",
-            "--capacity",
-            "0",
-        ]))
-        .unwrap_err();
-        assert!(e.0.contains("--capacity must be at least 1"), "{}", e.0);
-        // a zero capacity is rejected even when lockstep is not selected
-        assert!(parse(&v(&["campaign", "--kernel", "matvec", "--capacity", "0"])).is_err());
+    fn rate_must_be_in_unit_interval() {
+        let rate = |r: &str| parse(&v(&["analyze", "--kernel", "matvec", "--rate", r]));
+        for bad in ["-0.5", "0", "nan", "inf", "7", "1.0001"] {
+            let e = rate(bad).unwrap_err();
+            assert_eq!(e.0, "--rate must be in (0, 1]", "--rate {bad}");
+        }
+        assert_eq!(rate("1").unwrap().rate, 1.0);
+        assert_eq!(rate("0.35").unwrap().rate, 0.35);
     }
 
     #[test]

@@ -144,8 +144,7 @@ fn golden(args: &Args) -> Result<String, CliError> {
 
 fn campaign(args: &Args) -> Result<String, CliError> {
     let kernel = args.kernel.build();
-    let mut analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance))
-        .with_extraction(args.extraction);
+    let mut analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance));
     if args.snapshot {
         analysis = analysis.with_snapshots(args.snapshot_max);
     }
@@ -209,8 +208,7 @@ fn static_bit_masks(args: &Args, kernel: &dyn ftb_kernels::Kernel) -> Result<Bit
 
 fn exhaustive(args: &Args) -> Result<String, CliError> {
     let kernel = args.kernel.build();
-    let mut analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance))
-        .with_extraction(args.extraction);
+    let mut analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance));
     if args.snapshot {
         analysis = analysis.with_snapshots(args.snapshot_max);
     }
@@ -275,8 +273,7 @@ fn exhaustive(args: &Args) -> Result<String, CliError> {
 fn analyze(args: &Args) -> Result<String, CliError> {
     let filter = filter_mode(&args.filter)?;
     let kernel = args.kernel.build();
-    let analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance))
-        .with_extraction(args.extraction);
+    let analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance));
     let samples = analysis.sample_uniform(args.rate, args.seed);
     let inference = analysis.infer(&samples, filter);
     let predictor = analysis.predictor(&inference.boundary);
@@ -385,8 +382,7 @@ fn analyze_static(args: &Args) -> Result<String, CliError> {
 
     // validation: exhaustive ground truth + a pinned-seed sample, then the
     // static / inferred / golden three-way comparison
-    let injector = Injector::with_golden(kernel.as_ref(), golden, Classifier::new(args.tolerance))
-        .with_extraction(args.extraction);
+    let injector = Injector::with_golden(kernel.as_ref(), golden, Classifier::new(args.tolerance));
     let truth = injector.exhaustive();
     let n_val_sites = ((args.rate * injector.n_sites() as f64).ceil() as usize).max(4);
     let samples = SampleSet::sample_sites(&injector, n_val_sites, args.seed);
@@ -481,8 +477,7 @@ fn min_sdc_per_site(golden: &ftb_trace::GoldenRun, truth: &ExhaustiveResult) -> 
 
 fn analyze_compose(args: &Args) -> Result<String, CliError> {
     let kernel = args.kernel.build();
-    let injector = Injector::new(kernel.as_ref(), Classifier::new(args.tolerance))
-        .with_extraction(args.extraction);
+    let injector = Injector::new(kernel.as_ref(), Classifier::new(args.tolerance));
     let cfg = ftb_core::ComposeConfig {
         tolerance: args.tolerance,
         rate: args.rate,
@@ -870,8 +865,7 @@ fn analyze_bits(args: &Args) -> Result<String, CliError> {
     }
 
     // conservatism scorecard: every certified bit must really be masked
-    let injector = Injector::with_golden(kernel.as_ref(), golden, Classifier::new(args.tolerance))
-        .with_extraction(args.extraction);
+    let injector = Injector::with_golden(kernel.as_ref(), golden, Classifier::new(args.tolerance));
     let truth = injector.exhaustive();
     let (mut violations, mut truly_masked, mut certified_ok, mut crash_hits) =
         (0u64, 0u64, 0u64, 0u64);
@@ -936,8 +930,7 @@ fn analyze_bits(args: &Args) -> Result<String, CliError> {
 
 fn analyze_characterize(args: &Args) -> Result<String, CliError> {
     let kernel = args.kernel.build();
-    let injector = Injector::new(kernel.as_ref(), Classifier::new(args.tolerance))
-        .with_extraction(args.extraction);
+    let injector = Injector::new(kernel.as_ref(), Classifier::new(args.tolerance));
     let report = ftb_inject::characterize(&injector, &args.threads);
     maybe_write_json(args, &report)?;
 
@@ -1056,8 +1049,7 @@ fn load_adaptive_checkpoint(
 fn adaptive(args: &Args) -> Result<String, CliError> {
     let filter = filter_mode(&args.filter)?;
     let kernel = args.kernel.build();
-    let analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance))
-        .with_extraction(args.extraction);
+    let analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance));
     let injector = analysis.injector();
     let cfg = AdaptiveConfig {
         filter,
@@ -1171,8 +1163,7 @@ fn adaptive(args: &Args) -> Result<String, CliError> {
 fn report(args: &Args) -> Result<String, CliError> {
     let filter = filter_mode(&args.filter)?;
     let kernel = args.kernel.build();
-    let analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance))
-        .with_extraction(args.extraction);
+    let analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance));
     let samples = analysis.sample_uniform(args.rate, args.seed);
     let inference = analysis.infer(&samples, filter);
     let predictor = analysis.predictor(&inference.boundary);
@@ -1217,8 +1208,7 @@ fn report(args: &Args) -> Result<String, CliError> {
 fn protect(args: &Args) -> Result<String, CliError> {
     let filter = filter_mode(&args.filter)?;
     let kernel = args.kernel.build();
-    let analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance))
-        .with_extraction(args.extraction);
+    let analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance));
     let samples = analysis.sample_uniform(args.rate, args.seed);
     let inference = analysis.infer(&samples, filter);
     let predictor = analysis.predictor(&inference.boundary);

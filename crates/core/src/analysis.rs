@@ -13,9 +13,7 @@ use crate::metrics::{BoundaryEval, SdcProfile};
 use crate::predict::Predictor;
 use crate::protection::ProtectionPlan;
 use crate::sample::SampleSet;
-use ftb_inject::{
-    monte_carlo, Classifier, ExhaustiveResult, ExtractionMode, Injector, MonteCarloEstimate,
-};
+use ftb_inject::{monte_carlo, Classifier, ExhaustiveResult, Injector, MonteCarloEstimate};
 use ftb_kernels::Kernel;
 use ftb_trace::GoldenRun;
 
@@ -30,15 +28,6 @@ impl<'k> Analysis<'k> {
         Analysis {
             injector: Injector::new(kernel, classifier),
         }
-    }
-
-    /// Select the propagation-extraction path for every campaign and
-    /// inference this session runs (default
-    /// [`ExtractionMode::Streamed`]). Results are identical across
-    /// modes; this is a pure performance/memory choice.
-    pub fn with_extraction(mut self, mode: ExtractionMode) -> Self {
-        self.injector = self.injector.with_extraction(mode);
-        self
     }
 
     /// Capture golden-run boundary snapshots and serve every experiment

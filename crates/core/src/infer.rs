@@ -2,8 +2,8 @@
 //! filter operation.
 //!
 //! For every **masked** experiment in the sample set, the faulty run is
-//! re-executed through the injector's extraction path (streamed by
-//! default — see `ftb_inject::extraction`) and its propagation errors are
+//! re-executed through the injector's streamed extraction
+//! ([`Injector::extract_propagation`]) and its propagation errors are
 //! folded into the boundary as a per-site running max (Algorithm 1):
 //!
 //! ```text
@@ -27,10 +27,8 @@
 
 use crate::boundary::Boundary;
 use crate::sample::SampleSet;
-use ftb_inject::{fold_propagation_lockstep, Injector};
-use ftb_kernels::Kernel;
+use ftb_inject::Injector;
 use ftb_trace::norms::relative_error;
-use ftb_trace::FaultSpec;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -101,9 +99,8 @@ pub fn infer_boundary(
         FilterMode::Global => Some(vec![samples.min_sdc_injected_global(); n_sites]),
     };
 
-    // Parallel fold over masked experiments: each re-runs through the
-    // injector's extraction path (buffered, lockstep or streamed — the
-    // folds are identical) into a thread-local partial.
+    // Parallel fold over masked experiments: each re-runs through
+    // streamed extraction into a thread-local partial.
     let masked: Vec<_> = samples.masked().collect();
     let partial = masked
         .par_iter()
@@ -142,74 +139,6 @@ pub fn infer_boundary(
     let (boundary, prop_hits) = partial;
 
     // Significant-injection counts (pure bookkeeping, no runs needed).
-    let mut sig_injections = vec![0u32; n_sites];
-    for e in samples.experiments() {
-        let v = golden.value(e.site);
-        if relative_error(v, v + e.injected_err, REL_FLOOR) > SIGNIFICANT_REL_ERR {
-            sig_injections[e.site] += 1;
-        }
-    }
-
-    Inference {
-        boundary,
-        prop_hits,
-        sig_injections,
-    }
-}
-
-/// Memory-bounded variant of [`infer_boundary`]: masked experiments are
-/// re-executed in **lockstep** with a golden duplicate (see
-/// `ftb_inject::lockstep`), so no faulty value trace is ever materialised
-/// — peak extra memory is `O(capacity)` per experiment instead of
-/// `O(n_sites)`. This implements the paper's §5 "computation duplication"
-/// direction; results are identical to [`infer_boundary`].
-///
-/// Runs serially (each lockstep extraction already uses two threads).
-pub fn infer_boundary_streaming(
-    kernel: &dyn Kernel,
-    injector: &Injector<'_>,
-    samples: &SampleSet,
-    filter: FilterMode,
-    capacity: usize,
-) -> Inference {
-    let n_sites = injector.n_sites();
-    let golden = injector.golden();
-
-    let min_sdc: Option<Vec<f64>> = match filter {
-        FilterMode::Off => None,
-        FilterMode::PerSite => Some(samples.min_sdc_injected(n_sites)),
-        FilterMode::Global => Some(vec![samples.min_sdc_injected_global(); n_sites]),
-    };
-
-    let mut boundary = Boundary::zero(n_sites);
-    let mut prop_hits = vec![0u32; n_sites];
-    for e in samples.masked() {
-        let classifier = *injector.classifier();
-        fold_propagation_lockstep(
-            kernel,
-            FaultSpec {
-                site: e.site,
-                bit: e.bit,
-            },
-            &classifier,
-            capacity,
-            |site, err| {
-                let passes = match &min_sdc {
-                    None => true,
-                    Some(mins) => err < mins[site],
-                };
-                if passes {
-                    boundary.observe(site, err);
-                }
-                if relative_error(golden.value(site), golden.value(site) + err, REL_FLOOR)
-                    > SIGNIFICANT_REL_ERR
-                {
-                    prop_hits[site] += 1;
-                }
-            },
-        );
-    }
-
     let mut sig_injections = vec![0u32; n_sites];
     for e in samples.experiments() {
         let v = golden.value(e.site);
@@ -347,13 +276,29 @@ mod tests {
             ..StencilConfig::small()
         });
         let inj = stencil_injector(&k);
+        let golden = inj.golden();
         let samples = SampleSet::sample_sites(&inj, 6, 9);
         for filter in [FilterMode::Off, FilterMode::PerSite] {
-            let buffered = infer_boundary(&inj, &samples, filter);
-            let streamed = infer_boundary_streaming(&k, &inj, &samples, filter, 32);
-            assert_eq!(buffered.boundary, streamed.boundary, "filter {filter:?}");
-            assert_eq!(buffered.prop_hits, streamed.prop_hits);
-            assert_eq!(buffered.sig_injections, streamed.sig_injections);
+            let streamed = infer_boundary(&inj, &samples, filter);
+            // reference: Algorithm 1 over fully recorded faulty traces
+            let mins = samples.min_sdc_injected(inj.n_sites());
+            let mut boundary = Boundary::zero(inj.n_sites());
+            let mut hits = vec![0u32; inj.n_sites()];
+            for e in samples.masked() {
+                let (_, prop) = inj.run_one_traced(e.site, e.bit);
+                for (site, err) in prop.iter().filter(|&(_, d)| d > 0.0) {
+                    if filter == FilterMode::Off || err < mins[site] {
+                        boundary.observe(site, err);
+                    }
+                    if relative_error(golden.value(site), golden.value(site) + err, REL_FLOOR)
+                        > SIGNIFICANT_REL_ERR
+                    {
+                        hits[site] += 1;
+                    }
+                }
+            }
+            assert_eq!(streamed.boundary, boundary, "filter {filter:?}");
+            assert_eq!(streamed.prop_hits, hits);
         }
     }
 

@@ -82,7 +82,7 @@ pub use compose::{
     compose_analysis, compose_thresholds, plan_incremental, ComposeConfig, ComposeError,
     ComposeParams, ComposeResult, Composed, IncrementalPlan, SectionDag,
 };
-pub use infer::{infer_boundary, infer_boundary_streaming, FilterMode, Inference};
+pub use infer::{infer_boundary, FilterMode, Inference};
 pub use metrics::{delta_sdc, BoundaryEval, SdcProfile};
 pub use pilot::{pilot_estimate, PilotConfig, PilotEstimate};
 pub use predict::{crash_known_set, PredictedOutcome, Predictor};
@@ -120,5 +120,5 @@ pub mod prelude {
     pub use crate::staticbound::{
         static_bound, validate_static, StaticBound, StaticBoundConfig, StaticValidation,
     };
-    pub use ftb_inject::{Classifier, ExtractionMode, Injector, Outcome};
+    pub use ftb_inject::{Classifier, Injector, Outcome};
 }

@@ -9,11 +9,7 @@
 
 use crate::batch::BatchEngine;
 use crate::experiment::Experiment;
-use crate::extraction::ExtractionMode;
 use crate::ledger::BatchBinding;
-use crate::lockstep::{
-    fold_propagation_lockstep, fold_propagation_lockstep_resumed, LockstepResume,
-};
 use crate::outcome::{Classifier, Outcome};
 use crate::snapshot::{Snapshot, SnapshotStore};
 use ftb_kernels::Kernel;
@@ -36,14 +32,14 @@ thread_local! {
 const BATCH_BINDING_TAG: u64 = 0x6674_622d_6261_7463;
 
 /// Bound experiment runner: a kernel, its golden run (full and compact
-/// forms), a classifier, and the propagation-extraction mode.
+/// forms), a classifier, and the execution options (snapshots, certified
+/// exits, lane batching).
 pub struct Injector<'k> {
     kernel: &'k dyn Kernel,
     golden: GoldenRun,
     /// Shared read-only golden buffer for the streamed extraction path.
     compact: CompactGolden,
     classifier: Classifier,
-    extraction: ExtractionMode,
     /// Golden-run boundary snapshots; when present, outcome and
     /// propagation experiments resume from the latest snapshot preceding
     /// their fault site instead of re-executing from `t = 0`.
@@ -85,7 +81,6 @@ impl<'k> Injector<'k> {
             golden,
             compact,
             classifier,
-            extraction: ExtractionMode::default(),
             snapshots: None,
             certified_exits: false,
             batch_lanes: 1,
@@ -96,8 +91,8 @@ impl<'k> Injector<'k> {
     /// evenly thinned) and serve every subsequent experiment from the
     /// snapshot immediately preceding its fault site. A no-op when the
     /// kernel is not snapshot-capable. Results stay bit-identical to
-    /// from-scratch execution in every extraction mode — the skipped
-    /// prefix is replayed from recorded golden state, not recomputed.
+    /// from-scratch execution: the skipped prefix is golden state the
+    /// faulty run would have reproduced bit-for-bit.
     pub fn with_snapshots(mut self, max_snapshots: usize) -> Self {
         self.snapshots = SnapshotStore::capture(self.kernel, &self.golden, max_snapshots);
         self
@@ -140,8 +135,8 @@ impl<'k> Injector<'k> {
     /// batch-capable, snapshots must be captured
     /// ([`Injector::with_snapshots`]), and only the outcome-only
     /// ([`Injector::run_many`]) and streamed-extraction
-    /// ([`Injector::run_batch`] under [`ExtractionMode::Streamed`])
-    /// paths batch; everything else silently stays scalar. `lanes = 1`
+    /// ([`Injector::run_batch`], [`Injector::run_exhaustive`]) paths
+    /// batch; everything else silently stays scalar. `lanes = 1`
     /// disables batching.
     ///
     /// # Panics
@@ -249,25 +244,6 @@ impl<'k> Injector<'k> {
         let store = self.snapshots.as_ref()?;
         let (_, snap) = store.for_site(fault.site)?;
         Some((store, snap))
-    }
-
-    /// Select the propagation-extraction path (default
-    /// [`ExtractionMode::Streamed`]). All modes produce identical
-    /// results; this is a pure performance/memory choice.
-    ///
-    /// # Panics
-    /// Panics on a lockstep mode with zero capacity.
-    pub fn with_extraction(mut self, mode: ExtractionMode) -> Self {
-        if let ExtractionMode::Lockstep { capacity } = mode {
-            assert!(capacity > 0, "lockstep capacity must be positive");
-        }
-        self.extraction = mode;
-        self
-    }
-
-    /// The extraction mode in use.
-    pub fn extraction(&self) -> ExtractionMode {
-        self.extraction
     }
 
     /// The kernel under injection.
@@ -384,8 +360,10 @@ impl<'k> Injector<'k> {
         }
     }
 
-    /// Run one experiment with full tracing and extract its propagation
-    /// data (used for masked experiments feeding Algorithm 1).
+    /// Run one experiment from scratch with full tracing and extract its
+    /// propagation data afterwards (paper §2.2). Used for masked
+    /// experiments feeding Algorithm 1, and the reference every streamed,
+    /// snapshot-resumed and batched result must reproduce bit for bit.
     pub fn run_one_traced(&self, site: usize, bit: u8) -> (Experiment, Propagation) {
         assert!(site < self.n_sites(), "site {site} out of range");
         let run = self
@@ -506,164 +484,42 @@ impl<'k> Injector<'k> {
         })
     }
 
-    /// Buffered experiment resumed from the snapshot preceding its fault
-    /// site. The buffered contract includes a full propagation record, so
-    /// there is no early exit; instead the recorded suffix is stitched
-    /// onto the golden prefix — which the skipped execution would have
-    /// reproduced bit-for-bit — before the comparison.
-    fn try_run_one_buffered_resumed(&self, fault: FaultSpec) -> Option<(Experiment, Propagation)> {
-        let (store, snap) = self.resume_for(fault)?;
-        let state = store.state(snap);
-        let mut t = Tracer::inject(self.kernel.precision(), fault, RecordMode::Full)
-            .resume_at(snap.cursor, snap.branch_count);
-        let out = self
-            .kernel
-            .run_resumed(&mut t, &state, &mut |_, _, _| false);
-        let run = t.finish(out);
-
-        let mut values = self.golden.values[..snap.cursor].to_vec();
-        values.extend_from_slice(run.values.as_deref().unwrap_or(&[]));
-        let mut branches = self.golden.branches[..snap.branch_count].to_vec();
-        branches.extend_from_slice(run.branches.as_deref().unwrap_or(&[]));
-        let stitched = RunTrace {
-            values: Some(values),
-            branches: Some(branches),
-            ..run
-        };
-        let (outcome, output_err) = self.classifier.classify(&self.golden, &stitched);
-        let prop = propagation(&self.golden, &stitched);
-        Some((
-            Experiment {
-                site: fault.site,
-                bit: fault.bit,
-                injected_err: stitched.injected_err.unwrap_or(0.0),
-                output_err,
-                outcome,
-            },
-            prop,
-        ))
-    }
-
-    /// Lockstep resume coordinates for a fault, if a snapshot serves it.
-    fn lockstep_resume_for(&self, fault: FaultSpec) -> Option<LockstepResume> {
-        let (store, snap) = self.resume_for(fault)?;
-        Some(LockstepResume {
-            cursor: snap.cursor,
-            branch_count: snap.branch_count,
-            state: store.state(snap),
-        })
-    }
-
-    /// Run one propagation-extracting experiment via the configured
-    /// extraction path, discarding the propagation fold.
-    fn run_one_via(&self, fault: FaultSpec) -> Experiment {
+    /// Run one streamed experiment (snapshot-resumed when a snapshot
+    /// serves its site), discarding the propagation fold.
+    fn run_one_extracting(&self, fault: FaultSpec) -> Experiment {
         assert!(
             fault.site < self.n_sites(),
             "site {} out of range",
             fault.site
         );
-        match self.extraction {
-            ExtractionMode::Buffered => match self.try_run_one_buffered_resumed(fault) {
-                Some((e, _)) => e,
-                None => self.run_one_traced(fault.site, fault.bit).0,
-            },
-            ExtractionMode::Lockstep { capacity } => {
-                let report = match self.lockstep_resume_for(fault) {
-                    Some(rs) => fold_propagation_lockstep_resumed(
-                        self.kernel,
-                        fault,
-                        &self.classifier,
-                        capacity,
-                        &rs,
-                        |_, _| {},
-                    ),
-                    None => fold_propagation_lockstep(
-                        self.kernel,
-                        fault,
-                        &self.classifier,
-                        capacity,
-                        |_, _| {},
-                    ),
-                };
-                Experiment {
-                    site: fault.site,
-                    bit: fault.bit,
-                    injected_err: report.injected_err.unwrap_or(0.0),
-                    output_err: report.output_err,
-                    outcome: report.outcome,
-                }
-            }
-            ExtractionMode::Streamed => match self.try_run_one_streamed_resumed(fault) {
-                Some(e) => e,
-                None => self.run_one_streamed(fault, None).0,
-            },
+        match self.try_run_one_streamed_resumed(fault) {
+            Some(e) => e,
+            None => self.run_one_streamed(fault, None).0,
         }
     }
 
     /// Run one experiment and fold its propagation window (`(site, Δx)`
-    /// pairs, zero deltas skipped) through the configured extraction
-    /// path. All paths produce identical folds, experiments and window
-    /// summaries — the dispatch is a pure performance choice.
+    /// pairs, zero deltas skipped) through streamed extraction. The
+    /// folds, experiment and window summary are bit-identical to those
+    /// of [`Injector::run_one_traced`].
     pub fn extract_propagation(
         &self,
         site: usize,
         bit: u8,
         mut fold: impl FnMut(usize, f64),
     ) -> ExtractionSummary {
-        match self.extraction {
-            ExtractionMode::Buffered => {
-                let (experiment, prop) = self.run_one_traced(site, bit);
-                let mut max_err = 0.0f64;
-                for (s, d) in prop.iter() {
-                    if d > 0.0 {
-                        fold(s, d);
-                        max_err = max_err.max(d);
-                    }
-                }
-                ExtractionSummary {
-                    experiment,
-                    compare_len: prop.compare_len,
-                    diverged: prop.diverged,
-                    max_err,
-                }
-            }
-            ExtractionMode::Lockstep { capacity } => {
-                let report = fold_propagation_lockstep(
-                    self.kernel,
-                    FaultSpec { site, bit },
-                    &self.classifier,
-                    capacity,
-                    fold,
-                );
-                ExtractionSummary {
-                    experiment: Experiment {
-                        site,
-                        bit,
-                        injected_err: report.injected_err.unwrap_or(0.0),
-                        output_err: report.output_err,
-                        outcome: report.outcome,
-                    },
-                    compare_len: report.compare_len,
-                    diverged: report.diverged,
-                    max_err: report.max_err,
-                }
-            }
-            ExtractionMode::Streamed => {
-                let (experiment, window) =
-                    self.run_one_streamed(FaultSpec { site, bit }, Some(&mut fold));
-                ExtractionSummary {
-                    experiment,
-                    compare_len: window.compare_len,
-                    diverged: window.diverged,
-                    max_err: window.max_err,
-                }
-            }
+        let (experiment, window) = self.run_one_streamed(FaultSpec { site, bit }, Some(&mut fold));
+        ExtractionSummary {
+            experiment,
+            compare_len: window.compare_len,
+            diverged: window.diverged,
+            max_err: window.max_err,
         }
     }
 
     /// Run a batch of experiments in parallel. Results are returned in
-    /// input order. Outcome-only: no propagation extraction regardless of
-    /// the configured mode (the fast path for samplers and Monte-Carlo).
+    /// input order. Outcome-only: no propagation extraction (the fast
+    /// path for samplers and Monte-Carlo).
     /// With batching configured ([`Injector::with_batch_lanes`]),
     /// snapshot-served faults run as lane-batched sweeps without the
     /// comparator; leftovers run scalar from scratch.
@@ -677,38 +533,35 @@ impl<'k> Injector<'k> {
             .collect()
     }
 
-    /// Run a batch of propagation-extracting experiments in parallel via
-    /// the configured extraction path, in input order. This is what
-    /// ledger campaigns execute: every experiment pays the extraction
-    /// cost of its path, which is exactly what the benchmark suite's
-    /// per-path throughput numbers compare.
+    /// Run a batch of propagation-extracting experiments in parallel
+    /// through streamed extraction, in input order. This is what ledger
+    /// campaigns execute: every experiment pays the golden-comparison
+    /// cost.
     ///
-    /// With batching configured ([`Injector::with_batch_lanes`]) and the
-    /// streamed extraction mode, snapshot-served faults run as
-    /// lane-batched sweeps with the amortised golden comparator (a
-    /// streamed-resumed experiment record carries no propagation fold,
-    /// so the batched records are bit-identical). The buffered and
-    /// lockstep modes stay scalar — their contracts include per-run
-    /// artefacts a shared-cursor sweep cannot synthesise.
+    /// With batching configured ([`Injector::with_batch_lanes`]),
+    /// snapshot-served faults run as lane-batched sweeps with the
+    /// amortised golden comparator (a streamed-resumed experiment record
+    /// carries no propagation fold, so the batched records are
+    /// bit-identical).
     pub fn run_batch(&self, faults: &[FaultSpec]) -> Vec<Experiment> {
-        if matches!(self.extraction, ExtractionMode::Streamed) {
-            if let Some(engine) = self.batch_engine(true) {
-                return self.run_plan_batched(&engine, faults, |f| self.run_one_via(f));
-            }
+        if let Some(engine) = self.batch_engine(true) {
+            return self.run_plan_batched(&engine, faults, |f| self.run_one_extracting(f));
         }
-        faults.par_iter().map(|f| self.run_one_via(*f)).collect()
+        faults
+            .par_iter()
+            .map(|f| self.run_one_extracting(*f))
+            .collect()
     }
 
     /// The exhaustive ground-truth campaign: every bit of every site
-    /// (`n_sites × bits` kernel executions), parallel over sites, via the
-    /// configured extraction path (batched under the same conditions as
+    /// (`n_sites × bits` kernel executions), parallel over sites, through
+    /// streamed extraction (batched under the same conditions as
     /// [`Injector::run_batch`], which the bit-at-a-time site-major plan
     /// suits perfectly — each site's 32/64 bit flips share a snapshot).
     pub fn run_exhaustive(&self) -> ExhaustiveResult {
         let bits = self.bits();
         let n = self.n_sites();
-        if matches!(self.extraction, ExtractionMode::Streamed) && self.batch_engine(true).is_some()
-        {
+        if self.batch_engine(true).is_some() {
             let plan: Vec<FaultSpec> = (0..n)
                 .flat_map(|site| (0..bits).map(move |bit| FaultSpec { site, bit }))
                 .collect();
@@ -726,7 +579,11 @@ impl<'k> Injector<'k> {
         let codes: Vec<u8> = (0..n)
             .into_par_iter()
             .flat_map_iter(|site| {
-                (0..bits).map(move |bit| self.run_one_via(FaultSpec { site, bit }).outcome.code())
+                (0..bits).map(move |bit| {
+                    self.run_one_extracting(FaultSpec { site, bit })
+                        .outcome
+                        .code()
+                })
             })
             .collect();
         ExhaustiveResult {
@@ -743,8 +600,8 @@ impl<'k> Injector<'k> {
 }
 
 /// Summary of one propagation-extracting experiment
-/// ([`Injector::extract_propagation`]), identical across extraction
-/// paths.
+/// ([`Injector::extract_propagation`]), identical to the one the
+/// [`Injector::run_one_traced`] reference yields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExtractionSummary {
     /// The classified experiment.
@@ -933,9 +790,17 @@ mod tests {
         let _ = inj.run_one(1_000_000, 0);
     }
 
+    /// The buffered reference for a plan: each fault run from scratch
+    /// with its full trace recorded.
+    fn reference(inj: &Injector<'_>, faults: &[FaultSpec]) -> Vec<Experiment> {
+        faults
+            .iter()
+            .map(|f| inj.run_one_traced(f.site, f.bit).0)
+            .collect()
+    }
+
     #[test]
     fn run_batch_is_identical_across_extraction_modes() {
-        use crate::extraction::ExtractionMode;
         let k = tiny_kernel();
         let faults: Vec<FaultSpec> = (0..12)
             .map(|i| FaultSpec {
@@ -943,35 +808,29 @@ mod tests {
                 bit: (i * 7 % 64) as u8,
             })
             .collect();
-        let buffered = injector(&k)
-            .with_extraction(ExtractionMode::Buffered)
-            .run_batch(&faults);
-        let lockstep = injector(&k)
-            .with_extraction(ExtractionMode::Lockstep { capacity: 8 })
-            .run_batch(&faults);
-        let streamed = injector(&k)
-            .with_extraction(ExtractionMode::Streamed)
-            .run_batch(&faults);
-        assert_eq!(buffered, streamed);
-        assert_eq!(buffered, lockstep);
+        let inj = injector(&k);
+        assert_eq!(reference(&inj, &faults), inj.run_batch(&faults));
     }
 
     #[test]
     fn extract_propagation_folds_identically_across_modes() {
-        use crate::extraction::ExtractionMode;
         let k = tiny_kernel();
-        let collect = |mode: ExtractionMode| {
-            let inj = injector(&k).with_extraction(mode);
-            let mut folded = Vec::new();
-            let summary = inj.extract_propagation(3, 30, |s, d| folded.push((s, d)));
-            (summary, folded)
-        };
-        let b = collect(ExtractionMode::Buffered);
-        let l = collect(ExtractionMode::Lockstep { capacity: 4 });
-        let s = collect(ExtractionMode::Streamed);
-        assert!(b.0.max_err > 0.0);
-        assert_eq!(b, s);
-        assert_eq!(b, l);
+        let inj = injector(&k);
+        let mut streamed = Vec::new();
+        let summary = inj.extract_propagation(3, 30, |s, d| streamed.push((s, d)));
+        let (experiment, prop) = inj.run_one_traced(3, 30);
+        let buffered: Vec<(usize, f64)> = prop.iter().filter(|&(_, d)| d > 0.0).collect();
+        assert!(summary.max_err > 0.0);
+        assert_eq!(streamed, buffered);
+        assert_eq!(
+            summary,
+            ExtractionSummary {
+                experiment,
+                compare_len: prop.compare_len,
+                diverged: prop.diverged,
+                max_err: buffered.iter().fold(0.0, |m, &(_, d)| d.max(m)),
+            }
+        );
     }
 
     #[test]
@@ -986,7 +845,6 @@ mod tests {
 
     #[test]
     fn snapshot_resumed_experiments_match_from_scratch_in_every_mode() {
-        use crate::extraction::ExtractionMode;
         use ftb_kernels::{JacobiConfig, JacobiKernel};
         let k = JacobiKernel::new(JacobiConfig {
             sweeps: 8,
@@ -1001,26 +859,26 @@ mod tests {
                 bit: (i * 11 % 64) as u8,
             })
             .collect();
-        for mode in [
-            ExtractionMode::Buffered,
-            ExtractionMode::Lockstep { capacity: 32 },
-            ExtractionMode::Streamed,
-        ] {
-            let scratch = Injector::new(&k, Classifier::new(1e-6))
-                .with_extraction(mode)
-                .run_batch(&faults);
-            let inj = Injector::new(&k, Classifier::new(1e-6))
-                .with_extraction(mode)
-                .with_snapshots(usize::MAX);
-            assert!(inj.snapshot_store().is_some());
-            assert_eq!(scratch, inj.run_batch(&faults), "{mode:?} diverged");
-            // the outcome-only path resumes too
-            assert_eq!(
-                Injector::new(&k, Classifier::new(1e-6)).run_many(&faults),
-                inj.run_many(&faults),
-                "outcome-only path diverged"
-            );
-        }
+        let scratch = Injector::new(&k, Classifier::new(1e-6));
+        let inj = Injector::new(&k, Classifier::new(1e-6)).with_snapshots(usize::MAX);
+        assert!(inj.snapshot_store().is_some());
+        let expected = reference(&scratch, &faults);
+        assert_eq!(
+            expected,
+            scratch.run_batch(&faults),
+            "from scratch diverged"
+        );
+        assert_eq!(
+            expected,
+            inj.run_batch(&faults),
+            "snapshot-resumed diverged"
+        );
+        // the outcome-only path resumes too
+        assert_eq!(
+            scratch.run_many(&faults),
+            inj.run_many(&faults),
+            "outcome-only path diverged"
+        );
     }
 
     #[test]
@@ -1166,13 +1024,5 @@ mod tests {
             .unwrap();
         assert_eq!(thin.lanes, 8);
         assert_ne!(b8.digest, thin.digest);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_capacity_lockstep_mode_rejected() {
-        use crate::extraction::ExtractionMode;
-        let k = tiny_kernel();
-        let _ = injector(&k).with_extraction(ExtractionMode::Lockstep { capacity: 0 });
     }
 }

@@ -24,9 +24,12 @@
 //!   a crash-safe streaming [`ledger`], live [`obs`] metrics, and
 //!   kill-and-resume recovery.
 //!
-//! Propagation-extracting campaigns select one of three equivalent
-//! [`ExtractionMode`] paths (buffered, lockstep, streamed — see
-//! [`extraction`]); `streamed` is the default and fastest.
+//! Propagation-extracting campaigns compare each faulty run against a
+//! shared read-only golden buffer while it executes (streamed
+//! extraction, [`ftb_trace::Tracer::comparing`]).
+//! [`Injector::run_one_traced`] — record the full faulty trace, then
+//! compare — is kept as the reference the streamed path must reproduce
+//! bit for bit.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,9 +38,7 @@ pub(crate) mod batch;
 pub mod campaign;
 pub mod characterize;
 pub mod experiment;
-pub mod extraction;
 pub mod ledger;
-pub mod lockstep;
 pub mod monte_carlo;
 pub mod obs;
 pub mod outcome;
@@ -50,13 +51,9 @@ pub use characterize::{
     characterize, site_tvd, CharacterizeReport, PairDelta, SiteHistogram, ThreadRun,
 };
 pub use experiment::Experiment;
-pub use extraction::ExtractionMode;
 pub use ledger::{
     read_ledger, BatchBinding, BitPruneBinding, CampaignBinding, LedgerError, LedgerHeader,
     LedgerWriter, SnapshotBinding,
-};
-pub use lockstep::{
-    fold_propagation_lockstep, fold_propagation_lockstep_resumed, LockstepReport, LockstepResume,
 };
 pub use monte_carlo::{monte_carlo, MonteCarloEstimate};
 pub use obs::{CampaignMetrics, MetricsSnapshot, ProgressReporter};

@@ -171,7 +171,7 @@ impl<'k> ChunkedCampaign<'k> {
     }
 
     /// Run one chunk (parallel inside the chunk, via the injector's
-    /// extraction path), append it to the ledger, update metrics.
+    /// streamed extraction), append it to the ledger, update metrics.
     /// Returns how many experiments ran — 0 means the campaign was
     /// already complete.
     pub fn step(&mut self) -> Result<usize, LedgerError> {

@@ -169,9 +169,8 @@ struct MaskedFold {
 /// Run the campaign for section `t` of `map`: classify injections at a
 /// sampled subset of the section's own sites (all bits each) plus probes
 /// at the previous section's output frontier, then re-run the masked
-/// ones through the configured extraction path to fold their
-/// propagation. Deterministic for a fixed `(config, t)` regardless of
-/// thread count.
+/// ones through streamed extraction to fold their propagation.
+/// Deterministic for a fixed `(config, t)` regardless of thread count.
 pub fn run_section_campaign(
     injector: &Injector<'_>,
     registry: &StaticRegistry,

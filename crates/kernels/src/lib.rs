@@ -206,7 +206,7 @@ pub trait Kernel: Send + Sync {
         &[]
     }
 
-    /// Run every lane of `bt` in lockstep from `state`, one perturbed
+    /// Run every lane of `bt` together from `state`, one perturbed
     /// execution per lane, mirroring [`Kernel::run_resumed`]'s
     /// arithmetic bit-for-bit per lane. Calls `monitor` at exactly the
     /// boundaries `run_resumed` monitors (which may retire lanes by

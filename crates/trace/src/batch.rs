@@ -1,4 +1,4 @@
-//! Lane-batched tracing: N fault-injected runs advance in lockstep.
+//! Lane-batched tracing: N fault-injected runs advance together.
 //!
 //! Experiments that resume from the same section snapshot share their
 //! entire prefix and differ only in the single bit each one flips.

@@ -1,10 +1,9 @@
 //! One-sided streaming propagation extraction.
 //!
 //! The paper's §5 prices its approach at `8 bytes × dynamic instructions`
-//! of golden state per *extraction*, and the lockstep alternative
-//! ([`crate::tracer::Tracer::streaming`] + `ftb_inject::lockstep`) trades
-//! that for a duplicated golden computation per experiment. This module is
-//! the third point in the design space: the golden trace is recorded
+//! of golden state per *extraction*, and names computation duplication
+//! (a golden re-execution per experiment) as the way around it. This
+//! module takes a third route: the golden trace is recorded
 //! **once** into a shared, read-only
 //! [`CompactGolden`](crate::compact::CompactGolden), and every faulty
 //! execution compares its value and branch streams against it *while it

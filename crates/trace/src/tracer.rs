@@ -26,19 +26,7 @@ use crate::ddg::{Ddg, DdgBuilder, OpKind};
 use crate::golden::{GoldenRun, RunTrace};
 use crate::site::StaticId;
 use crate::streamed::{CompareScratch, StreamedWindow};
-use crossbeam::channel::Sender;
 use serde::{Deserialize, Serialize};
-
-/// One event of a streamed execution (see [`Tracer::streaming`]):
-/// the produced value of a dynamic instruction, or a branch outcome in
-/// the golden encoding `(cursor << 1) | taken`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum StreamEvent {
-    /// A dynamic instruction produced this value.
-    Value(f64),
-    /// A branch event, encoded `(cursor << 1) | taken`.
-    Branch(u64),
-}
 
 /// A single-bit-flip fault: flip bit `bit` of the value produced by
 /// dynamic instruction `site`.
@@ -305,9 +293,6 @@ pub struct Tracer<'g> {
     branches: Vec<u64>,
     first_nonfinite: Option<usize>,
     injected_err: Option<f64>,
-    /// Streaming sink (lockstep propagation extraction); when the
-    /// receiver hangs up, streaming silently stops and the run completes.
-    stream: Option<Sender<StreamEvent>>,
     /// One-sided comparison state ([`Tracer::comparing`]).
     compare: Option<CompareState<'g>>,
     /// Operand-provenance recorder ([`Tracer::with_ddg`]); golden mode
@@ -338,7 +323,6 @@ impl<'g> Tracer<'g> {
             branches: Vec::new(),
             first_nonfinite: None,
             injected_err: None,
-            stream: None,
             compare: None,
             ddg: None,
         }
@@ -369,33 +353,6 @@ impl<'g> Tracer<'g> {
     /// instrumentation overhead in the benches).
     pub fn untraced(precision: Precision) -> Self {
         Self::with_flags(precision, None, false, false, false)
-    }
-
-    /// A *streaming* tracer: every produced value and branch event is
-    /// sent into `sink` instead of being buffered — the substrate for the
-    /// memory-bounded lockstep propagation extraction of `ftb-inject`
-    /// (the paper's §5 "computation duplication" direction). Nothing is
-    /// recorded locally; if the receiving side disconnects, streaming
-    /// stops and the run completes normally.
-    ///
-    /// # Panics
-    /// Panics if a fault is supplied whose bit is out of range.
-    pub fn streaming(
-        precision: Precision,
-        fault: Option<FaultSpec>,
-        sink: Sender<StreamEvent>,
-    ) -> Self {
-        if let Some(f) = fault {
-            assert!(
-                f.bit < precision.bits(),
-                "bit {} out of range for {:?}",
-                f.bit,
-                precision
-            );
-        }
-        let mut t = Self::with_flags(precision, fault, false, false, false);
-        t.stream = Some(sink);
-        t
     }
 
     /// A *comparing* tracer: the one-sided streaming extraction fast path.
@@ -651,12 +608,6 @@ impl<'g> Tracer<'g> {
         if let Some(ddg) = &mut self.ddg {
             ddg.flush_value(idx);
         }
-        if let Some(tx) = &self.stream {
-            if tx.send(StreamEvent::Value(v)).is_err() {
-                // receiver gone: stop streaming, keep computing
-                self.stream = None;
-            }
-        }
         if let Some(cs) = &mut self.compare {
             // Sites before the fault are identical by construction (the
             // executions only differ from the flip onward), matching the
@@ -684,11 +635,6 @@ impl<'g> Tracer<'g> {
         let encoded = ((self.cursor as u64) << 1) | taken as u64;
         if self.record_branches {
             self.branches.push(encoded);
-        }
-        if let Some(tx) = &self.stream {
-            if tx.send(StreamEvent::Branch(encoded)).is_err() {
-                self.stream = None;
-            }
         }
         if let Some(cs) = &mut self.compare {
             if cs.div_cursor.is_none() {

@@ -6,10 +6,12 @@
 //! test run.
 
 use ftb_core::prelude::*;
+use ftb_inject::{ExhaustiveResult, Experiment, ExtractionSummary};
 use ftb_kernels::{
     CgConfig, FftConfig, GemmConfig, JacobiConfig, Kernel, KernelConfig, LuConfig, MatvecConfig,
     SpmvConfig, StencilConfig,
 };
+use ftb_trace::FaultSpec;
 
 /// Tiny variants of every kernel, with tolerances that give a non-trivial
 /// masked/SDC mix.
@@ -88,4 +90,55 @@ pub fn with_analysis<R>(
     let kernel = config.build();
     let analysis = Analysis::new(kernel.as_ref(), Classifier::new(tolerance));
     f(kernel.as_ref(), &analysis)
+}
+
+/// The reference results for a fault plan: every fault run from scratch
+/// with its full trace recorded ([`Injector::run_one_traced`]), serially.
+/// Streamed, snapshot-resumed and lane-batched execution must reproduce
+/// these records bit for bit.
+pub fn reference_batch(injector: &Injector<'_>, plan: &[FaultSpec]) -> Vec<Experiment> {
+    plan.iter()
+        .map(|f| injector.run_one_traced(f.site, f.bit).0)
+        .collect()
+}
+
+/// The reference exhaustive outcome table: [`reference_batch`] over every
+/// bit of every site, in [`Injector::run_exhaustive`]'s layout.
+pub fn reference_exhaustive(injector: &Injector<'_>) -> ExhaustiveResult {
+    let bits = injector.bits();
+    let plan: Vec<FaultSpec> = (0..injector.n_sites())
+        .flat_map(|site| (0..bits).map(move |bit| FaultSpec { site, bit }))
+        .collect();
+    ExhaustiveResult {
+        n_sites: injector.n_sites(),
+        bits,
+        codes: reference_batch(injector, &plan)
+            .iter()
+            .map(|e| e.outcome.code())
+            .collect(),
+    }
+}
+
+/// The reference propagation extraction of one experiment: the recorded
+/// trace compared after the fact ([`Injector::run_one_traced`]), its
+/// nonzero `(site, Δx)` pairs folded in cursor order — what
+/// [`Injector::extract_propagation`] must reproduce bit for bit.
+pub fn reference_extraction(
+    injector: &Injector<'_>,
+    site: usize,
+    bit: u8,
+    mut fold: impl FnMut(usize, f64),
+) -> ExtractionSummary {
+    let (experiment, prop) = injector.run_one_traced(site, bit);
+    let mut max_err = 0.0f64;
+    for (s, d) in prop.iter().filter(|&(_, d)| d > 0.0) {
+        fold(s, d);
+        max_err = max_err.max(d);
+    }
+    ExtractionSummary {
+        experiment,
+        compare_len: prop.compare_len,
+        diverged: prop.diverged,
+        max_err,
+    }
 }

@@ -1,6 +1,6 @@
 //! Soundness and conservatism acceptance for the forward interval
 //! analyzer: the forward envelope must contain the concrete golden run
-//! regardless of thread pool or extraction mode, widening must only
+//! regardless of thread pool or extraction path, widening must only
 //! grow intervals, and — the load-bearing property — no bit the
 //! analyzer certifies as masked may be SDC or Crash in the exhaustive
 //! ground truth, on any instrumented kernel. Ends with the bit-prune
@@ -101,7 +101,7 @@ fn envelope(kernel: &dyn Kernel, widen: f64) -> (GoldenRun, ForwardIntervals) {
 
 /// Soundness: every concrete golden value lies inside its forward
 /// interval, for every instrumented kernel, under 1/4/8-thread rayon
-/// pools and after exercising each extraction mode. The forward pass
+/// pools and after exercising streamed and buffered extraction. The forward pass
 /// reads only the DDG and the golden run, so nothing here may move.
 #[test]
 fn forward_envelope_contains_golden_across_threads_and_modes() {
@@ -145,24 +145,17 @@ fn forward_envelope_contains_golden_across_threads_and_modes() {
             );
         }
 
-        for mode in [
-            ExtractionMode::Buffered,
-            ExtractionMode::Lockstep { capacity: 1024 },
-            ExtractionMode::Streamed,
-        ] {
-            // extraction concerns faulty-run comparison; the golden
-            // provenance pass the envelope is built from must be blind
-            // to it
-            let inj =
-                Injector::new(kernel.as_ref(), Classifier::new(tolerance)).with_extraction(mode);
-            let _ = inj.run_one(0, 1);
-            let (g, f) = envelope(kernel.as_ref(), 0.0);
-            assert!(
-                f.contains_golden(&g),
-                "{}: envelope unsound after {mode:?} extraction",
-                kernel.name()
-            );
-        }
+        // extraction concerns faulty-run comparison; the golden
+        // provenance pass the envelope is built from must be blind to it
+        let inj = Injector::new(kernel.as_ref(), Classifier::new(tolerance));
+        let _ = inj.extract_propagation(0, 1, |_, _| {});
+        let _ = inj.run_one_traced(0, 1);
+        let (g, f) = envelope(kernel.as_ref(), 0.0);
+        assert!(
+            f.contains_golden(&g),
+            "{}: envelope unsound after extraction",
+            kernel.name()
+        );
     }
 }
 

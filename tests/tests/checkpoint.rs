@@ -241,18 +241,19 @@ fn cli_campaign_resume_after_simulated_crash_matches_full_run() {
     let _ = std::fs::remove_file(&metrics_path);
 }
 
-/// End-to-end across extraction paths: a streamed campaign killed
+/// End-to-end against the buffered reference: a streamed campaign killed
 /// mid-run and resumed must produce a ledger **byte-identical** to an
-/// uninterrupted buffered run of the same campaign — the extraction
-/// mode is a pure performance choice, invisible in every artefact.
+/// uninterrupted run of the same campaign, whose every record is in turn
+/// byte-identical to the serialized buffered reference experiment
+/// (`Injector::run_one_traced`) for the same fault.
 #[test]
 fn cli_streamed_resume_ledger_matches_uninterrupted_buffered_byte_for_byte() {
-    let buffered_ledger = tmp("cli-xtr-buffered.jsonl");
-    let streamed_ledger = tmp("cli-xtr-streamed.jsonl");
-    let _ = std::fs::remove_file(&buffered_ledger);
-    let _ = std::fs::remove_file(&streamed_ledger);
-    let bl = buffered_ledger.to_str().unwrap();
-    let sl = streamed_ledger.to_str().unwrap();
+    let full_ledger = tmp("cli-xtr-full.jsonl");
+    let crashed_ledger = tmp("cli-xtr-crashed.jsonl");
+    let _ = std::fs::remove_file(&full_ledger);
+    let _ = std::fs::remove_file(&crashed_ledger);
+    let fl = full_ledger.to_str().unwrap();
+    let cl = crashed_ledger.to_str().unwrap();
 
     let base = [
         "campaign",
@@ -266,35 +267,47 @@ fn cli_streamed_resume_ledger_matches_uninterrupted_buffered_byte_for_byte() {
         "21",
     ];
 
-    // uninterrupted buffered reference
-    let mut buffered = base.to_vec();
-    buffered.extend(["--extraction", "buffered", "--checkpoint", bl]);
-    let buffered_out = cli(&buffered);
+    // uninterrupted run
+    let mut full = base.to_vec();
+    full.extend(["--checkpoint", fl]);
+    let full_out = cli(&full);
 
-    // streamed run, crashed at 90 records (torn tail), then resumed
-    let mut streamed = base.to_vec();
-    streamed.extend(["--extraction", "streamed", "--checkpoint", sl]);
-    let _ = cli(&streamed);
-    let text = std::fs::read_to_string(&streamed_ledger).unwrap();
+    // its records are the buffered reference's, byte for byte
+    let raw: Vec<String> = base.iter().map(|s| s.to_string()).collect();
+    let args = ftb_cli::parse(&raw).unwrap();
+    let kernel = args.kernel.build();
+    let inj = Injector::new(kernel.as_ref(), Classifier::new(args.tolerance));
+    let recorded = std::fs::read_to_string(&full_ledger).unwrap();
+    for line in recorded.lines().skip(1) {
+        let e: Experiment = serde_json::from_str(line).unwrap();
+        let reference = inj.run_one_traced(e.site, e.bit).0;
+        assert_eq!(line, serde_json::to_string(&reference).unwrap());
+    }
+
+    // the same run, crashed at 90 records (torn tail), then resumed
+    let mut crashing = base.to_vec();
+    crashing.extend(["--checkpoint", cl]);
+    let _ = cli(&crashing);
+    let text = std::fs::read_to_string(&crashed_ledger).unwrap();
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 181, "header + 180 records");
     let mut crashed = lines[..91].join("\n");
     crashed.push_str("\n{\"site\":1,\"bit\"");
-    std::fs::write(&streamed_ledger, crashed).unwrap();
+    std::fs::write(&crashed_ledger, crashed).unwrap();
 
     let mut resume = base.to_vec();
-    resume.extend(["--extraction", "streamed", "--checkpoint", sl, "--resume"]);
+    resume.extend(["--checkpoint", cl, "--resume"]);
     let resumed_out = cli(&resume);
 
-    assert_eq!(buffered_out, resumed_out, "reports must be identical");
+    assert_eq!(full_out, resumed_out, "reports must be identical");
     assert_eq!(
-        std::fs::read(&buffered_ledger).unwrap(),
-        std::fs::read(&streamed_ledger).unwrap(),
-        "ledgers must be byte-identical across extraction paths"
+        std::fs::read(&full_ledger).unwrap(),
+        std::fs::read(&crashed_ledger).unwrap(),
+        "resumed ledger must be byte-identical to the uninterrupted one"
     );
 
-    let _ = std::fs::remove_file(&buffered_ledger);
-    let _ = std::fs::remove_file(&streamed_ledger);
+    let _ = std::fs::remove_file(&full_ledger);
+    let _ = std::fs::remove_file(&crashed_ledger);
 }
 
 #[test]

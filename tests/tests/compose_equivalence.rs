@@ -1,11 +1,13 @@
 //! Differential harness for the compositional analyzer: composed
 //! boundaries vs exhaustive ground truth, vs the monolithic inferred
-//! boundary, across every propagation-extraction path and thread count.
+//! boundary, across snapshot and lane configurations and thread counts,
+//! with the propagation folds it consumes checked against the buffered
+//! reference.
 
 use ftb_core::prelude::*;
 use ftb_core::{compose_analysis, ComposeConfig};
-use ftb_inject::{Classifier, ExtractionMode, Injector};
-use ftb_integration::tiny_suite;
+use ftb_inject::{Classifier, Injector};
+use ftb_integration::{reference_extraction, tiny_suite};
 use ftb_kernels::KernelConfig;
 
 /// The jacobi / gemm / cg members of the tiny suite.
@@ -160,24 +162,45 @@ fn composed_never_looser_than_monolithic_inferred_on_local_sites() {
 fn composed_is_identical_across_extraction_paths() {
     for (config, tol) in compose_suite() {
         let kernel = config.build();
+        // the folds phase 2 of every section campaign consumes: streamed
+        // extraction must reproduce the buffered reference bit for bit
+        let probe = Injector::new(kernel.as_ref(), Classifier::new(tol));
+        let mid = probe.bits() / 2;
+        for site in 0..probe.n_sites() {
+            for bit in [mid - 8, mid] {
+                let (mut streamed, mut reference) = (Vec::new(), Vec::new());
+                let s =
+                    probe.extract_propagation(site, bit, |j, d| streamed.push((j, d.to_bits())));
+                let r = reference_extraction(&probe, site, bit, |j, d| {
+                    reference.push((j, d.to_bits()))
+                });
+                assert_eq!(
+                    (s, streamed),
+                    (r, reference),
+                    "{} site {site} bit {bit}",
+                    config.name()
+                );
+            }
+        }
+        // and the composed result is the same whether the section
+        // campaigns run from scratch, snapshot-resumed, or lane-batched
         let mut results = Vec::new();
-        for mode in [
-            ExtractionMode::Buffered,
-            ExtractionMode::Lockstep { capacity: 64 },
-            ExtractionMode::Streamed,
-        ] {
-            let inj = Injector::new(kernel.as_ref(), Classifier::new(tol)).with_extraction(mode);
+        for (snapshots, lanes) in [(false, 1usize), (true, 1), (true, 8)] {
+            let mut inj = Injector::new(kernel.as_ref(), Classifier::new(tol));
+            if snapshots {
+                inj = inj.with_snapshots(usize::MAX).with_batch_lanes(lanes);
+            }
             let r = compose_analysis(kernel.as_ref(), &config, &inj, &cfg(tol), None).unwrap();
-            results.push((mode, r));
+            results.push(((snapshots, lanes), r));
         }
         let bits =
             |b: &Boundary| -> Vec<u64> { b.thresholds().iter().map(|t| t.to_bits()).collect() };
         let reference = bits(&results[0].1.boundary);
-        for (mode, r) in &results[1..] {
+        for ((snapshots, lanes), r) in &results[1..] {
             assert_eq!(
                 bits(&r.boundary),
                 reference,
-                "{}: {mode:?} diverged from Buffered",
+                "{}: snapshots {snapshots}, {lanes} lanes diverged from scratch",
                 config.name()
             );
             assert_eq!(r.summaries, results[0].1.summaries, "{}", config.name());

@@ -71,8 +71,7 @@ fn streamed_inference_identical_across_thread_counts() {
             .build()
             .unwrap();
         pool.install(|| {
-            let analysis = Analysis::new(kernel.as_ref(), Classifier::new(*tol))
-                .with_extraction(ExtractionMode::Streamed);
+            let analysis = Analysis::new(kernel.as_ref(), Classifier::new(*tol));
             let samples = analysis.sample_uniform(0.2, 11);
             let inference = analysis.infer(&samples, FilterMode::PerSite);
             (samples, inference, analysis.exhaustive())
@@ -99,8 +98,7 @@ fn rayon_num_threads_env_is_honoured_and_benign() {
     let (config, tol) = &tiny_suite()[4]; // matvec
     let kernel = config.build();
     let infer = || {
-        let analysis = Analysis::new(kernel.as_ref(), Classifier::new(*tol))
-            .with_extraction(ExtractionMode::Streamed);
+        let analysis = Analysis::new(kernel.as_ref(), Classifier::new(*tol));
         let samples = analysis.sample_uniform(0.3, 13);
         analysis.infer(&samples, FilterMode::PerSite)
     };

@@ -1,45 +1,10 @@
-//! Integration tests for the extension features: lockstep propagation,
+//! Integration tests for the extension features: streamed inference,
 //! the pilot-grouping baseline, and compact golden storage — exercised
 //! across kernels rather than on a single fixture.
 
 use ftb_core::prelude::*;
-use ftb_inject::fold_propagation_lockstep;
-use ftb_integration::{tiny_suite, with_analysis};
-use ftb_trace::{CompactGolden, FaultSpec};
-
-#[test]
-fn lockstep_equals_buffered_on_every_kernel() {
-    for (config, tol) in tiny_suite() {
-        with_analysis(&config, tol, |kernel, analysis| {
-            let injector = analysis.injector();
-            let site = analysis.n_sites() / 2;
-            let bit = 20;
-            let (exp, prop) = injector.run_one_traced(site, bit);
-            let buffered: Vec<(usize, f64)> = prop.iter().filter(|&(_, d)| d > 0.0).collect();
-
-            let mut streamed = Vec::new();
-            let report = fold_propagation_lockstep(
-                kernel,
-                FaultSpec { site, bit },
-                injector.classifier(),
-                32,
-                |s, d| streamed.push((s, d)),
-            );
-            assert_eq!(
-                streamed,
-                buffered,
-                "{}: lockstep fold differs",
-                kernel.name()
-            );
-            assert_eq!(
-                report.outcome,
-                exp.outcome,
-                "{}: outcome differs",
-                kernel.name()
-            );
-        });
-    }
-}
+use ftb_integration::{reference_extraction, tiny_suite, with_analysis};
+use ftb_trace::CompactGolden;
 
 #[test]
 fn pilot_baseline_runs_on_every_kernel() {
@@ -78,20 +43,23 @@ fn compact_golden_roundtrips_every_kernel() {
 
 #[test]
 fn streaming_inference_matches_buffered_on_every_kernel() {
-    use ftb_core::infer_boundary_streaming;
     for (config, tol) in tiny_suite() {
         with_analysis(&config, tol, |kernel, analysis| {
             let samples = analysis.sample_uniform(0.1, 77);
-            let buffered = analysis.infer(&samples, FilterMode::PerSite);
-            let streamed = infer_boundary_streaming(
-                kernel,
-                analysis.injector(),
-                &samples,
-                FilterMode::PerSite,
-                16,
-            );
+            let streamed = analysis.infer(&samples, FilterMode::PerSite);
+            // reference: Algorithm 1 + the per-site filter over fully
+            // recorded faulty traces
+            let mins = samples.min_sdc_injected(analysis.n_sites());
+            let mut buffered = Boundary::zero(analysis.n_sites());
+            for e in samples.masked() {
+                reference_extraction(analysis.injector(), e.site, e.bit, |site, err| {
+                    if err < mins[site] {
+                        buffered.observe(site, err);
+                    }
+                });
+            }
             assert_eq!(
-                buffered.boundary,
+                buffered,
                 streamed.boundary,
                 "{}: streaming inference differs",
                 kernel.name()

@@ -1,16 +1,17 @@
-//! Differential harness across the three propagation-extraction paths.
+//! Differential harness: streamed extraction against the buffered
+//! reference.
 //!
-//! Buffered (full-trace record + after-the-fact comparison), lockstep
-//! (computation duplication over bounded channels) and streamed
-//! (one-sided comparison against the shared compact golden trace) are
-//! three implementations of the paper's §2.2 extractor; campaigns may
-//! pick any of them, so they must be **bit-identical**: same
+//! Campaigns extract propagation by comparing each faulty run against
+//! the shared compact golden trace while it executes (streamed). The
+//! paper's §2.2 extractor — record the full faulty trace, compare
+//! afterwards ([`Injector::run_one_traced`]) — is kept as the reference,
+//! and the streamed path must be **bit-identical** to it: same
 //! `Propagation` folds, same `Outcome` classifications, same
 //! `injected_err`/`output_err`, across every kernel, fault site, bit,
-//! and control-flow shape.
+//! control-flow shape, snapshot and lane configuration, and thread pool.
 
-use ftb_inject::{Classifier, ExtractionMode, Injector};
-use ftb_integration::tiny_suite;
+use ftb_inject::{Classifier, ExtractionSummary, Injector};
+use ftb_integration::{reference_batch, reference_exhaustive, reference_extraction, tiny_suite};
 use ftb_kernels::{CgConfig, Kernel, KernelConfig};
 use ftb_trace::{
     propagation, streamed_propagation, CompactGolden, CompareScratch, FaultSpec, Propagation,
@@ -30,18 +31,18 @@ struct Extraction {
     max_err: u64,
 }
 
-/// Run one `(site, bit)` experiment through `mode`, capturing the fold
-/// with errors as raw bit patterns so equality is bitwise, not approximate.
-fn extract(
-    kernel: &dyn Kernel,
-    tol: f64,
-    mode: ExtractionMode,
-    site: usize,
-    bit: u8,
-) -> Extraction {
-    let inj = Injector::new(kernel, Classifier::new(tol)).with_extraction(mode);
+/// Run one `(site, bit)` experiment through the streamed path, or the
+/// buffered reference when `reference` is set, capturing the fold with
+/// errors as raw bit patterns so equality is bitwise, not approximate.
+fn extract(kernel: &dyn Kernel, tol: f64, reference: bool, site: usize, bit: u8) -> Extraction {
+    let inj = Injector::new(kernel, Classifier::new(tol));
     let mut folded = Vec::new();
-    let summary = inj.extract_propagation(site, bit, |s, d| folded.push((s, d.to_bits())));
+    let fold = |s: usize, d: f64| folded.push((s, d.to_bits()));
+    let summary: ExtractionSummary = if reference {
+        reference_extraction(&inj, site, bit, fold)
+    } else {
+        inj.extract_propagation(site, bit, fold)
+    };
     Extraction {
         folded,
         injected_err: summary.experiment.injected_err.to_bits(),
@@ -55,22 +56,11 @@ fn extract(
 
 fn assert_paths_agree(config: &KernelConfig, tol: f64, site: usize, bit: u8) {
     let kernel = config.build();
-    let buffered = extract(kernel.as_ref(), tol, ExtractionMode::Buffered, site, bit);
-    let lockstep = extract(
-        kernel.as_ref(),
-        tol,
-        ExtractionMode::Lockstep { capacity: 16 },
-        site,
-        bit,
-    );
-    let streamed = extract(kernel.as_ref(), tol, ExtractionMode::Streamed, site, bit);
+    let buffered = extract(kernel.as_ref(), tol, true, site, bit);
+    let streamed = extract(kernel.as_ref(), tol, false, site, bit);
     assert_eq!(
         buffered, streamed,
         "buffered vs streamed disagree: {config:?} site {site} bit {bit}"
-    );
-    assert_eq!(
-        buffered, lockstep,
-        "buffered vs lockstep disagree: {config:?} site {site} bit {bit}"
     );
 }
 
@@ -78,7 +68,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The core differential property: an arbitrary kernel, site and bit
-    /// produce bit-identical extractions on all three paths.
+    /// produce bit-identical extractions on the streamed path and the
+    /// buffered reference.
     #[test]
     fn all_paths_agree_on_arbitrary_faults(
         kernel_idx in 0usize..8,
@@ -110,10 +101,9 @@ fn all_paths_agree_on_high_bit_faults_across_kernels() {
     }
 }
 
-/// Divergent control flow (the early-consumer-stop path): find faults
-/// that change CG's iteration count, then check all three extractors
-/// agree there. In lockstep this is exactly the case where the consumer
-/// stops early and the producers must detach without deadlocking.
+/// Divergent control flow: find faults that change CG's iteration count,
+/// then check the streamed extractor truncates its window exactly where
+/// the reference does.
 #[test]
 fn all_paths_agree_under_control_flow_divergence() {
     let config = KernelConfig::Cg(CgConfig {
@@ -171,139 +161,92 @@ fn buffered_and_streamed_agree_when_fault_site_is_never_reached() {
     assert_eq!(buffered_run.output, streamed_run.output);
 }
 
+/// Render a run's experiments as their serialized ledger records, so
+/// equality covers every recorded bit.
+fn records(experiments: &[ftb_inject::Experiment]) -> Vec<String> {
+    experiments
+        .iter()
+        .map(|e| serde_json::to_string(e).unwrap())
+        .collect()
+}
+
+/// A strided fault plan over every site: every seventh bit plus the sign
+/// and top exponent bits, so the matrices stay affordable in a debug run
+/// (full-bit-axis agreement is covered by
+/// `exhaustive_outcome_tables_identical_across_paths` and the proptest).
+fn strided_plan(probe: &Injector<'_>) -> Vec<FaultSpec> {
+    let bits = probe.bits();
+    let mut probe_bits: Vec<u8> = (0..bits).step_by(7).collect();
+    probe_bits.extend([bits - 2, bits - 1]);
+    probe_bits.dedup();
+    (0..probe.n_sites())
+        .flat_map(|site| probe_bits.iter().map(move |&bit| FaultSpec { site, bit }))
+        .collect()
+}
+
+/// Run `f` inside a dedicated `threads`-worker rayon pool.
+fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap()
+        .install(f)
+}
+
 /// The full conformance matrix: every instrumented kernel in the tiny
-/// suite × every extraction path × {1, 4, 8}-thread rayon pools yields
-/// bit-identical experiment results. The reference cell is buffered
-/// extraction under a serial pool; all eight other cells must reproduce
-/// it exactly — this is the acceptance matrix for wiring the
+/// suite × {1, 4, 8}-thread rayon pools, streamed extraction from
+/// scratch, yields experiment records bit-identical to the serial
+/// buffered reference — this is the acceptance matrix for wiring the
 /// previously-dormant kernels (lu, fft, spmv, stencil, matvec) into the
-/// campaign stack. The bit axis is strided (every seventh bit plus the
-/// sign and top exponent bits) so the 9-cell matrix stays affordable in
-/// a debug run; full-bit-axis agreement is covered per path by
-/// `exhaustive_outcome_tables_identical_across_paths` and the proptest.
+/// campaign stack.
 #[test]
 fn conformance_matrix_all_kernels_modes_and_pools() {
-    let modes = [
-        ExtractionMode::Buffered,
-        ExtractionMode::Lockstep { capacity: 16 },
-        ExtractionMode::Streamed,
-    ];
     for (config, tol) in &tiny_suite() {
         let kernel = config.build();
-        let probe = Injector::new(kernel.as_ref(), Classifier::new(*tol));
-        let bits = probe.bits();
-        let mut probe_bits: Vec<u8> = (0..bits).step_by(7).collect();
-        probe_bits.extend([bits - 2, bits - 1]);
-        probe_bits.dedup();
-        let plan: Vec<FaultSpec> = (0..probe.n_sites())
-            .flat_map(|site| probe_bits.iter().map(move |&bit| FaultSpec { site, bit }))
-            .collect();
+        let inj = Injector::new(kernel.as_ref(), Classifier::new(*tol));
+        let plan = strided_plan(&inj);
         assert!(!plan.is_empty(), "{config:?}: empty campaign");
-
-        let cell = |mode: ExtractionMode, threads: usize| -> Vec<(u8, u64, u64)> {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            pool.install(|| {
-                Injector::new(kernel.as_ref(), Classifier::new(*tol))
-                    .with_extraction(mode)
-                    .run_batch(&plan)
-                    .iter()
-                    .map(|e| {
-                        (
-                            e.outcome.code(),
-                            e.injected_err.to_bits(),
-                            e.output_err.to_bits(),
-                        )
-                    })
-                    .collect()
-            })
-        };
-        let reference = cell(ExtractionMode::Buffered, 1);
-        for mode in modes {
-            for threads in [1usize, 4, 8] {
-                if mode == ExtractionMode::Buffered && threads == 1 {
-                    continue;
-                }
-                let got = cell(mode, threads);
-                assert_eq!(
-                    reference, got,
-                    "{config:?}: {mode:?} under a {threads}-thread pool \
-                     diverged from serial buffered extraction"
-                );
-            }
+        let reference = records(&reference_batch(&inj, &plan));
+        for threads in [1usize, 4, 8] {
+            let got = records(&in_pool(threads, || inj.run_batch(&plan)));
+            assert_eq!(
+                reference, got,
+                "{config:?}: streamed extraction under a {threads}-thread pool \
+                 diverged from the serial buffered reference"
+            );
         }
     }
 }
 
-/// The batched-execution axis of the conformance matrix: the same
-/// kernels, plans, modes and pools as
+/// The snapshot and batched-execution axes of the conformance matrix:
+/// the same kernels, plans and pools as
 /// `conformance_matrix_all_kernels_modes_and_pools`, but with snapshots
-/// captured and an 8-lane batch width configured. Streamed cells on
-/// batch-capable kernels (jacobi, gemm, lu) run the lane-batched SoA
-/// engine; every other cell silently falls back to scalar
-/// snapshot-resumed execution. All 9 cells per kernel must reproduce
-/// serial scalar buffered extraction bitwise — experiments *and* their
-/// serialized ledger-record bytes.
+/// captured and a lane width of 1 (scalar snapshot-resumed execution) or
+/// 8. On batch-capable kernels (jacobi, gemm, lu) the 8-lane cells run
+/// the lane-batched SoA engine; on every other kernel they silently fall
+/// back to scalar execution. Every cell must reproduce the serial
+/// buffered reference's serialized ledger records bitwise.
 #[test]
 fn conformance_matrix_batched_axis() {
-    let modes = [
-        ExtractionMode::Buffered,
-        ExtractionMode::Lockstep { capacity: 16 },
-        ExtractionMode::Streamed,
-    ];
     let mut batched_somewhere = 0;
     for (config, tol) in &tiny_suite() {
         let kernel = config.build();
         let probe = Injector::new(kernel.as_ref(), Classifier::new(*tol));
-        let bits = probe.bits();
-        let mut probe_bits: Vec<u8> = (0..bits).step_by(7).collect();
-        probe_bits.extend([bits - 2, bits - 1]);
-        probe_bits.dedup();
-        let plan: Vec<FaultSpec> = (0..probe.n_sites())
-            .flat_map(|site| probe_bits.iter().map(move |&bit| FaultSpec { site, bit }))
-            .collect();
-
-        let run = |mode: ExtractionMode, threads: usize, lanes: usize| -> Vec<String> {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            pool.install(|| {
-                Injector::new(kernel.as_ref(), Classifier::new(*tol))
-                    .with_extraction(mode)
-                    .with_snapshots(usize::MAX)
-                    .with_batch_lanes(lanes)
-                    .run_batch(&plan)
-                    .iter()
-                    .map(|e| serde_json::to_string(e).unwrap())
-                    .collect()
-            })
-        };
-        // the reference stays what the scalar matrix test uses: serial
-        // buffered extraction, no snapshots, no batching
-        let reference: Vec<String> = Injector::new(kernel.as_ref(), Classifier::new(*tol))
-            .with_extraction(ExtractionMode::Buffered)
-            .run_batch(&plan)
-            .iter()
-            .map(|e| serde_json::to_string(e).unwrap())
-            .collect();
-        if Injector::new(kernel.as_ref(), Classifier::new(*tol))
-            .with_snapshots(usize::MAX)
-            .with_batch_lanes(8)
-            .batch_binding()
-            .is_some()
-        {
-            batched_somewhere += 1;
-        }
-        for mode in modes {
+        let plan = strided_plan(&probe);
+        let reference = records(&reference_batch(&probe, &plan));
+        for lanes in [1usize, 8] {
+            let inj = Injector::new(kernel.as_ref(), Classifier::new(*tol))
+                .with_snapshots(usize::MAX)
+                .with_batch_lanes(lanes);
+            if lanes > 1 && inj.batch_binding().is_some() {
+                batched_somewhere += 1;
+            }
             for threads in [1usize, 4, 8] {
-                let got = run(mode, threads, 8);
+                let got = records(&in_pool(threads, || inj.run_batch(&plan)));
                 assert_eq!(
                     reference, got,
-                    "{config:?}: batched {mode:?} under a {threads}-thread pool \
-                     diverged from serial scalar buffered extraction"
+                    "{config:?}: snapshot-resumed streamed extraction at {lanes} lanes \
+                     under a {threads}-thread pool diverged from the buffered reference"
                 );
             }
         }
@@ -314,21 +257,14 @@ fn conformance_matrix_batched_axis() {
     );
 }
 
-/// Exhaustive three-way agreement on one small kernel: the whole
-/// `sites × bits` outcome table is identical across paths (this is the
-/// same assertion the CI benchmark smoke job makes on the bench suite).
+/// Exhaustive agreement on one small kernel: the whole `sites × bits`
+/// outcome table of the streamed campaign equals the buffered
+/// reference's (this is the same assertion the CI benchmark smoke job
+/// makes on the bench suite).
 #[test]
 fn exhaustive_outcome_tables_identical_across_paths() {
     let (config, tol) = &tiny_suite()[4]; // matvec
     let kernel = config.build();
-    let table = |mode: ExtractionMode| {
-        Injector::new(kernel.as_ref(), Classifier::new(*tol))
-            .with_extraction(mode)
-            .run_exhaustive()
-    };
-    let buffered = table(ExtractionMode::Buffered);
-    let streamed = table(ExtractionMode::Streamed);
-    let lockstep = table(ExtractionMode::Lockstep { capacity: 8 });
-    assert_eq!(buffered, streamed);
-    assert_eq!(buffered, lockstep);
+    let inj = Injector::new(kernel.as_ref(), Classifier::new(*tol));
+    assert_eq!(reference_exhaustive(&inj), inj.run_exhaustive());
 }

@@ -1,7 +1,8 @@
 //! Snapshot-resume differential tests: experiments served from
-//! golden-run boundary snapshots must be **bit-identical** to
-//! from-scratch execution — across every extraction mode, across worker
-//! thread counts, and across a kill/resume of a snapshot-backed ledger
+//! golden-run boundary snapshots must be **bit-identical** to the
+//! from-scratch buffered reference (`Injector::run_one_traced`) — at one
+//! and several lanes, across worker thread counts, and across a
+//! kill/resume of a snapshot-backed ledger
 //! campaign mid-section. The snapshot store is a pure performance
 //! artefact; nothing downstream may be able to tell it was there.
 
@@ -10,6 +11,7 @@ use ftb_inject::{
     monte_carlo_plan, read_ledger, schedule_snapshot_major, CampaignBinding, ChunkedCampaign,
     Experiment, LedgerError,
 };
+use ftb_integration::reference_batch;
 use ftb_kernels::{JacobiConfig, JacobiKernel, KernelConfig, LuConfig, LuKernel};
 use ftb_trace::FaultSpec;
 use std::path::PathBuf;
@@ -56,40 +58,40 @@ fn binding(inj: &Injector<'_>, plan: &str) -> CampaignBinding {
     }
 }
 
-/// Snapshot-started experiments are bit-identical to from-scratch ones
-/// in every extraction mode and under 1, 4, and 8 worker threads — both
-/// as in-memory values and through the serialized (ledger) byte form.
+/// Snapshot-started experiments are bit-identical to the from-scratch
+/// buffered reference, at 1 and 8 lanes and under 1, 4, and 8 worker
+/// threads — both as in-memory values and through the serialized
+/// (ledger) byte form.
 #[test]
 fn snapshot_resume_is_bit_identical_across_modes_and_threads() {
     let k = kernel();
     let classifier = Classifier::new(1e-6);
-    let n = Injector::new(&k, classifier).n_sites();
-    let faults = spread_faults(n, 36);
+    let probe = Injector::new(&k, classifier);
+    let faults = spread_faults(probe.n_sites(), 36);
+    let reference = reference_batch(&probe, &faults);
+    let ref_bytes = serde_json::to_string(&reference).unwrap();
+    assert_eq!(
+        reference,
+        probe.run_batch(&faults),
+        "from-scratch streamed diverged"
+    );
 
-    for mode in [
-        ExtractionMode::Buffered,
-        ExtractionMode::Lockstep { capacity: 32 },
-        ExtractionMode::Streamed,
-    ] {
-        let reference = Injector::new(&k, classifier)
-            .with_extraction(mode)
-            .run_batch(&faults);
-        let ref_bytes = serde_json::to_string(&reference).unwrap();
+    for lanes in [1usize, 8] {
+        let inj = Injector::new(&k, classifier)
+            .with_snapshots(usize::MAX)
+            .with_batch_lanes(lanes);
+        assert!(inj.snapshot_store().is_some());
         for threads in [1usize, 4, 8] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            let inj = Injector::new(&k, classifier)
-                .with_extraction(mode)
-                .with_snapshots(usize::MAX);
-            assert!(inj.snapshot_store().is_some());
             let got: Vec<Experiment> = pool.install(|| inj.run_batch(&faults));
-            assert_eq!(reference, got, "{mode:?} with {threads} threads diverged");
+            assert_eq!(reference, got, "{lanes} lanes, {threads} threads diverged");
             assert_eq!(
                 ref_bytes,
                 serde_json::to_string(&got).unwrap(),
-                "{mode:?} with {threads} threads serialized differently"
+                "{lanes} lanes, {threads} threads serialized differently"
             );
         }
     }
@@ -180,7 +182,8 @@ fn snapshot_campaign_resume_rejects_different_store() {
 
 /// Blocked LU captures per-k-step section-boundary snapshots, and
 /// snapshot-resumed (plus certificate-gated) LU experiments are
-/// bit-identical to from-scratch execution in every extraction mode.
+/// bit-identical to the from-scratch buffered reference, scalar and
+/// batched.
 #[test]
 fn lu_snapshot_resume_is_bit_identical() {
     let k = LuKernel::new(LuConfig {
@@ -189,20 +192,14 @@ fn lu_snapshot_resume_is_bit_identical() {
         ..LuConfig::small()
     });
     let classifier = Classifier::new(3e-5);
-    let n = Injector::new(&k, classifier).n_sites();
-    let faults = spread_faults(n, 36);
+    let probe = Injector::new(&k, classifier);
+    let faults = spread_faults(probe.n_sites(), 36);
+    let reference = reference_batch(&probe, &faults);
 
-    for mode in [
-        ExtractionMode::Buffered,
-        ExtractionMode::Lockstep { capacity: 32 },
-        ExtractionMode::Streamed,
-    ] {
-        let reference = Injector::new(&k, classifier)
-            .with_extraction(mode)
-            .run_batch(&faults);
+    for lanes in [1usize, 8] {
         let inj = Injector::new(&k, classifier)
-            .with_extraction(mode)
-            .with_snapshots(usize::MAX);
+            .with_snapshots(usize::MAX)
+            .with_batch_lanes(lanes);
         let store = inj
             .snapshot_store()
             .expect("blocked LU must be snapshot-capable");
@@ -211,17 +208,17 @@ fn lu_snapshot_resume_is_bit_identical() {
             "LU should snapshot at each k-step boundary, got {}",
             store.len()
         );
-        assert_eq!(reference, inj.run_batch(&faults), "{mode:?} diverged");
+        assert_eq!(reference, inj.run_batch(&faults), "{lanes} lanes diverged");
         let certified = Injector::new(&k, classifier)
-            .with_extraction(mode)
             .with_snapshots(usize::MAX)
+            .with_batch_lanes(lanes)
             .with_certified_exits()
             .run_batch(&faults);
         let codes = |v: &[Experiment]| -> Vec<u8> { v.iter().map(|e| e.outcome.code()).collect() };
         assert_eq!(
             codes(&reference),
             codes(&certified),
-            "{mode:?}: certified exits changed an LU outcome"
+            "{lanes} lanes: certified exits changed an LU outcome"
         );
     }
 }

@@ -2,7 +2,7 @@
 //! the ISSUE-3 gates (jacobi precision ≥ 0.95 against a pinned-seed
 //! exhaustive campaign; jacobi/gemm/cg all produce a boundary with zero
 //! injection experiments) plus DDG determinism across thread counts and
-//! extraction modes.
+//! extraction paths.
 
 use ftb_core::prelude::*;
 use ftb_core::staticbound::StaticBoundError;
@@ -157,7 +157,8 @@ fn uninstrumented_stub_is_rejected_not_miscertified() {
 
 /// DDG construction must be a pure function of the kernel config: same
 /// edges regardless of the rayon pool the recording happens under and of
-/// the extraction mode any surrounding analysis uses.
+/// the extraction (streamed or the buffered reference) any surrounding
+/// analysis runs.
 #[test]
 fn ddg_is_deterministic_across_thread_counts_and_extraction_modes() {
     fn ddg_of(kernel: &dyn Kernel) -> Ddg {
@@ -187,19 +188,14 @@ fn ddg_is_deterministic_across_thread_counts_and_extraction_modes() {
             );
         }
 
-        for mode in [
-            ExtractionMode::Buffered,
-            ExtractionMode::Lockstep { capacity: 1024 },
-            ExtractionMode::Streamed,
-        ] {
-            // an analysis in any extraction mode must see the identical
-            // graph: extraction concerns faulty-run comparison, never the
-            // golden provenance pass
-            let inj = Injector::new(k.as_ref(), Classifier::new(1e-4)).with_extraction(mode);
-            let _ = inj.run_one(0, 1); // exercise the mode
-            let got = ddg_of(k.as_ref());
-            assert_eq!(got, reference, "{}: DDG differs under {mode:?}", k.name());
-        }
+        // an analysis must see the identical graph whichever way it
+        // extracts: extraction concerns faulty-run comparison, never the
+        // golden provenance pass
+        let inj = Injector::new(k.as_ref(), Classifier::new(1e-4));
+        let _ = inj.extract_propagation(0, 1, |_, _| {});
+        let _ = inj.run_one_traced(0, 1);
+        let got = ddg_of(k.as_ref());
+        assert_eq!(got, reference, "{}: DDG differs after extraction", k.name());
     }
 }
 
