@@ -14,26 +14,20 @@
 //! on a noisy shared runner is not a regression, N in a row is. Metrics
 //! the baseline lacks are skipped — the ratchet only tightens after a
 //! number is committed. The delta table goes to stdout and, when
-//! `$GITHUB_STEP_SUMMARY` is set, to the job summary.
+//! `$GITHUB_STEP_SUMMARY` is set, to the job summary. Unknown flags and
+//! a malformed `--tolerance` exit 2; `--help` prints usage.
 
+use ftb_bench::flags::flags_or_exit;
 use ftb_bench::ratchet::{compare, extract_metrics, markdown_table};
 use serde_json::Value;
 
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+const USAGE: &str =
+    "usage: bench_ratchet [--baseline PATH] [--fresh PATH ...] [--tier NAME] [--tolerance F]
 
-fn arg_values(name: &str) -> Vec<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| *a == name)
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect()
-}
+  --baseline PATH   committed report (BENCH_ppopp21.json)
+  --fresh PATH      fresh report; repeat to take the per-metric max (bench-smoke.json)
+  --tier NAME       tier to compare (quick)
+  --tolerance F     allowed fractional drop, in [0, 1) (0.2)";
 
 fn load_tier(path: &str, tier: &str) -> Option<Value> {
     let text = std::fs::read_to_string(path)
@@ -60,28 +54,34 @@ fn load_tier(path: &str, tier: &str) -> Option<Value> {
 }
 
 fn main() {
-    let baseline_path = arg_value("--baseline").unwrap_or_else(|| "BENCH_ppopp21.json".into());
-    let mut fresh_paths = arg_values("--fresh");
-    if fresh_paths.is_empty() {
-        fresh_paths.push("bench-smoke.json".into());
-    }
-    let tier = arg_value("--tier").unwrap_or_else(|| "quick".into());
-    let tolerance: f64 = arg_value("--tolerance")
-        .map(|t| t.parse().expect("--tolerance takes a fraction, e.g. 0.2"))
-        .unwrap_or(0.2);
-    assert!(
-        (0.0..1.0).contains(&tolerance),
-        "--tolerance must be in [0, 1)"
+    let flags = flags_or_exit(
+        USAGE,
+        &[],
+        &["--baseline", "--fresh", "--tier", "--tolerance"],
     );
+    let baseline_path = flags.value("--baseline").unwrap_or("BENCH_ppopp21.json");
+    let mut fresh_paths = flags.values("--fresh");
+    if fresh_paths.is_empty() {
+        fresh_paths.push("bench-smoke.json");
+    }
+    let tier = flags.value("--tier").unwrap_or("quick");
+    let tolerance = match flags.value("--tolerance").map(str::parse::<f64>) {
+        None => 0.2,
+        Some(Ok(t)) if (0.0..1.0).contains(&t) => t,
+        Some(_) => {
+            eprintln!("error: --tolerance takes a fraction in [0, 1), e.g. 0.2\n\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
 
-    let Some(base_tier) = load_tier(&baseline_path, &tier) else {
+    let Some(base_tier) = load_tier(baseline_path, tier) else {
         // no committed numbers for this tier yet: nothing to ratchet
         println!("bench_ratchet: {baseline_path} has no '{tier}' tier; nothing to compare");
         return;
     };
     let mut fresh: Vec<(String, f64)> = Vec::new();
     for path in &fresh_paths {
-        let Some(fresh_tier) = load_tier(path, &tier) else {
+        let Some(fresh_tier) = load_tier(path, tier) else {
             eprintln!("bench_ratchet: {path} has no '{tier}' tier");
             std::process::exit(2);
         };

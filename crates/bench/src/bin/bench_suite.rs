@@ -11,20 +11,24 @@
 //! the committed `BENCH_ppopp21.json` reports. Exits nonzero if the
 //! streamed path disagrees with the reference on any outcome table — a
 //! throughput number from a path that produces different results is
-//! meaningless.
+//! meaningless. Unknown flags exit 2 and `--help` prints usage, both
+//! without running anything.
 
+use ftb_bench::flags::flags_or_exit;
 use ftb_bench::perf::{merge_tier, run_suite};
 
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+const USAGE: &str = "usage: bench_suite [--quick] [--out PATH]
+
+  --quick      run the quick (CI-smoke) tier instead of the full tier
+  --out PATH   report to merge this tier into (BENCH_ppopp21.json)";
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let out = arg_value("--out").unwrap_or_else(|| "BENCH_ppopp21.json".to_string());
+    let flags = flags_or_exit(USAGE, &["--quick"], &["--out"]);
+    let quick = flags.has("--quick");
+    let out = flags
+        .value("--out")
+        .unwrap_or("BENCH_ppopp21.json")
+        .to_string();
 
     let report = run_suite(quick);
 

@@ -24,6 +24,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+pub mod flags;
 pub mod perf;
 pub mod ratchet;
 pub mod suite;

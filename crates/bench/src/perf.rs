@@ -1,9 +1,13 @@
 //! Reproducible extraction-path performance suite (`bench_suite` binary).
 //!
-//! Measures streamed propagation extraction against the buffered
-//! reference (`Injector::run_one_traced`: record the full faulty trace,
-//! compare afterwards) on exhaustive campaigns, plus the streamed
-//! adaptive campaign, at pinned seeds and sizes, and emits a machine-readable
+//! Measures streamed propagation extraction
+//! (`Injector::extract_propagation`: compare while executing) against
+//! the buffered reference (`Injector::run_one_traced`: record the full
+//! faulty trace, compare afterwards) on strided exhaustive campaigns in
+//! which every experiment extracts its propagation window, plus the
+//! adaptive campaign; the snapshot and batch legs time the outcome-only
+//! path (`Injector::run_many`) on the same plan. It runs at pinned seeds
+//! and sizes and emits a machine-readable
 //! report (`BENCH_ppopp21.json`) so every PR has a throughput
 //! trajectory to answer to. The full tier runs Jacobi, GEMM and CG (the
 //! paper's scale on Jacobi); the quick tier covers every
@@ -440,10 +444,10 @@ pub fn run_bits(bw: &BitsWorkload) -> Option<BitsStats> {
         .collect();
 
     let t1 = Instant::now();
-    let unpruned = injector.run_batch(&unpruned_plan);
+    let unpruned = injector.run_many(&unpruned_plan);
     let unpruned_secs = t1.elapsed().as_secs_f64();
     let t2 = Instant::now();
-    let pruned = injector.run_batch(&pruned_plan);
+    let pruned = injector.run_many(&pruned_plan);
     let pruned_secs = t2.elapsed().as_secs_f64();
 
     let truth: std::collections::HashMap<(usize, u8), u8> = unpruned
@@ -1167,8 +1171,8 @@ impl OutcomeCounts {
 }
 
 /// Measured numbers for the snapshot-resume leg on one workload: the
-/// same strided exhaustive campaign as the streamed path, but every
-/// experiment starts from the boundary snapshot preceding its fault
+/// same strided exhaustive plan as the streamed path, outcome-only, with
+/// every experiment starting from the boundary snapshot preceding its fault
 /// site instead of from t=0 (and early-exits on bitwise reconvergence
 /// with the captured golden state).
 #[derive(Debug, Clone, Serialize)]
@@ -1408,9 +1412,12 @@ pub struct WorkloadReport {
     pub tvd: Option<TvdStats>,
 }
 
-/// Time one path's exhaustive campaign: the buffered reference
-/// (`reference`) or streamed extraction. The streamed path also times the
-/// adaptive campaign.
+/// Time one path's strided exhaustive campaign, every experiment
+/// extracting its propagation window: the buffered reference
+/// (`reference`: `Injector::run_one_traced`, record the full faulty
+/// trace and compare afterwards) or streamed extraction
+/// (`Injector::extract_propagation`, compare while executing). The
+/// streamed path also times the adaptive campaign.
 fn run_path(
     kernel: &dyn Kernel,
     w: &PerfWorkload,
@@ -1425,21 +1432,21 @@ fn run_path(
     let mut exhaustive_secs = f64::INFINITY;
     for _ in 0..w.timing_repeats.max(1) {
         let t0 = Instant::now();
-        let t = if reference {
-            let plan = strided_plan(injector, stride);
-            let experiments: Vec<Experiment> = plan
-                .par_iter()
+        let plan = strided_plan(injector, stride);
+        let experiments: Vec<Experiment> = if reference {
+            plan.par_iter()
                 .map(|f| injector.run_one_traced(f.site, f.bit).0)
-                .collect();
-            strided_table(injector, &experiments)
-        } else if stride == 1 {
-            analysis.exhaustive()
+                .collect()
         } else {
-            strided_table(
-                injector,
-                &injector.run_batch(&strided_plan(injector, stride)),
-            )
+            plan.par_iter()
+                .map(|f| {
+                    injector
+                        .extract_propagation(f.site, f.bit, |_, _| {})
+                        .experiment
+                })
+                .collect()
         };
+        let t = strided_table(injector, &experiments);
         exhaustive_secs = exhaustive_secs.min(t0.elapsed().as_secs_f64());
         table.get_or_insert(t);
     }

@@ -425,11 +425,18 @@ pub fn parse(raw: &[String]) -> Result<Args, CliError> {
         }),
         other => return Err(err(format!("unknown kernel '{other}'"))),
     };
+    kernel.validate().map_err(err)?;
 
     Ok(Args {
         command,
         kernel,
-        tolerance: get_f64("tolerance", 1e-6)?,
+        tolerance: {
+            let t = get_f64("tolerance", 1e-6)?;
+            if !(t.is_finite() && t >= 0.0) {
+                return Err(err("--tolerance must be a finite number >= 0"));
+            }
+            t
+        },
         rate: {
             let r = get_f64("rate", 0.01)?;
             if !(r.is_finite() && r > 0.0 && r <= 1.0) {
@@ -926,6 +933,47 @@ mod tests {
         assert_eq!(e.0, "unknown flag --extraction");
         let e = parse(&v(&["campaign", "--kernel", "matvec", "--capacity", "0"])).unwrap_err();
         assert_eq!(e.0, "unknown flag --capacity");
+    }
+
+    #[test]
+    fn refuses_unbuildable_input_up_front() {
+        let cases: [(&str, &[&str], &str); 8] = [
+            (
+                "matvec",
+                &["--tolerance", "nan"],
+                "--tolerance must be a finite number >= 0",
+            ),
+            (
+                "matvec",
+                &["--tolerance", "-1"],
+                "--tolerance must be a finite number >= 0",
+            ),
+            ("lu", &["--block", "0"], "LU needs n >= 1 and block >= 1"),
+            (
+                "lu",
+                &["--n", "10", "--block", "4"],
+                "LU block 4 must divide n 10",
+            ),
+            (
+                "fft",
+                &["--n1", "3"],
+                "FFT n1 must be a power of two >= 2, got 3",
+            ),
+            ("jacobi", &["--grid", "0"], "Jacobi needs grid >= 1"),
+            ("matvec", &["--n", "0"], "matvec needs n >= 1"),
+            (
+                "stencil",
+                &["--grid", "2"],
+                "stencil grid needs an interior (grid >= 3), got 2",
+            ),
+        ];
+        for (kernel, flags, msg) in cases {
+            let mut raw = v(&["exhaustive", "--kernel", kernel]);
+            raw.extend(v(flags));
+            assert_eq!(parse(&raw).unwrap_err().0, msg, "{raw:?}");
+        }
+        let zero_tolerance = v(&["exhaustive", "--kernel", "matvec", "--tolerance", "0"]);
+        assert!(parse(&zero_tolerance).is_ok());
     }
 
     #[test]

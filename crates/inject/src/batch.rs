@@ -7,13 +7,15 @@
 //! engine exploits that by running up to `lanes` such experiments as one
 //! sweep over a structure-of-arrays state ([`ftb_trace::BatchTracer`],
 //! [`ftb_kernels::Kernel::run_batch_resumed`]), amortising the kernel's
-//! address arithmetic, the shared read-only arrays, and the streamed
-//! golden comparator across all lanes.
+//! address arithmetic and the shared read-only arrays across all lanes.
+//! It is an outcome-only path: like `Injector::run_one`, it classifies
+//! each lane from its final output and compares nothing against the
+//! golden trace on the way.
 //!
 //! Bit identity with scalar execution is the contract, not a best
 //! effort. Per lane, the engine reproduces exactly the scalar resumed
 //! monitor of `Injector::try_run_one_resumed`, in the same order the
-//! scalar paths evaluate it:
+//! scalar path evaluates it:
 //!
 //! 1. a lane whose kernel trap-breaks at section bottoms retires with
 //!    the state it holds at that boundary (the scalar run breaks out of
@@ -38,9 +40,7 @@ use crate::outcome::{Classifier, Outcome};
 use crate::snapshot::{bits_eq, Snapshot, SnapshotStore};
 use ftb_kernels::Kernel;
 use ftb_trace::norms::Norm;
-use ftb_trace::{
-    compact_soa, extract_lane, BatchTracer, CompactGolden, FaultSpec, GoldenRun, RunTrace,
-};
+use ftb_trace::{compact_soa, extract_lane, BatchTracer, FaultSpec, GoldenRun, RunTrace};
 
 /// How a retired lane left the sweep, captured at retirement time
 /// (lane compaction destroys per-lane tracer state afterwards).
@@ -94,10 +94,6 @@ pub(crate) struct BatchChunk {
 pub(crate) struct BatchEngine<'a> {
     pub kernel: &'a dyn Kernel,
     pub golden: &'a GoldenRun,
-    /// `Some` enables the amortised streamed comparator (one golden load
-    /// per dynamic instruction serves every lane) — the batched
-    /// equivalent of the scalar streamed extraction path's compare cost.
-    pub compact: Option<&'a CompactGolden>,
     pub classifier: &'a Classifier,
     pub store: &'a SnapshotStore,
     pub certified_exits: bool,
@@ -141,9 +137,6 @@ impl BatchEngine<'_> {
         let state = self.store.state(snap);
         let n_lanes = chunk.faults.len();
         let mut bt = BatchTracer::resumed(self.kernel.precision(), &chunk.faults, snap.cursor);
-        if let Some(compact) = self.compact {
-            bt = bt.with_compare(compact);
-        }
         let laned_mask = self.kernel.batch_laned_arrays();
         assert_eq!(
             laned_mask.len(),
@@ -155,7 +148,7 @@ impl BatchEngine<'_> {
         // live lane index -> chunk index, compacted alongside the tracer
         let mut live: Vec<usize> = (0..n_lanes).collect();
 
-        let mut monitor = |bt: &mut BatchTracer<'_>,
+        let mut monitor = |bt: &mut BatchTracer,
                            step: u64,
                            trap_break: bool,
                            laned: &mut [&mut Vec<f64>]|

@@ -6,6 +6,14 @@
 //! fan out over Rayon. Kernels are immutable (`&dyn Kernel` is `Sync`)
 //! and each worker owns its run's tracer, so there is no shared mutable
 //! state at all.
+//!
+//! Every outcome campaign (exhaustive, Monte-Carlo, ledger chunks,
+//! samplers) runs through [`Injector::run_many`]: classifying an
+//! experiment needs only its final output. Comparing a faulty run
+//! against the golden trace is paid only where propagation data is
+//! consumed — [`Injector::extract_propagation`] for Algorithm 1 and
+//! composition, checked against the [`Injector::run_one_traced`]
+//! reference.
 
 use crate::batch::BatchEngine;
 use crate::experiment::Experiment;
@@ -31,18 +39,37 @@ thread_local! {
 /// [`BatchBinding`] digest (`b"ftb-batc"` as big-endian bits).
 const BATCH_BINDING_TAG: u64 = 0x6674_622d_6261_7463;
 
+/// Experiments per [`Injector::run_many`] call in
+/// [`Injector::exhaustive`] (rounded down to whole sites): bounds the
+/// per-call plan and result buffers, so only the 1-byte outcome codes
+/// grow with the campaign, while leaving every chunk wide enough to
+/// keep all workers and lanes busy.
+const EXHAUSTIVE_CHUNK: usize = 1 << 16;
+
+/// `f` over `items` in parallel, results in input order. Parallelises
+/// over the index range rather than the slice: the vendored rayon
+/// stand-in's slice source panics when the slice is short relative to
+/// the pool (e.g. 37 items on 12 workers), and its range source does
+/// not.
+fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
+    (0..items.len())
+        .into_par_iter()
+        .map(|i| f(&items[i]))
+        .collect()
+}
+
 /// Bound experiment runner: a kernel, its golden run (full and compact
 /// forms), a classifier, and the execution options (snapshots, certified
 /// exits, lane batching).
 pub struct Injector<'k> {
     kernel: &'k dyn Kernel,
     golden: GoldenRun,
-    /// Shared read-only golden buffer for the streamed extraction path.
+    /// Shared read-only golden buffer for streamed propagation extraction.
     compact: CompactGolden,
     classifier: Classifier,
-    /// Golden-run boundary snapshots; when present, outcome and
-    /// propagation experiments resume from the latest snapshot preceding
-    /// their fault site instead of re-executing from `t = 0`.
+    /// Golden-run boundary snapshots; when present, outcome experiments
+    /// resume from the latest snapshot preceding their fault site
+    /// instead of re-executing from `t = 0`.
     snapshots: Option<SnapshotStore>,
     /// Allow contraction-certificate early exits
     /// ([`Kernel::masked_exit_bound`]) on snapshot-resumed runs. Off by
@@ -133,10 +160,9 @@ impl<'k> Injector<'k> {
     ///
     /// Effective only where batching applies — the kernel must be
     /// batch-capable, snapshots must be captured
-    /// ([`Injector::with_snapshots`]), and only the outcome-only
-    /// ([`Injector::run_many`]) and streamed-extraction
-    /// ([`Injector::run_batch`], [`Injector::run_exhaustive`]) paths
-    /// batch; everything else silently stays scalar. `lanes = 1`
+    /// ([`Injector::with_snapshots`]), and only outcome campaigns
+    /// ([`Injector::run_many`] and everything built on it) batch;
+    /// propagation extraction silently stays scalar. `lanes = 1`
     /// disables batching.
     ///
     /// # Panics
@@ -154,7 +180,7 @@ impl<'k> Injector<'k> {
 
     /// The batch engine, if batching applies to this injector at all
     /// (`lanes ≥ 2`, batch-capable kernel, captured snapshots).
-    fn batch_engine(&self, compare: bool) -> Option<BatchEngine<'_>> {
+    fn batch_engine(&self) -> Option<BatchEngine<'_>> {
         if self.batch_lanes < 2 || !self.kernel.batch_capable() {
             return None;
         }
@@ -162,7 +188,6 @@ impl<'k> Injector<'k> {
         Some(BatchEngine {
             kernel: self.kernel,
             golden: &self.golden,
-            compact: compare.then_some(&self.compact),
             classifier: &self.classifier,
             store,
             certified_exits: self.certified_exits,
@@ -176,7 +201,7 @@ impl<'k> Injector<'k> {
     /// lanes are grouped by. `None` on scalar-executing injectors, so
     /// pre-existing ledgers keep matching.
     pub fn batch_binding(&self) -> Option<BatchBinding> {
-        let engine = self.batch_engine(false)?;
+        let engine = self.batch_engine()?;
         let mut h = Fnv1a::new();
         h.write_u64(BATCH_BINDING_TAG);
         h.write_u64(self.batch_lanes as u64);
@@ -188,22 +213,16 @@ impl<'k> Injector<'k> {
     }
 
     /// Run a plan through the batch engine: snapshot-served faults in
-    /// lane chunks, the from-scratch leftovers through `scalar`, results
-    /// scattered back into input order (so ledgers are byte-identical to
-    /// scalar execution).
-    fn run_plan_batched(
-        &self,
-        engine: &BatchEngine<'_>,
-        faults: &[FaultSpec],
-        scalar: impl Fn(FaultSpec) -> Experiment + Sync,
-    ) -> Vec<Experiment> {
+    /// lane chunks, the from-scratch leftovers through
+    /// [`Injector::run_one`], results scattered back into input order
+    /// (so ledgers are byte-identical to scalar execution).
+    fn run_plan_batched(&self, engine: &BatchEngine<'_>, faults: &[FaultSpec]) -> Vec<Experiment> {
         for f in faults {
             assert!(f.site < self.n_sites(), "site {} out of range", f.site);
         }
         let (chunks, scalars) = engine.plan(faults);
-        let batched: Vec<Vec<Experiment>> =
-            chunks.par_iter().map(|c| engine.run_chunk(c)).collect();
-        let loose: Vec<Experiment> = scalars.par_iter().map(|&i| scalar(faults[i])).collect();
+        let batched = par_map(&chunks, |c| engine.run_chunk(c));
+        let loose = par_map(&scalars, |&i| self.run_one(faults[i].site, faults[i].bit));
         let mut out: Vec<Option<Experiment>> = vec![None; faults.len()];
         for (chunk, exps) in chunks.iter().zip(&batched) {
             for (&i, e) in chunk.idxs.iter().zip(exps) {
@@ -256,8 +275,8 @@ impl<'k> Injector<'k> {
         &self.golden
     }
 
-    /// The compact, read-only golden buffer (the streamed path's shared
-    /// reference state).
+    /// The compact, read-only golden buffer (the shared reference state
+    /// of streamed propagation extraction).
     pub fn compact_golden(&self) -> &CompactGolden {
         &self.compact
     }
@@ -277,6 +296,27 @@ impl<'k> Injector<'k> {
         self.golden.precision.bits()
     }
 
+    /// The experiment record of a run of `fault`: classified by the
+    /// classifier when the run completed, or synthesised from a
+    /// snapshot-resumed run's boundary early exit.
+    fn classified(&self, fault: FaultSpec, run: &RunTrace, exit: Option<EarlyExit>) -> Experiment {
+        // kernels stop before the boundary callback when a traced value
+        // went non-finite, so an early-exited run is clean
+        debug_assert!(exit.is_none() || run.first_nonfinite.is_none());
+        let (outcome, output_err) = match exit {
+            None => self.classifier.classify(&self.golden, run),
+            Some(EarlyExit::Bitwise) => (Outcome::Masked, 0.0),
+            Some(EarlyExit::Certified(bound)) => (Outcome::Masked, bound),
+        };
+        Experiment {
+            site: fault.site,
+            bit: fault.bit,
+            injected_err: run.injected_err.unwrap_or(0.0),
+            output_err,
+            outcome,
+        }
+    }
+
     /// Run one experiment (outcome only — the fast path).
     ///
     /// # Panics
@@ -288,14 +328,7 @@ impl<'k> Injector<'k> {
             return e;
         }
         let run = self.kernel.run_injected(fault, RecordMode::OutputOnly);
-        let (outcome, output_err) = self.classifier.classify(&self.golden, &run);
-        Experiment {
-            site,
-            bit,
-            injected_err: run.injected_err.unwrap_or(0.0),
-            output_err,
-            outcome,
-        }
+        self.classified(fault, &run, None)
     }
 
     /// Outcome-only experiment resumed from the snapshot preceding its
@@ -326,276 +359,112 @@ impl<'k> Injector<'k> {
                 }
                 exit.is_some()
             });
-        let run = t.finish(out);
-        Some(self.classify_resumed(fault, &run, exit))
-    }
-
-    /// Classify a resumed run: either via the normal classifier (the run
-    /// completed, so output/instruction-count/nonfinite state are exactly
-    /// the from-scratch ones), or by early-exit synthesis.
-    fn classify_resumed(
-        &self,
-        fault: FaultSpec,
-        run: &RunTrace,
-        exit: Option<EarlyExit>,
-    ) -> Experiment {
-        let (outcome, output_err) = match exit {
-            Some(early) => {
-                // kernels stop before the boundary callback when a traced
-                // value went non-finite, so an early-exited run is clean
-                debug_assert!(run.first_nonfinite.is_none());
-                match early {
-                    EarlyExit::Bitwise => (Outcome::Masked, 0.0),
-                    EarlyExit::Certified(bound) => (Outcome::Masked, bound),
-                }
-            }
-            None => self.classifier.classify(&self.golden, run),
-        };
-        Experiment {
-            site: fault.site,
-            bit: fault.bit,
-            injected_err: run.injected_err.unwrap_or(0.0),
-            output_err,
-            outcome,
-        }
+        Some(self.classified(fault, &t.finish(out), exit))
     }
 
     /// Run one experiment from scratch with full tracing and extract its
-    /// propagation data afterwards (paper §2.2). Used for masked
-    /// experiments feeding Algorithm 1, and the reference every streamed,
-    /// snapshot-resumed and batched result must reproduce bit for bit.
+    /// propagation data afterwards (paper §2.2). The reference every
+    /// outcome path and [`Injector::extract_propagation`] must reproduce
+    /// bit for bit.
     pub fn run_one_traced(&self, site: usize, bit: u8) -> (Experiment, Propagation) {
         assert!(site < self.n_sites(), "site {site} out of range");
-        let run = self
-            .kernel
-            .run_injected(FaultSpec { site, bit }, RecordMode::Full);
-        let (outcome, output_err) = self.classifier.classify(&self.golden, &run);
-        let prop = propagation(&self.golden, &run);
+        let fault = FaultSpec { site, bit };
+        let run = self.kernel.run_injected(fault, RecordMode::Full);
         (
-            Experiment {
-                site,
-                bit,
-                injected_err: run.injected_err.unwrap_or(0.0),
-                output_err,
-                outcome,
-            },
-            prop,
+            self.classified(fault, &run, None),
+            propagation(&self.golden, &run),
         )
     }
 
-    /// Run one experiment through the streamed (one-sided comparing)
-    /// path, folding the nonzero window deltas into `fold` when given.
+    /// Run one experiment from scratch and fold its propagation window
+    /// (`(site, Δx)` pairs, zero deltas skipped) through streamed
+    /// extraction: the faulty run is compared against the shared compact
+    /// golden while it executes. The folds, experiment and window
+    /// summary are bit-identical to those of [`Injector::run_one_traced`].
+    ///
     /// When the golden trace is branch-free (no possible late
-    /// divergence), the fold runs *online* through a delta sink with zero
-    /// scratch retention — the deltas of a slowly-decaying perturbation
-    /// never materialise in memory.
-    fn run_one_streamed(
-        &self,
-        fault: FaultSpec,
-        mut fold: Option<&mut dyn FnMut(usize, f64)>,
-    ) -> (Experiment, ftb_trace::StreamedWindow) {
-        SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            let online = self.compact.n_branches() == 0;
-            let (run, window) = if online {
-                match fold.take() {
-                    // branch-free + caller fold: block-batched online
-                    // sink, zero scratch retention
-                    Some(f) => {
-                        let mut batched = |block: &[(usize, f64)]| {
-                            for &(site, d) in block {
-                                f(site, d);
-                            }
-                        };
-                        let mut t = Tracer::comparing(fault, &self.compact, &mut scratch)
-                            .with_delta_sink(&mut batched);
-                        let out = self.kernel.run(&mut t);
-                        t.finish_compare(out)
-                    }
-                    // branch-free + no fold (the exhaustive-campaign hot
-                    // path): only the window summary is accumulated —
-                    // no delta is materialised or emitted at all
-                    None => {
-                        let mut t =
-                            Tracer::comparing(fault, &self.compact, &mut scratch).summary_only();
-                        let out = self.kernel.run(&mut t);
-                        t.finish_compare(out)
-                    }
-                }
-            } else {
-                let mut t = Tracer::comparing(fault, &self.compact, &mut scratch);
-                let out = self.kernel.run(&mut t);
-                t.finish_compare(out)
-            };
-            let (outcome, output_err) = self.classifier.classify(&self.golden, &run);
-            if let Some(f) = fold {
-                for &(site, d) in scratch.deltas() {
-                    f(site, d);
-                }
-            }
-            (
-                Experiment {
-                    site: fault.site,
-                    bit: fault.bit,
-                    injected_err: run.injected_err.unwrap_or(0.0),
-                    output_err,
-                    outcome,
-                },
-                window,
-            )
-        })
-    }
-
-    /// Streamed experiment resumed from the snapshot preceding its fault
-    /// site, with the same boundary early exits as
-    /// [`Injector::try_run_one_resumed`]. The comparing tracer skips
-    /// nothing semantically: dynamic instructions before the fault site
-    /// are never compared on the from-scratch path either, and the
-    /// preset branch index keeps divergence detection aligned with the
-    /// golden branch stream.
-    fn try_run_one_streamed_resumed(&self, fault: FaultSpec) -> Option<Experiment> {
-        let (store, snap) = self.resume_for(fault)?;
-        let state = store.state(snap);
-        SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            let mut exit = None;
-            let (run, _window) = {
-                let mut t = Tracer::comparing(fault, &self.compact, &mut scratch);
-                if self.compact.n_branches() == 0 {
-                    t = t.summary_only();
-                }
-                let mut t = t.resume_at(snap.cursor, snap.branch_count);
-                let out = self
-                    .kernel
-                    .run_resumed(&mut t, &state, &mut |cursor, step, arrays| {
-                        if cursor <= fault.site {
-                            return false;
-                        }
-                        if store.state_matches(cursor, arrays) {
-                            exit = Some(EarlyExit::Bitwise);
-                        } else if let Some(b) = self.certified_exit(store, cursor, step, arrays) {
-                            exit = Some(EarlyExit::Certified(b));
-                        }
-                        exit.is_some()
-                    });
-                t.finish_compare(out)
-            };
-            Some(self.classify_resumed(fault, &run, exit))
-        })
-    }
-
-    /// Run one streamed experiment (snapshot-resumed when a snapshot
-    /// serves its site), discarding the propagation fold.
-    fn run_one_extracting(&self, fault: FaultSpec) -> Experiment {
-        assert!(
-            fault.site < self.n_sites(),
-            "site {} out of range",
-            fault.site
-        );
-        match self.try_run_one_streamed_resumed(fault) {
-            Some(e) => e,
-            None => self.run_one_streamed(fault, None).0,
-        }
-    }
-
-    /// Run one experiment and fold its propagation window (`(site, Δx)`
-    /// pairs, zero deltas skipped) through streamed extraction. The
-    /// folds, experiment and window summary are bit-identical to those
-    /// of [`Injector::run_one_traced`].
+    /// divergence), the fold runs *online* through a delta sink with
+    /// zero scratch retention — the deltas of a slowly-decaying
+    /// perturbation never materialise in memory.
     pub fn extract_propagation(
         &self,
         site: usize,
         bit: u8,
         mut fold: impl FnMut(usize, f64),
     ) -> ExtractionSummary {
-        let (experiment, window) = self.run_one_streamed(FaultSpec { site, bit }, Some(&mut fold));
-        ExtractionSummary {
-            experiment,
-            compare_len: window.compare_len,
-            diverged: window.diverged,
-            max_err: window.max_err,
-        }
+        let fault = FaultSpec { site, bit };
+        SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            let (run, window) = if self.compact.n_branches() == 0 {
+                let mut batched = |block: &[(usize, f64)]| {
+                    for &(site, d) in block {
+                        fold(site, d);
+                    }
+                };
+                let mut t = Tracer::comparing(fault, &self.compact, &mut scratch)
+                    .with_delta_sink(&mut batched);
+                let out = self.kernel.run(&mut t);
+                t.finish_compare(out)
+            } else {
+                let mut t = Tracer::comparing(fault, &self.compact, &mut scratch);
+                let out = self.kernel.run(&mut t);
+                let finished = t.finish_compare(out);
+                for &(site, d) in scratch.deltas() {
+                    fold(site, d);
+                }
+                finished
+            };
+            ExtractionSummary {
+                experiment: self.classified(fault, &run, None),
+                compare_len: window.compare_len,
+                diverged: window.diverged,
+                max_err: window.max_err,
+            }
+        })
     }
 
-    /// Run a batch of experiments in parallel. Results are returned in
-    /// input order. Outcome-only: no propagation extraction (the fast
-    /// path for samplers and Monte-Carlo).
+    /// Run a batch of outcome-only experiments in parallel, results in
+    /// input order — the single execution path of every outcome campaign
+    /// (samplers, Monte-Carlo, ledger chunks, the exhaustive table).
     /// With batching configured ([`Injector::with_batch_lanes`]),
-    /// snapshot-served faults run as lane-batched sweeps without the
-    /// comparator; leftovers run scalar from scratch.
+    /// snapshot-served faults run as lane-batched sweeps; leftovers run
+    /// scalar from scratch.
     pub fn run_many(&self, faults: &[FaultSpec]) -> Vec<Experiment> {
-        if let Some(engine) = self.batch_engine(false) {
-            return self.run_plan_batched(&engine, faults, |f| self.run_one(f.site, f.bit));
+        if let Some(engine) = self.batch_engine() {
+            return self.run_plan_batched(&engine, faults);
         }
-        faults
-            .par_iter()
-            .map(|f| self.run_one(f.site, f.bit))
-            .collect()
+        par_map(faults, |f| self.run_one(f.site, f.bit))
     }
 
-    /// Run a batch of propagation-extracting experiments in parallel
-    /// through streamed extraction, in input order. This is what ledger
-    /// campaigns execute: every experiment pays the golden-comparison
-    /// cost.
-    ///
-    /// With batching configured ([`Injector::with_batch_lanes`]),
-    /// snapshot-served faults run as lane-batched sweeps with the
-    /// amortised golden comparator (a streamed-resumed experiment record
-    /// carries no propagation fold, so the batched records are
-    /// bit-identical).
+    /// Alias for [`Injector::run_many`], kept for existing callers.
     pub fn run_batch(&self, faults: &[FaultSpec]) -> Vec<Experiment> {
-        if let Some(engine) = self.batch_engine(true) {
-            return self.run_plan_batched(&engine, faults, |f| self.run_one_extracting(f));
-        }
-        faults
-            .par_iter()
-            .map(|f| self.run_one_extracting(*f))
-            .collect()
+        self.run_many(faults)
     }
 
     /// The exhaustive ground-truth campaign: every bit of every site
-    /// (`n_sites × bits` kernel executions), parallel over sites, through
-    /// streamed extraction (batched under the same conditions as
-    /// [`Injector::run_batch`], which the bit-at-a-time site-major plan
-    /// suits perfectly — each site's 32/64 bit flips share a snapshot).
-    pub fn run_exhaustive(&self) -> ExhaustiveResult {
-        let bits = self.bits();
-        let n = self.n_sites();
-        if self.batch_engine(true).is_some() {
-            let plan: Vec<FaultSpec> = (0..n)
-                .flat_map(|site| (0..bits).map(move |bit| FaultSpec { site, bit }))
-                .collect();
-            let codes = self
-                .run_batch(&plan)
-                .iter()
-                .map(|e| e.outcome.code())
-                .collect();
-            return ExhaustiveResult {
-                n_sites: n,
-                bits,
-                codes,
-            };
-        }
-        let codes: Vec<u8> = (0..n)
-            .into_par_iter()
-            .flat_map_iter(|site| {
-                (0..bits).map(move |bit| {
-                    self.run_one_extracting(FaultSpec { site, bit })
-                        .outcome
-                        .code()
-                })
+    /// (`n_sites × bits` kernel executions), [`Injector::run_many`]
+    /// folded over the site-major [`exhaustive_plan`](crate::runner::exhaustive_plan)
+    /// one site range at a time — batched under the same conditions,
+    /// which the plan suits perfectly: each site's 32/64 bit flips share
+    /// a snapshot.
+    pub fn exhaustive(&self) -> ExhaustiveResult {
+        let (n_sites, bits) = (self.n_sites(), self.bits());
+        let sites_per_chunk = (EXHAUSTIVE_CHUNK / bits as usize).max(1);
+        let codes = (0..n_sites)
+            .step_by(sites_per_chunk)
+            .flat_map(|lo| {
+                let hi = (lo + sites_per_chunk).min(n_sites);
+                let plan: Vec<FaultSpec> = (lo..hi)
+                    .flat_map(|site| (0..bits).map(move |bit| FaultSpec { site, bit }))
+                    .collect();
+                self.run_many(&plan).into_iter().map(|e| e.outcome.code())
             })
             .collect();
         ExhaustiveResult {
-            n_sites: n,
+            n_sites,
             bits,
             codes,
         }
-    }
-
-    /// Alias for [`Injector::run_exhaustive`] (the historical name).
-    pub fn exhaustive(&self) -> ExhaustiveResult {
-        self.run_exhaustive()
     }
 }
 
@@ -863,22 +732,8 @@ mod tests {
         let inj = Injector::new(&k, Classifier::new(1e-6)).with_snapshots(usize::MAX);
         assert!(inj.snapshot_store().is_some());
         let expected = reference(&scratch, &faults);
-        assert_eq!(
-            expected,
-            scratch.run_batch(&faults),
-            "from scratch diverged"
-        );
-        assert_eq!(
-            expected,
-            inj.run_batch(&faults),
-            "snapshot-resumed diverged"
-        );
-        // the outcome-only path resumes too
-        assert_eq!(
-            scratch.run_many(&faults),
-            inj.run_many(&faults),
-            "outcome-only path diverged"
-        );
+        assert_eq!(expected, scratch.run_many(&faults), "from scratch diverged");
+        assert_eq!(expected, inj.run_many(&faults), "snapshot-resumed diverged");
     }
 
     #[test]
@@ -895,11 +750,11 @@ mod tests {
                 bit: (i * 13 % 64) as u8,
             })
             .collect();
-        let scratch = Injector::new(&k, Classifier::new(1e-6)).run_batch(&faults);
-        let inj = Injector::new(&k, Classifier::new(1e-6))
+        let scratch = Injector::new(&k, Classifier::new(1e-6)).run_many(&faults);
+        let certified = Injector::new(&k, Classifier::new(1e-6))
             .with_snapshots(usize::MAX)
-            .with_certified_exits();
-        let certified = inj.run_batch(&faults);
+            .with_certified_exits()
+            .run_many(&faults);
         // the certified contract: outcome codes identical to from-scratch,
         // and a certificate-exited experiment reports a bound ≤ tolerance
         for (s, c) in scratch.iter().zip(&certified) {
@@ -918,11 +773,6 @@ mod tests {
                 .any(|(s, c)| s.output_err != c.output_err),
             "no certificate exit fired — the fast path is dead"
         );
-        // the outcome-only path agrees
-        let fast = inj.run_many(&faults);
-        for (f, c) in fast.iter().zip(&certified) {
-            assert_eq!(f.outcome, c.outcome);
-        }
     }
 
     #[test]
@@ -964,19 +814,14 @@ mod tests {
             assert_eq!(
                 keys(scalar.run_many(&faults)),
                 keys(batched.run_many(&faults)),
-                "outcome-only path, {lanes} lanes"
-            );
-            assert_eq!(
-                keys(scalar.run_batch(&faults)),
-                keys(batched.run_batch(&faults)),
-                "streamed path, {lanes} lanes"
+                "{lanes} lanes"
             );
         }
         // certified exits retire lanes mid-sweep; records still match the
         // scalar certified path exactly
         assert_eq!(
-            keys(build(1, true).run_batch(&faults)),
-            keys(build(8, true).run_batch(&faults)),
+            keys(build(1, true).run_many(&faults)),
+            keys(build(8, true).run_many(&faults)),
             "certified path"
         );
     }

@@ -181,7 +181,7 @@ pub fn characterize(injector: &Injector<'_>, thread_counts: &[usize]) -> Charact
                 .num_threads(threads)
                 .build()
                 .expect("building a characterization pool");
-            let ex = pool.install(|| injector.run_exhaustive());
+            let ex = pool.install(|| injector.exhaustive());
             let (masked, sdc, crash) = ex.counts();
             ThreadRun {
                 threads,

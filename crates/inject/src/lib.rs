@@ -24,12 +24,15 @@
 //!   a crash-safe streaming [`ledger`], live [`obs`] metrics, and
 //!   kill-and-resume recovery.
 //!
-//! Propagation-extracting campaigns compare each faulty run against a
-//! shared read-only golden buffer while it executes (streamed
-//! extraction, [`ftb_trace::Tracer::comparing`]).
-//! [`Injector::run_one_traced`] — record the full faulty trace, then
-//! compare — is kept as the reference the streamed path must reproduce
-//! bit for bit.
+//! Every campaign style above is an outcome campaign and runs through
+//! [`Injector::run_many`]: classification needs only the final output,
+//! so no faulty run is compared against the golden trace. Propagation
+//! data (for Algorithm 1 and composition) comes from
+//! [`Injector::extract_propagation`], which compares one faulty run
+//! against a shared read-only golden buffer while it executes
+//! ([`ftb_trace::Tracer::comparing`]). [`Injector::run_one_traced`] —
+//! record the full faulty trace, then compare — is kept as the
+//! reference both paths must reproduce bit for bit.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

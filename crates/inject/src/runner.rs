@@ -170,17 +170,17 @@ impl<'k> ChunkedCampaign<'k> {
         self.next == self.plan.len()
     }
 
-    /// Run one chunk (parallel inside the chunk, via the injector's
-    /// streamed extraction), append it to the ledger, update metrics.
-    /// Returns how many experiments ran — 0 means the campaign was
-    /// already complete.
+    /// Run one chunk through [`Injector::run_many`] (parallel, and
+    /// lane-batched when the injector is configured for it), append it
+    /// to the ledger, update metrics. Returns how many experiments ran —
+    /// 0 means the campaign was already complete.
     pub fn step(&mut self) -> Result<usize, LedgerError> {
         let end = (self.next + self.chunk_size).min(self.plan.len());
         if self.next == end {
             return Ok(0);
         }
         let started = Instant::now();
-        let chunk = self.injector.run_batch(&self.plan[self.next..end]);
+        let chunk = self.injector.run_many(&self.plan[self.next..end]);
         if let Some(w) = &mut self.writer {
             w.append_chunk(&chunk)?;
         }

@@ -83,6 +83,15 @@ pub struct CgConfig {
 }
 
 impl CgConfig {
+    /// Check the configuration describes a buildable kernel; the
+    /// constructor panics with this message otherwise.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.grid == 0 {
+            return Err("CG needs grid >= 1".into());
+        }
+        Ok(())
+    }
+
     /// A laptop-scale default: 8×8 mesh (64 unknowns), f32 elements.
     pub fn small() -> Self {
         CgConfig {
@@ -124,7 +133,11 @@ pub struct CgKernel {
 impl CgKernel {
     /// Build the kernel, generating its input from `cfg.seed` and running
     /// one untraced dry run to size the trace buffers exactly.
+    ///
+    /// # Panics
+    /// Panics if the configuration is invalid ([`CgConfig::validate`]).
     pub fn new(cfg: CgConfig) -> Self {
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let n = cfg.grid * cfg.grid;
         let x_true = uniform_vec(cfg.seed, n, -1.0, 1.0);
         let matrix = match cfg.storage {

@@ -58,6 +58,17 @@ pub struct FftConfig {
 }
 
 impl FftConfig {
+    /// Check the configuration describes a buildable kernel; the
+    /// constructor panics with this message otherwise.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, n) in [("n1", self.n1), ("n2", self.n2)] {
+            if !(n.is_power_of_two() && n >= 2) {
+                return Err(format!("FFT {name} must be a power of two >= 2, got {n}"));
+            }
+        }
+        Ok(())
+    }
+
     /// Laptop-scale default: a 256-point transform (16 × 16).
     pub fn small() -> Self {
         FftConfig {
@@ -120,16 +131,9 @@ impl FftKernel {
     /// Build the kernel; generates a random complex input signal.
     ///
     /// # Panics
-    /// Panics unless `n1` and `n2` are powers of two ≥ 2.
+    /// Panics if the configuration is invalid ([`FftConfig::validate`]).
     pub fn new(cfg: FftConfig) -> Self {
-        assert!(
-            cfg.n1.is_power_of_two() && cfg.n1 >= 2,
-            "n1 must be a power of two ≥ 2"
-        );
-        assert!(
-            cfg.n2.is_power_of_two() && cfg.n2 >= 2,
-            "n2 must be a power of two ≥ 2"
-        );
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let n = cfg.n();
         let input_re = uniform_vec(cfg.seed, n, -1.0, 1.0);
         let input_im = uniform_vec(cfg.seed.wrapping_add(1), n, -1.0, 1.0);

@@ -31,6 +31,15 @@ pub struct GemmConfig {
 }
 
 impl GemmConfig {
+    /// Check the configuration describes a buildable kernel; the
+    /// constructor panics with this message otherwise.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.n == 0 {
+            return Err("GEMM needs n >= 1".into());
+        }
+        Ok(())
+    }
+
     /// Laptop-scale default: 12×12.
     pub fn small() -> Self {
         GemmConfig {
@@ -51,7 +60,11 @@ pub struct GemmKernel {
 
 impl GemmKernel {
     /// Build the kernel with random `A` and `B`.
+    ///
+    /// # Panics
+    /// Panics if the configuration is invalid ([`GemmConfig::validate`]).
     pub fn new(cfg: GemmConfig) -> Self {
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let a = uniform_vec(cfg.seed, cfg.n * cfg.n, -1.0, 1.0);
         let b = uniform_vec(cfg.seed.wrapping_add(1), cfg.n * cfg.n, -1.0, 1.0);
         GemmKernel { cfg, a, b }
@@ -157,7 +170,7 @@ impl Kernel for GemmKernel {
     /// so trapped lanes run to completion exactly as scalar runs do.
     fn run_batch_resumed(
         &self,
-        bt: &mut BatchTracer<'_>,
+        bt: &mut BatchTracer,
         state: &KernelState,
         monitor: BatchBoundary<'_>,
     ) -> Vec<f64> {

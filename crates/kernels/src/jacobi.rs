@@ -84,6 +84,15 @@ pub struct SweepTweak {
 }
 
 impl JacobiConfig {
+    /// Check the configuration describes a buildable kernel; the
+    /// constructor panics with this message otherwise.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.grid == 0 {
+            return Err("Jacobi needs grid >= 1".into());
+        }
+        Ok(())
+    }
+
     /// Laptop-scale default: 6×6 mesh, 30 sweeps.
     pub fn small() -> Self {
         JacobiConfig {
@@ -139,7 +148,11 @@ pub struct JacobiKernel {
 impl JacobiKernel {
     /// Build the kernel (assembles the Poisson system, manufactures `b`,
     /// and precomputes the Jacobi splitting).
+    ///
+    /// # Panics
+    /// Panics if the configuration is invalid ([`JacobiConfig::validate`]).
     pub fn new(cfg: JacobiConfig) -> Self {
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let n = cfg.grid * cfg.grid;
         let matrix = Csr::poisson_2d(cfg.grid);
         let x_true = uniform_vec(cfg.seed, n, -1.0, 1.0);
@@ -288,7 +301,7 @@ impl JacobiKernel {
     #[inline(always)]
     fn batch_sweeps(
         &self,
-        bt: &mut BatchTracer<'_>,
+        bt: &mut BatchTracer,
         state: &KernelState,
         monitor: BatchBoundary<'_>,
     ) -> Vec<f64> {
@@ -334,7 +347,7 @@ impl JacobiKernel {
     // site below does); the body itself is safe Rust.
     unsafe fn batch_sweeps_avx2(
         &self,
-        bt: &mut BatchTracer<'_>,
+        bt: &mut BatchTracer,
         state: &KernelState,
         monitor: BatchBoundary<'_>,
     ) -> Vec<f64> {
@@ -353,7 +366,7 @@ impl JacobiKernel {
     #[allow(clippy::too_many_arguments)]
     fn batch_span<const L: usize>(
         &self,
-        bt: &mut BatchTracer<'_>,
+        bt: &mut BatchTracer,
         x: &mut Vec<f64>,
         next: &mut Vec<f64>,
         ax: &mut Vec<f64>,
@@ -461,7 +474,7 @@ impl JacobiKernel {
     fn batch_span_dyn(
         &self,
         lanes: usize,
-        bt: &mut BatchTracer<'_>,
+        bt: &mut BatchTracer,
         x: &mut Vec<f64>,
         next: &mut Vec<f64>,
         ax: &mut Vec<f64>,
@@ -721,7 +734,7 @@ impl Kernel for JacobiKernel {
     /// element-wise ops), so outputs stay bit-identical across hosts.
     fn run_batch_resumed(
         &self,
-        bt: &mut BatchTracer<'_>,
+        bt: &mut BatchTracer,
         state: &KernelState,
         monitor: BatchBoundary<'_>,
     ) -> Vec<f64> {

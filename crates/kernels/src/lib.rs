@@ -101,7 +101,7 @@ pub type BoundaryMonitor<'a> = &'a mut dyn FnMut(usize, u64, &[&[f64]]) -> bool;
 /// their scalar loop does. Returns `true` to stop the run (no live
 /// lanes remain).
 pub type BatchBoundary<'a> =
-    &'a mut dyn FnMut(&mut BatchTracer<'_>, u64, bool, &mut [&mut Vec<f64>]) -> bool;
+    &'a mut dyn FnMut(&mut BatchTracer, u64, bool, &mut [&mut Vec<f64>]) -> bool;
 
 /// A fault-injectable computational kernel.
 ///
@@ -218,7 +218,7 @@ pub trait Kernel: Send + Sync {
     /// [`Kernel::batch_capable`] implement this.
     fn run_batch_resumed(
         &self,
-        _bt: &mut BatchTracer<'_>,
+        _bt: &mut BatchTracer,
         _state: &KernelState,
         _monitor: BatchBoundary<'_>,
     ) -> Vec<f64> {
@@ -328,6 +328,22 @@ impl KernelConfig {
             KernelConfig::Spmv(c) => Box::new(SpmvKernel::new(c.clone())),
             KernelConfig::Gemm(c) => Box::new(GemmKernel::new(c.clone())),
             KernelConfig::Jacobi(c) => Box::new(JacobiKernel::new(c.clone())),
+        }
+    }
+
+    /// Check the configuration describes a buildable kernel (the
+    /// condition each kernel constructor asserts), so callers can refuse
+    /// bad input before building.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            KernelConfig::Cg(c) => c.validate(),
+            KernelConfig::Lu(c) => c.validate(),
+            KernelConfig::Fft(c) => c.validate(),
+            KernelConfig::Stencil(c) => c.validate(),
+            KernelConfig::Matvec(c) => c.validate(),
+            KernelConfig::Spmv(c) => c.validate(),
+            KernelConfig::Gemm(c) => c.validate(),
+            KernelConfig::Jacobi(c) => c.validate(),
         }
     }
 

@@ -48,6 +48,18 @@ pub struct LuConfig {
 }
 
 impl LuConfig {
+    /// Check the configuration describes a buildable kernel; the
+    /// constructor panics with this message otherwise.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.n == 0 || self.block == 0 {
+            return Err("LU needs n >= 1 and block >= 1".into());
+        }
+        if self.n % self.block != 0 {
+            return Err(format!("LU block {} must divide n {}", self.block, self.n));
+        }
+        Ok(())
+    }
+
     /// Laptop-scale default: 16×16 matrix in 4×4 blocks (four block steps,
     /// matching the four-region structure of the paper's Figure 4).
     pub fn small() -> Self {
@@ -86,10 +98,9 @@ impl LuKernel {
     /// Build the kernel; generates the diagonally dominant input matrix.
     ///
     /// # Panics
-    /// Panics if `block` does not divide `n` or either is zero.
+    /// Panics if the configuration is invalid ([`LuConfig::validate`]).
     pub fn new(cfg: LuConfig) -> Self {
-        assert!(cfg.n > 0 && cfg.block > 0, "empty LU configuration");
-        assert_eq!(cfg.n % cfg.block, 0, "block must divide n");
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let a0 = diag_dominant_matrix(cfg.seed, cfg.n);
         let mut k = LuKernel {
             cfg,
@@ -276,7 +287,7 @@ impl Kernel for LuKernel {
     /// scalar loop breaks on `Tracer::trapped` at every block bottom.
     fn run_batch_resumed(
         &self,
-        bt: &mut BatchTracer<'_>,
+        bt: &mut BatchTracer,
         state: &KernelState,
         monitor: BatchBoundary<'_>,
     ) -> Vec<f64> {

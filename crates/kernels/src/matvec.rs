@@ -31,6 +31,15 @@ pub struct MatvecConfig {
 }
 
 impl MatvecConfig {
+    /// Check the configuration describes a buildable kernel; the
+    /// constructor panics with this message otherwise.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.n == 0 {
+            return Err("matvec needs n >= 1".into());
+        }
+        Ok(())
+    }
+
     /// Laptop-scale default: 24×24.
     pub fn small() -> Self {
         MatvecConfig {
@@ -51,7 +60,11 @@ pub struct MatvecKernel {
 
 impl MatvecKernel {
     /// Build the kernel with random `A` and `x`.
+    ///
+    /// # Panics
+    /// Panics if the configuration is invalid ([`MatvecConfig::validate`]).
     pub fn new(cfg: MatvecConfig) -> Self {
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let a = uniform_vec(cfg.seed, cfg.n * cfg.n, -1.0, 1.0);
         let x = uniform_vec(cfg.seed.wrapping_add(1), cfg.n, -1.0, 1.0);
         MatvecKernel { cfg, a, x }

@@ -33,6 +33,15 @@ pub struct SpmvConfig {
 }
 
 impl SpmvConfig {
+    /// Check the configuration describes a buildable kernel; the
+    /// constructor panics with this message otherwise.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.grid == 0 {
+            return Err("SpMV needs grid >= 1".into());
+        }
+        Ok(())
+    }
+
     /// Laptop-scale default: 10×10 mesh (100×100 matrix, 460 nnz).
     pub fn small() -> Self {
         SpmvConfig {
@@ -53,7 +62,11 @@ pub struct SpmvKernel {
 
 impl SpmvKernel {
     /// Build the kernel.
+    ///
+    /// # Panics
+    /// Panics if the configuration is invalid ([`SpmvConfig::validate`]).
     pub fn new(cfg: SpmvConfig) -> Self {
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let matrix = Csr::poisson_2d(cfg.grid);
         let x = uniform_vec(cfg.seed, matrix.n_cols(), -1.0, 1.0);
         SpmvKernel { cfg, matrix, x }

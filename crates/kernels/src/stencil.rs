@@ -37,6 +37,18 @@ pub struct StencilConfig {
 }
 
 impl StencilConfig {
+    /// Check the configuration describes a buildable kernel; the
+    /// constructor panics with this message otherwise.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.grid < 3 {
+            return Err(format!(
+                "stencil grid needs an interior (grid >= 3), got {}",
+                self.grid
+            ));
+        }
+        Ok(())
+    }
+
     /// Laptop-scale default: 12×12 grid, 8 sweeps.
     pub fn small() -> Self {
         StencilConfig {
@@ -60,9 +72,9 @@ impl StencilKernel {
     /// Build the kernel with a random initial grid.
     ///
     /// # Panics
-    /// Panics if the grid is smaller than 3×3 (no interior to sweep).
+    /// Panics if the configuration is invalid ([`StencilConfig::validate`]).
     pub fn new(cfg: StencilConfig) -> Self {
-        assert!(cfg.grid >= 3, "stencil grid needs an interior");
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let initial = uniform_vec(cfg.seed, cfg.grid * cfg.grid, 0.0, 1.0);
         let mut k = StencilKernel {
             cfg,

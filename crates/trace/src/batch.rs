@@ -8,14 +8,9 @@
 //! [`BatchTracer::row`]. The cursor is shared — which is sound exactly
 //! for branch-free kernels whose trip counts are data-independent, so
 //! every lane executes the identical dynamic-instruction sequence — while
-//! quantisation, fault flips, the non-finite trap and the streamed
-//! golden comparison are applied per lane.
-//!
-//! The comparator amortises the golden trace across lanes: one golden
-//! load per dynamic instruction serves every lane's `Δx` fold (the
-//! summary-only variant of the 64-block streamed comparator — the max
-//! over per-element deltas is identical whether folded per block or per
-//! element).
+//! quantisation, fault flips and the non-finite trap are applied per
+//! lane. Batched runs classify outcomes only, so nothing is compared
+//! against the golden trace.
 //!
 //! Lanes retire mid-run (bitwise reconvergence, contraction certificate,
 //! or the kernel's own trap break); [`BatchTracer::compact_lanes`] and
@@ -23,19 +18,17 @@
 //! order of survivors so the remaining sweep touches only live state.
 
 use crate::bits::Precision;
-use crate::compact::{CompactGolden, GoldenValues};
 use crate::tracer::FaultSpec;
 
 /// A lane-batched tracer: one shared cursor, per-lane fault state.
 ///
 /// Semantically equivalent to `lanes` independent
-/// `Tracer::injected(..).resume_at(cursor, 0)` tracers (plus, when
-/// comparing, `Tracer::comparing(..).summary_only()`), restricted to
-/// branch-free kernels: per lane, the quantise → flip-at-site →
-/// non-finite-trap → golden-delta pipeline of `Tracer::value` is
+/// `Tracer::inject(.., RecordMode::OutputOnly).resume_at(cursor, 0)`
+/// tracers, restricted to branch-free kernels: per lane, the quantise →
+/// flip-at-site → non-finite-trap pipeline of `Tracer::value` is
 /// reproduced bit-for-bit.
 #[derive(Debug)]
-pub struct BatchTracer<'g> {
+pub struct BatchTracer {
     precision: Precision,
     cursor: usize,
     /// Next dynamic index at which some live lane's fault fires
@@ -47,12 +40,9 @@ pub struct BatchTracer<'g> {
     bits: Vec<u8>,
     injected_errs: Vec<Option<f64>>,
     first_nonfinite: Vec<Option<usize>>,
-    online_max: Vec<f64>,
-    gvalues: Option<GoldenValues<'g>>,
-    limit: usize,
 }
 
-impl<'g> BatchTracer<'g> {
+impl BatchTracer {
     /// A batch of fault-injected lanes resuming at `cursor` (each lane's
     /// fault site must lie at or past the resume point, mirroring
     /// `Tracer::resume_at`).
@@ -79,25 +69,7 @@ impl<'g> BatchTracer<'g> {
             bits: faults.iter().map(|f| f.bit).collect(),
             injected_errs: vec![None; lanes],
             first_nonfinite: vec![None; lanes],
-            online_max: vec![0.0; lanes],
-            gvalues: None,
-            limit: 0,
         }
-    }
-
-    /// Enable the amortised golden comparator: every row folds each live
-    /// lane's `|golden − faulty|` into a per-lane running max (the
-    /// summary-only streamed route), loading the golden value once per
-    /// dynamic instruction for all lanes.
-    pub fn with_compare(mut self, golden: &'g CompactGolden) -> Self {
-        assert_eq!(golden.precision(), self.precision, "precision mismatch");
-        assert!(
-            golden.n_branches() == 0,
-            "lane batching requires a branch-free golden trace"
-        );
-        self.limit = golden.n_sites();
-        self.gvalues = Some(golden.values_view());
-        self
     }
 
     /// Trace one dynamic instruction across all live lanes. `vals[l]` is
@@ -105,11 +77,8 @@ impl<'g> BatchTracer<'g> {
     /// in place, exactly as `Tracer::value` would return it.
     ///
     /// The hot path is branch-free per lane: fault flips only run on the
-    /// row the `next_site` watermark names, non-finite bookkeeping only
-    /// when a vectorisable all-finite scan fails, and the golden fold is
-    /// unconditional — a lane whose fault has not fired is still
-    /// bit-identical to golden (the premise of snapshot batching), so
-    /// its delta is exactly `0.0` and folding it cannot move the max.
+    /// row the `next_site` watermark names, and non-finite bookkeeping
+    /// only when a vectorisable all-finite scan fails.
     #[inline(always)]
     pub fn row(&mut self, vals: &mut [f64]) {
         debug_assert_eq!(vals.len(), self.sites.len(), "row width != lane count");
@@ -129,16 +98,6 @@ impl<'g> BatchTracer<'g> {
         }
         if !all_finite {
             self.note_nonfinite(idx, vals);
-        }
-        if let Some(gv) = self.gvalues {
-            if idx < self.limit {
-                let g = gv.get(idx);
-                for (m, &v) in self.online_max.iter_mut().zip(vals.iter()) {
-                    let d = (g - v).abs();
-                    let grown = if d > *m { d } else { *m };
-                    *m = if d.is_nan() { f64::INFINITY } else { grown };
-                }
-            }
         }
     }
 
@@ -230,13 +189,6 @@ impl<'g> BatchTracer<'g> {
         self.first_nonfinite[l].is_some()
     }
 
-    /// Lane `l`'s running `max |golden − faulty|` (0 when the comparator
-    /// is disabled or the fault has not fired).
-    #[inline]
-    pub fn lane_max_err(&self, l: usize) -> f64 {
-        self.online_max[l]
-    }
-
     /// Drop retired lanes: lane `l` survives iff `keep[l]`. Survivors
     /// keep their relative order; lane indices shift down accordingly.
     pub fn compact_lanes(&mut self, keep: &[bool]) {
@@ -248,7 +200,6 @@ impl<'g> BatchTracer<'g> {
                 self.bits[w] = self.bits[r];
                 self.injected_errs[w] = self.injected_errs[r];
                 self.first_nonfinite[w] = self.first_nonfinite[r];
-                self.online_max[w] = self.online_max[r];
                 w += 1;
             }
         }
@@ -256,7 +207,6 @@ impl<'g> BatchTracer<'g> {
         self.bits.truncate(w);
         self.injected_errs.truncate(w);
         self.first_nonfinite.truncate(w);
-        self.online_max.truncate(w);
         // the retired lanes may have owned the watermark
         self.next_site = self
             .sites
@@ -316,8 +266,7 @@ pub fn extract_lane(buf: &[f64], lanes: usize, lane: usize) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::site::StaticId;
-    use crate::streamed::CompareScratch;
-    use crate::tracer::Tracer;
+    use crate::tracer::{RecordMode, Tracer};
 
     /// A deterministic pseudo-random value stream (no external RNG).
     fn stream(n: usize) -> Vec<f64> {
@@ -332,23 +281,14 @@ mod tests {
             .collect()
     }
 
-    fn golden_for(precision: Precision, vals: &[f64]) -> CompactGolden {
-        let mut t = Tracer::golden(precision);
-        for &v in vals {
-            t.value(StaticId(0), v);
-        }
-        let g = t.finish_golden(vec![0.0]);
-        CompactGolden::from_golden(&g)
-    }
-
-    /// Every lane of a batch row-for-row matches a solo scalar tracer
-    /// carrying the same fault: values, injected error, trap index, and
-    /// the summary-only comparison max.
+    /// Every lane of a batch row-for-row matches a solo outcome-only
+    /// scalar tracer carrying the same fault and resumed at the same
+    /// cursor: values, injected error and trap index.
     #[test]
     fn lanes_match_solo_scalar_tracers_bitwise() {
+        const RESUME: usize = 2;
         for precision in [Precision::F64, Precision::F32] {
             let vals = stream(200);
-            let golden = golden_for(precision, &vals);
             let faults = [
                 FaultSpec { site: 3, bit: 0 },
                 FaultSpec {
@@ -358,11 +298,11 @@ mod tests {
                 FaultSpec { site: 199, bit: 7 },
                 FaultSpec { site: 500, bit: 1 }, // never reached
             ];
-            let mut bt = BatchTracer::resumed(precision, &faults, 0).with_compare(&golden);
+            let mut bt = BatchTracer::resumed(precision, &faults, RESUME);
             let lanes = faults.len();
             let mut row = vec![0.0; lanes];
             let mut solo_vals: Vec<Vec<f64>> = vec![Vec::new(); lanes];
-            for &v in &vals {
+            for &v in &vals[RESUME..] {
                 row.iter_mut().for_each(|r| *r = v);
                 bt.row(&mut row);
                 for (l, sv) in solo_vals.iter_mut().enumerate() {
@@ -370,14 +310,13 @@ mod tests {
                 }
             }
             for (l, &fault) in faults.iter().enumerate() {
-                let mut scratch = CompareScratch::new();
-                let mut t = Tracer::comparing(fault, &golden, &mut scratch).summary_only();
-                let mut produced = Vec::new();
-                for &v in &vals {
-                    produced.push(t.value(StaticId(0), v));
-                }
-                let first_nonfinite = t.first_nonfinite();
-                let (run, window) = t.finish_compare(vec![0.0]);
+                let mut t =
+                    Tracer::inject(precision, fault, RecordMode::OutputOnly).resume_at(RESUME, 0);
+                let produced: Vec<f64> = vals[RESUME..]
+                    .iter()
+                    .map(|&v| t.value(StaticId(0), v))
+                    .collect();
+                let run = t.finish(vec![0.0]);
                 assert_eq!(
                     produced.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     solo_vals[l].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -388,12 +327,8 @@ mod tests {
                     bt.lane_injected_err(l).map(f64::to_bits),
                     "{precision:?} lane {l}: injected_err"
                 );
-                assert_eq!(first_nonfinite, bt.lane_first_nonfinite(l));
-                assert_eq!(
-                    window.max_err.to_bits(),
-                    bt.lane_max_err(l).to_bits(),
-                    "{precision:?} lane {l}: comparison max"
-                );
+                assert_eq!(run.first_nonfinite, bt.lane_first_nonfinite(l));
+                assert_eq!(run.n_dynamic, bt.cursor());
             }
             assert_eq!(bt.cursor(), vals.len());
         }
@@ -432,16 +367,5 @@ mod tests {
     #[should_panic(expected = "skipped prefix")]
     fn resume_past_fault_site_panics() {
         let _ = BatchTracer::resumed(Precision::F64, &[FaultSpec { site: 3, bit: 0 }], 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "branch-free")]
-    fn comparing_against_branchy_golden_panics() {
-        let mut t = Tracer::golden(Precision::F64);
-        t.value(StaticId(0), 1.0);
-        t.branch(true);
-        let g = t.finish_golden(vec![]);
-        let compact = CompactGolden::from_golden(&g);
-        let _ = BatchTracer::resumed(Precision::F64, &[], 0).with_compare(&compact);
     }
 }

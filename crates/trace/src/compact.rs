@@ -51,17 +51,6 @@ pub enum GoldenValues<'g> {
     F64(&'g [f64]),
 }
 
-impl GoldenValues<'_> {
-    /// Golden value of dynamic instruction `site`.
-    #[inline(always)]
-    pub fn get(&self, site: usize) -> f64 {
-        match self {
-            GoldenValues::F32(v) => f64::from(v[site]),
-            GoldenValues::F64(v) => v[site],
-        }
-    }
-}
-
 /// A memory-compact, read-only form of a [`GoldenRun`], sufficient for
 /// boundary prediction (golden values + flip errors + static ids).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

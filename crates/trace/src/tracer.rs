@@ -1,6 +1,6 @@
 //! The instrumentation handle kernels execute against.
 //!
-//! A kernel is written once against [`Tracer`] and then driven in three
+//! A kernel is written once against [`Tracer`] and then driven in four
 //! modes by the rest of the library:
 //!
 //! * **Golden recording** ([`Tracer::golden`]) — the fault-free run whose
@@ -9,15 +9,18 @@
 //!   the memory cost of the whole approach: one `f64` per dynamic
 //!   instruction.
 //! * **Fault injection, full trace** ([`Tracer::inject`] with
-//!   [`RecordMode::Full`]) — used for *masked* experiments whose
-//!   propagation data feeds Algorithm 1.
-//! * **Fault injection, outcome only** ([`RecordMode::OutputOnly`]) — used
-//!   for campaign classification where only the final output matters;
-//!   nothing is buffered, keeping exhaustive campaigns cheap.
-//! * **One-sided streamed comparison** ([`Tracer::comparing`]) — the run
-//!   compares its value/branch streams against a shared read-only
-//!   [`CompactGolden`] *while executing*, accumulating only the nonzero
-//!   `(site, Δx)` pairs into a reusable [`CompareScratch`]. See
+//!   [`RecordMode::Full`]) — the reference propagation extractor: record
+//!   the faulty trace, compare it with the golden one afterwards.
+//! * **Fault injection, outcome only** ([`RecordMode::OutputOnly`]) — every
+//!   outcome campaign (exhaustive, Monte-Carlo, ledger chunks, samplers):
+//!   classifying Masked/SDC/Crash needs only the final output, so
+//!   nothing is buffered or compared.
+//! * **One-sided streamed comparison** ([`Tracer::comparing`]) — propagation
+//!   extraction for the masked experiments that feed Algorithm 1 and
+//!   composition: the run compares its value/branch streams against a
+//!   shared read-only [`CompactGolden`] *while executing*, accumulating
+//!   only the nonzero `(site, Δx)` pairs into a reusable
+//!   [`CompareScratch`] or handing them to an online fold. See
 //!   [`crate::streamed`].
 
 use crate::bits::Precision;
@@ -79,8 +82,8 @@ struct CompareState<'g> {
     block: [f64; COMPARE_BLOCK],
     /// Where each flushed block's nonzero deltas go.
     route: DeltaRoute<'g>,
-    /// Largest in-window delta seen by an online route (`Sink` or
-    /// `SummaryOnly`); the scratch route computes it in `seal` instead.
+    /// Largest in-window delta seen by the online `Sink` route; the
+    /// scratch route computes it in `seal` instead.
     online_max: f64,
 }
 
@@ -90,9 +93,9 @@ pub type DeltaSink<'g> = &'g mut dyn FnMut(&[(usize, f64)]);
 
 /// Destination of the nonzero deltas a compare block produces.
 ///
-/// The online routes (`Sink`, `SummaryOnly`) retain nothing per
-/// experiment and are only sound against a branch-free golden trace;
-/// see [`Tracer::with_delta_sink`] for the argument.
+/// The online `Sink` route retains nothing per experiment and is only
+/// sound against a branch-free golden trace; see
+/// [`Tracer::with_delta_sink`] for the argument.
 enum DeltaRoute<'g> {
     /// Retain `(site, Δx)` pairs in the scratch, sealed post-hoc against
     /// the final comparable window. The general (branch-capable) path.
@@ -100,10 +103,6 @@ enum DeltaRoute<'g> {
     /// Hand each flushed block's nonzero deltas to an online fold — one
     /// indirect call per *block*, not per delta.
     Sink(DeltaSink<'g>),
-    /// Fold only the window summary (`max_err`): no deltas are
-    /// materialised or emitted at all. The exhaustive-campaign hot path,
-    /// where only the outcome and summary are consumed.
-    SummaryOnly,
 }
 
 impl std::fmt::Debug for CompareState<'_> {
@@ -171,50 +170,7 @@ impl CompareState<'_> {
                 }
                 self.online_max = max;
             }
-            DeltaRoute::SummaryOnly => {
-                let block_max = match self.gvalues {
-                    GoldenValues::F64(g) => block_max_f64(&g[start..end], faulty),
-                    GoldenValues::F32(g) => block_max_f32(&g[start..end], faulty),
-                };
-                self.online_max = self.online_max.max(block_max);
-            }
         }
-    }
-}
-
-/// Largest `|g − f|` over one compare block, with any NaN difference
-/// (corruption) mapped to `+∞` — exactly the maximum the scalar delta
-/// pass would have emitted. Branch-free so the common all-identical
-/// block reduces to a vectorisable scan.
-fn block_max_f64(golden: &[f64], faulty: &[f64]) -> f64 {
-    let mut max = 0.0f64;
-    let mut any_nan = false;
-    for (&g, &f) in golden.iter().zip(faulty) {
-        let d = (g - f).abs();
-        any_nan |= d.is_nan();
-        // f64::max drops the NaN operand, so `max` stays finite here
-        max = max.max(d);
-    }
-    if any_nan {
-        f64::INFINITY
-    } else {
-        max
-    }
-}
-
-/// `f32`-golden variant of [`block_max_f64`].
-fn block_max_f32(golden: &[f32], faulty: &[f64]) -> f64 {
-    let mut max = 0.0f64;
-    let mut any_nan = false;
-    for (&g, &f) in golden.iter().zip(faulty) {
-        let d = (f64::from(g) - f).abs();
-        any_nan |= d.is_nan();
-        max = max.max(d);
-    }
-    if any_nan {
-        f64::INFINITY
-    } else {
-        max
     }
 }
 
@@ -426,32 +382,6 @@ impl<'g> Tracer<'g> {
             "online delta folding requires a branch-free golden trace"
         );
         cs.route = DeltaRoute::Sink(sink);
-        self
-    }
-
-    /// Upgrade a comparing-mode tracer to *summary-only* mode: the
-    /// comparison still runs over every in-window site, but individual
-    /// deltas are neither retained nor emitted — only the window summary
-    /// ([`StreamedWindow`]) survives. This is the exhaustive-campaign hot
-    /// path, where the caller consumes the outcome and summary and would
-    /// have discarded every delta anyway; skipping the per-delta
-    /// materialisation keeps the flush loop a pure vectorisable scan.
-    ///
-    /// Same soundness precondition as [`Tracer::with_delta_sink`].
-    ///
-    /// # Panics
-    /// Panics if the tracer is not in comparing mode, or if the golden
-    /// trace has branch events.
-    pub fn summary_only(mut self) -> Self {
-        let cs = self
-            .compare
-            .as_mut()
-            .expect("summary_only requires a Tracer::comparing tracer");
-        assert!(
-            cs.gbranches.is_empty(),
-            "online summary folding requires a branch-free golden trace"
-        );
-        cs.route = DeltaRoute::SummaryOnly;
         self
     }
 
@@ -746,10 +676,10 @@ impl<'g> Tracer<'g> {
             compare_len = compare_len.min(d);
         }
         let window = match cs.route {
-            // online modes: every folded delta is already final and
+            // online fold: every folded delta is already final and
             // in-window (see `with_delta_sink`), so the summary is
             // complete without a scratch pass
-            DeltaRoute::Sink(_) | DeltaRoute::SummaryOnly => StreamedWindow {
+            DeltaRoute::Sink(_) => StreamedWindow {
                 compare_len,
                 diverged: div.is_some(),
                 max_err: cs.online_max,

@@ -103,7 +103,7 @@ pub fn reference_batch(injector: &Injector<'_>, plan: &[FaultSpec]) -> Vec<Exper
 }
 
 /// The reference exhaustive outcome table: [`reference_batch`] over every
-/// bit of every site, in [`Injector::run_exhaustive`]'s layout.
+/// bit of every site, in [`Injector::exhaustive`]'s layout.
 pub fn reference_exhaustive(injector: &Injector<'_>) -> ExhaustiveResult {
     let bits = injector.bits();
     let plan: Vec<FaultSpec> = (0..injector.n_sites())

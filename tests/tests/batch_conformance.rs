@@ -77,20 +77,20 @@ proptest! {
             .with_batch_lanes(lanes);
         prop_assert!(batched_inj.batch_binding().is_some());
         let plan = make_plan(&raw, batched_inj.n_sites(), batched_inj.bits());
-        let batched = batched_inj.run_batch(&plan);
+        let batched = batched_inj.run_many(&plan);
 
         let scalar_inj = Injector::new(kernel.as_ref(), Classifier::new(tol))
             .with_snapshots(usize::MAX)
             .with_certified_exits();
         for (fault, exp) in plan.iter().zip(&batched) {
-            let scalar_solo = scalar_inj.run_batch(&[*fault])[0];
+            let scalar_solo = scalar_inj.run_many(&[*fault])[0];
             prop_assert_eq!(
                 key(exp),
                 key(&scalar_solo),
                 "{:?} fault {:?}: batched (lanes {}) vs scalar solo",
                 config, fault, lanes
             );
-            let batched_solo = batched_inj.run_batch(&[*fault])[0];
+            let batched_solo = batched_inj.run_many(&[*fault])[0];
             prop_assert_eq!(
                 key(exp),
                 key(&batched_solo),
@@ -125,8 +125,8 @@ proptest! {
         let mut shuffled = plan.clone();
         shuffle(&mut shuffled, perm_seed);
 
-        let mut a: Vec<_> = inj_a.run_batch(&plan).iter().map(key).collect();
-        let mut b: Vec<_> = inj(lanes_b).run_batch(&shuffled).iter().map(key).collect();
+        let mut a: Vec<_> = inj_a.run_many(&plan).iter().map(key).collect();
+        let mut b: Vec<_> = inj(lanes_b).run_many(&shuffled).iter().map(key).collect();
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(

@@ -1,16 +1,23 @@
-//! Differential harness: streamed extraction against the buffered
+//! Differential harness: every execution path against the buffered
 //! reference.
 //!
-//! Campaigns extract propagation by comparing each faulty run against
-//! the shared compact golden trace while it executes (streamed). The
-//! paper's §2.2 extractor — record the full faulty trace, compare
-//! afterwards ([`Injector::run_one_traced`]) — is kept as the reference,
-//! and the streamed path must be **bit-identical** to it: same
-//! `Propagation` folds, same `Outcome` classifications, same
-//! `injected_err`/`output_err`, across every kernel, fault site, bit,
-//! control-flow shape, snapshot and lane configuration, and thread pool.
+//! The paper's §2.2 extractor — record the full faulty trace, compare
+//! afterwards ([`Injector::run_one_traced`]) — is kept as the reference.
+//! Two paths must be **bit-identical** to it:
+//!
+//! * streamed propagation extraction ([`Injector::extract_propagation`]),
+//!   which compares each faulty run against the shared compact golden
+//!   trace while it executes: same `Propagation` folds, same
+//!   `Outcome` classifications, same `injected_err`/`output_err`;
+//! * every public outcome entry point — `run_many`, `run_batch`,
+//!   `exhaustive` and a `ChunkedCampaign` ledger run — across every
+//!   kernel, fault site, bit, control-flow shape, snapshot and lane
+//!   configuration, and thread pool.
 
-use ftb_inject::{Classifier, ExtractionSummary, Injector};
+use ftb_inject::{
+    read_ledger, CampaignBinding, ChunkedCampaign, Classifier, Experiment, ExtractionSummary,
+    Injector,
+};
 use ftb_integration::{reference_batch, reference_exhaustive, reference_extraction, tiny_suite};
 use ftb_kernels::{CgConfig, Kernel, KernelConfig};
 use ftb_trace::{
@@ -163,7 +170,7 @@ fn buffered_and_streamed_agree_when_fault_site_is_never_reached() {
 
 /// Render a run's experiments as their serialized ledger records, so
 /// equality covers every recorded bit.
-fn records(experiments: &[ftb_inject::Experiment]) -> Vec<String> {
+fn records(experiments: &[Experiment]) -> Vec<String> {
     experiments
         .iter()
         .map(|e| serde_json::to_string(e).unwrap())
@@ -184,6 +191,79 @@ fn strided_plan(probe: &Injector<'_>) -> Vec<FaultSpec> {
         .collect()
 }
 
+/// A `ChunkedCampaign` over `plan` with a fresh ledger, in 37-experiment
+/// chunks (not a multiple of any lane width, so chunk edges split lane
+/// batches). Returns the records read back from the ledger, after
+/// checking they equal the campaign's in-memory experiments.
+fn ledger_run(inj: &Injector<'_>, config: &KernelConfig, plan: &[FaultSpec]) -> Vec<Experiment> {
+    let dir = std::env::temp_dir().join("ftb-extraction-equivalence");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!(
+        "{}-{:?}-{}.jsonl",
+        config.name(),
+        std::thread::current().id(),
+        inj.batch_lanes()
+    ));
+    let binding = CampaignBinding {
+        kernel: config.clone(),
+        classifier: *inj.classifier(),
+        n_sites: inj.n_sites(),
+        bits: inj.bits(),
+        plan: "strided".to_string(),
+        bit_prune: None,
+        snapshot: inj.snapshot_store().map(|s| s.binding()),
+        batch: inj.batch_binding(),
+    };
+    let mut cc = ChunkedCampaign::new(inj, plan.to_vec(), 37)
+        .with_ledger(&path, binding, false)
+        .unwrap();
+    cc.run_to_completion().unwrap();
+    let ledger = read_ledger(&path).unwrap().experiments;
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(
+        ledger,
+        cc.into_experiments(),
+        "{config:?}: ledger != memory"
+    );
+    ledger
+}
+
+/// The rayon pool sizes every outcome entry point runs under. Twelve
+/// workers split short inputs unevenly (37 items leave the last two
+/// workers nothing), which is what a ledger's 37-experiment chunks and
+/// the tiny kernels' lane and scalar lists exercise.
+const POOLS: [usize; 4] = [1, 4, 8, 12];
+
+/// Every public outcome entry point over `plan`, by name: `run_many`,
+/// `run_batch` and a `ChunkedCampaign` ledger run, each under every
+/// pool in [`POOLS`]. The exhaustive table is covered by
+/// `exhaustive_outcome_tables_identical_across_paths`.
+fn assert_outcome_entry_points_agree(
+    inj: &Injector<'_>,
+    config: &KernelConfig,
+    plan: &[FaultSpec],
+    reference: &[String],
+    setting: &str,
+) {
+    for threads in POOLS {
+        let got = in_pool(threads, || {
+            [
+                inj.run_many(plan),
+                inj.run_batch(plan),
+                ledger_run(inj, config, plan),
+            ]
+        });
+        for (entry, got) in ["run_many", "run_batch", "ledger run"].iter().zip(got) {
+            assert_eq!(
+                reference,
+                records(&got),
+                "{config:?}: {setting} {entry} under a {threads}-thread pool \
+                 diverged from the serial buffered reference"
+            );
+        }
+    }
+}
+
 /// Run `f` inside a dedicated `threads`-worker rayon pool.
 fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
     rayon::ThreadPoolBuilder::new()
@@ -194,8 +274,8 @@ fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
 }
 
 /// The full conformance matrix: every instrumented kernel in the tiny
-/// suite × {1, 4, 8}-thread rayon pools, streamed extraction from
-/// scratch, yields experiment records bit-identical to the serial
+/// suite × {1, 4, 8}-thread rayon pools × every outcome entry point,
+/// from scratch, yields experiment records bit-identical to the serial
 /// buffered reference — this is the acceptance matrix for wiring the
 /// previously-dormant kernels (lu, fft, spmv, stencil, matvec) into the
 /// campaign stack.
@@ -207,19 +287,12 @@ fn conformance_matrix_all_kernels_modes_and_pools() {
         let plan = strided_plan(&inj);
         assert!(!plan.is_empty(), "{config:?}: empty campaign");
         let reference = records(&reference_batch(&inj, &plan));
-        for threads in [1usize, 4, 8] {
-            let got = records(&in_pool(threads, || inj.run_batch(&plan)));
-            assert_eq!(
-                reference, got,
-                "{config:?}: streamed extraction under a {threads}-thread pool \
-                 diverged from the serial buffered reference"
-            );
-        }
+        assert_outcome_entry_points_agree(&inj, config, &plan, &reference, "from-scratch");
     }
 }
 
 /// The snapshot and batched-execution axes of the conformance matrix:
-/// the same kernels, plans and pools as
+/// the same kernels, plans, pools and entry points as
 /// `conformance_matrix_all_kernels_modes_and_pools`, but with snapshots
 /// captured and a lane width of 1 (scalar snapshot-resumed execution) or
 /// 8. On batch-capable kernels (jacobi, gemm, lu) the 8-lane cells run
@@ -241,14 +314,8 @@ fn conformance_matrix_batched_axis() {
             if lanes > 1 && inj.batch_binding().is_some() {
                 batched_somewhere += 1;
             }
-            for threads in [1usize, 4, 8] {
-                let got = records(&in_pool(threads, || inj.run_batch(&plan)));
-                assert_eq!(
-                    reference, got,
-                    "{config:?}: snapshot-resumed streamed extraction at {lanes} lanes \
-                     under a {threads}-thread pool diverged from the buffered reference"
-                );
-            }
+            let setting = format!("snapshot-resumed, {lanes}-lane");
+            assert_outcome_entry_points_agree(&inj, config, &plan, &reference, &setting);
         }
     }
     assert!(
@@ -257,14 +324,52 @@ fn conformance_matrix_batched_axis() {
     );
 }
 
-/// Exhaustive agreement on one small kernel: the whole `sites × bits`
-/// outcome table of the streamed campaign equals the buffered
-/// reference's (this is the same assertion the CI benchmark smoke job
-/// makes on the bench suite).
+/// Exhaustive agreement: the whole `sites × bits` outcome table of
+/// `Injector::exhaustive` equals the buffered reference's (the same
+/// assertion the bench suite makes) — on matvec from scratch, and on
+/// branchy CG and batch-capable jacobi from scratch, from snapshots and
+/// at 8 lanes, each under every pool in [`POOLS`] and a 64-worker pool
+/// (which splits jacobi's 1,360 lane chunks unevenly: the last worker
+/// gets nothing).
 #[test]
 fn exhaustive_outcome_tables_identical_across_paths() {
-    let (config, tol) = &tiny_suite()[4]; // matvec
+    let pools = POOLS.into_iter().chain([64]);
+    let suite = tiny_suite();
+    let (config, tol) = &suite[4]; // matvec
     let kernel = config.build();
     let inj = Injector::new(kernel.as_ref(), Classifier::new(*tol));
-    assert_eq!(reference_exhaustive(&inj), inj.run_exhaustive());
+    let reference = reference_exhaustive(&inj);
+    for threads in pools.clone() {
+        assert_eq!(reference, in_pool(threads, || inj.exhaustive()));
+    }
+
+    for (config, tol) in [&suite[0], &suite[7]] {
+        // cg, jacobi
+        let kernel = config.build();
+        let scratch = Injector::new(kernel.as_ref(), Classifier::new(*tol));
+        let reference = reference_exhaustive(&scratch);
+        let snapshots = [1usize, 8].map(|lanes| {
+            Injector::new(kernel.as_ref(), Classifier::new(*tol))
+                .with_snapshots(usize::MAX)
+                .with_batch_lanes(lanes)
+        });
+        for inj in &snapshots {
+            assert!(inj.snapshot_store().is_some(), "{config:?}: no snapshots");
+        }
+        for threads in pools.clone() {
+            assert_eq!(
+                reference,
+                in_pool(threads, || scratch.exhaustive()),
+                "{config:?}: from scratch, {threads} threads"
+            );
+            for inj in &snapshots {
+                assert_eq!(
+                    reference,
+                    in_pool(threads, || inj.exhaustive()),
+                    "{config:?}: {} lanes, {threads} threads",
+                    inj.batch_lanes()
+                );
+            }
+        }
+    }
 }

@@ -72,8 +72,8 @@ fn snapshot_resume_is_bit_identical_across_modes_and_threads() {
     let ref_bytes = serde_json::to_string(&reference).unwrap();
     assert_eq!(
         reference,
-        probe.run_batch(&faults),
-        "from-scratch streamed diverged"
+        probe.run_many(&faults),
+        "from-scratch run diverged"
     );
 
     for lanes in [1usize, 8] {
@@ -86,7 +86,7 @@ fn snapshot_resume_is_bit_identical_across_modes_and_threads() {
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            let got: Vec<Experiment> = pool.install(|| inj.run_batch(&faults));
+            let got: Vec<Experiment> = pool.install(|| inj.run_many(&faults));
             assert_eq!(reference, got, "{lanes} lanes, {threads} threads diverged");
             assert_eq!(
                 ref_bytes,
@@ -208,12 +208,12 @@ fn lu_snapshot_resume_is_bit_identical() {
             "LU should snapshot at each k-step boundary, got {}",
             store.len()
         );
-        assert_eq!(reference, inj.run_batch(&faults), "{lanes} lanes diverged");
+        assert_eq!(reference, inj.run_many(&faults), "{lanes} lanes diverged");
         let certified = Injector::new(&k, classifier)
             .with_snapshots(usize::MAX)
             .with_batch_lanes(lanes)
             .with_certified_exits()
-            .run_batch(&faults);
+            .run_many(&faults);
         let codes = |v: &[Experiment]| -> Vec<u8> { v.iter().map(|e| e.outcome.code()).collect() };
         assert_eq!(
             codes(&reference),
@@ -247,7 +247,7 @@ fn batched_campaign_kill_resume_matches_uninterrupted_and_scalar() {
     // scalar cross-check: batching must be invisible in the records
     let scalar = Injector::new(&k, Classifier::new(1e-6))
         .with_snapshots(usize::MAX)
-        .run_batch(&plan);
+        .run_many(&plan);
     assert_eq!(reference, scalar, "batched campaign diverged from scalar");
 
     // the kill: chunk size 20 is deliberately not a multiple of the lane
