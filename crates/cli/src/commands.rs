@@ -1037,12 +1037,9 @@ fn load_adaptive_checkpoint(
             cp.binding.plan
         )));
     }
-    if !cp.state.matches(injector) {
-        return Err(CliError(format!(
-            "{path}: checkpoint fault space ({} sites × {} bits) does not match the kernel",
-            cp.state.n_sites, cp.state.bits
-        )));
-    }
+    cp.state
+        .validate(injector)
+        .map_err(|e| CliError(format!("{path}: corrupt or foreign checkpoint: {e}")))?;
     Ok(cp.state)
 }
 

@@ -119,15 +119,19 @@ struct CandidateSpace {
     masks: Vec<u64>,
 }
 
+/// Every bit of a `bits`-wide value.
+fn full_mask(bits: u8) -> u64 {
+    if bits == 64 {
+        u64::MAX
+    } else {
+        (1u64 << bits) - 1
+    }
+}
+
 impl CandidateSpace {
     fn full(n_sites: usize, bits: u8) -> Self {
-        let full_mask = if bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits) - 1
-        };
         CandidateSpace {
-            masks: vec![full_mask; n_sites],
+            masks: vec![full_mask(bits); n_sites],
         }
     }
 
@@ -340,10 +344,48 @@ impl AdaptiveState {
         pruned
     }
 
-    /// Whether this (possibly deserialized) state belongs to the same
-    /// fault space as `injector`.
-    pub fn matches(&self, injector: &Injector<'_>) -> bool {
-        self.n_sites == injector.n_sites() && self.bits == injector.bits()
+    /// Check that this (possibly deserialized) state belongs to
+    /// `injector`'s fault space and stays inside it: [`step`] and
+    /// [`finish`] index its per-site vectors, candidate masks and samples
+    /// by site and bit without further checks.
+    ///
+    /// [`step`]: AdaptiveState::step
+    /// [`finish`]: AdaptiveState::finish
+    pub fn validate(&self, injector: &Injector<'_>) -> Result<(), String> {
+        let (n, bits) = (self.n_sites, self.bits);
+        let per_site = [
+            ("information", self.information.len() == n),
+            ("min_sdc", self.min_sdc.len() == n),
+            ("space.masks", self.space.masks.len() == n),
+            ("boundary", self.boundary.covers(n)),
+            ("prior", self.prior.as_ref().is_none_or(|p| p.covers(n))),
+        ];
+        if n != injector.n_sites() || bits != injector.bits() {
+            Err(format!(
+                "fault space ({n} sites × {bits} bits) does not match the kernel"
+            ))
+        } else if let Some((field, _)) = per_site.iter().find(|(_, ok)| !ok) {
+            Err(format!("`{field}` does not cover {n} sites"))
+        } else if let Some(site) = self
+            .space
+            .masks
+            .iter()
+            .position(|m| m & !full_mask(bits) != 0)
+        {
+            Err(format!("candidate mask of site {site} exceeds {bits} bits"))
+        } else if let Some(e) = self
+            .samples
+            .experiments()
+            .iter()
+            .find(|e| e.site >= n || e.bit >= bits)
+        {
+            Err(format!(
+                "sample (site {}, bit {}) lies outside the fault space",
+                e.site, e.bit
+            ))
+        } else {
+            Ok(())
+        }
     }
 
     /// Whether the stop criteria have fired.
@@ -687,7 +729,7 @@ mod tests {
         while state.step(&inj).is_some() {
             let json = serde_json::to_string(&state).unwrap();
             state = serde_json::from_str(&json).unwrap();
-            assert!(state.matches(&inj));
+            state.validate(&inj).unwrap();
         }
         let resumed = state.finish(&inj);
 
@@ -716,8 +758,8 @@ mod tests {
             ..MatvecConfig::small()
         });
         let inj2 = Injector::new(&k2, Classifier::new(1e-6));
-        assert!(state.matches(&inj));
-        assert!(!state.matches(&inj2));
+        assert_eq!(state.validate(&inj), Ok(()));
+        assert!(state.validate(&inj2).is_err());
     }
 
     #[test]
@@ -816,7 +858,7 @@ mod tests {
         assert_ne!(old, json, "fixture no longer exercises the old format");
         let loaded: AdaptiveState = serde_json::from_str(&old).unwrap();
         assert!(loaded.prior.is_none());
-        assert!(loaded.matches(&inj));
+        assert_eq!(loaded.validate(&inj), Ok(()));
     }
 
     #[test]

@@ -97,6 +97,12 @@ impl Boundary {
         self.thresholds.len()
     }
 
+    /// Whether thresholds and support both cover exactly `n_sites` sites
+    /// (a deserialized boundary need not).
+    pub(crate) fn covers(&self, n_sites: usize) -> bool {
+        self.thresholds.len() == n_sites && self.support.len() == n_sites
+    }
+
     /// The threshold `Δe` at `site`.
     #[inline]
     pub fn threshold(&self, site: usize) -> f64 {

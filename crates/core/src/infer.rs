@@ -100,16 +100,13 @@ pub fn infer_boundary(
     };
 
     // Parallel fold over masked experiments: each re-runs through
-    // streamed extraction into a thread-local partial. (Over the index
-    // range: the vendored rayon stand-in's slice source panics when the
-    // slice is short relative to the pool.)
+    // streamed extraction into a per-worker partial.
     let masked: Vec<_> = samples.masked().collect();
-    let partial = (0..masked.len())
-        .into_par_iter()
+    let partial = masked
+        .par_iter()
         .fold(
             || (Boundary::zero(n_sites), vec![0u32; n_sites]),
-            |(mut b, mut hits), i| {
-                let e = masked[i];
+            |(mut b, mut hits), e| {
                 injector.extract_propagation(e.site, e.bit, |site, err| {
                     // strictly below: a perturbation equal to an error
                     // already known to cause SDC must not certify masked

@@ -3,9 +3,13 @@
 //!
 //! Fault-injection campaigns are embarrassingly parallel — every
 //! experiment is an independent re-execution of the kernel — so batches
-//! fan out over Rayon. Kernels are immutable (`&dyn Kernel` is `Sync`)
-//! and each worker owns its run's tracer, so there is no shared mutable
-//! state at all.
+//! fan out over Rayon's `par_iter`. Experiment costs vary widely (one
+//! fault traps at once, another runs past convergence), so the workers
+//! self-schedule: each claims the next few experiments from a shared
+//! counter until the batch is exhausted, and no worker idles behind a
+//! fixed slice while another still has a queue. Kernels are immutable
+//! (`&dyn Kernel` is `Sync`) and each worker owns its run's tracer, so
+//! the claim counter is the only shared mutable state.
 //!
 //! Every outcome campaign (exhaustive, Monte-Carlo, ledger chunks,
 //! samplers) runs through [`Injector::run_many`]: classifying an
@@ -45,18 +49,6 @@ const BATCH_BINDING_TAG: u64 = 0x6674_622d_6261_7463;
 /// grow with the campaign, while leaving every chunk wide enough to
 /// keep all workers and lanes busy.
 const EXHAUSTIVE_CHUNK: usize = 1 << 16;
-
-/// `f` over `items` in parallel, results in input order. Parallelises
-/// over the index range rather than the slice: the vendored rayon
-/// stand-in's slice source panics when the slice is short relative to
-/// the pool (e.g. 37 items on 12 workers), and its range source does
-/// not.
-fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
-    (0..items.len())
-        .into_par_iter()
-        .map(|i| f(&items[i]))
-        .collect()
-}
 
 /// Bound experiment runner: a kernel, its golden run (full and compact
 /// forms), a classifier, and the execution options (snapshots, certified
@@ -221,8 +213,11 @@ impl<'k> Injector<'k> {
             assert!(f.site < self.n_sites(), "site {} out of range", f.site);
         }
         let (chunks, scalars) = engine.plan(faults);
-        let batched = par_map(&chunks, |c| engine.run_chunk(c));
-        let loose = par_map(&scalars, |&i| self.run_one(faults[i].site, faults[i].bit));
+        let batched: Vec<_> = chunks.par_iter().map(|c| engine.run_chunk(c)).collect();
+        let loose: Vec<_> = scalars
+            .par_iter()
+            .map(|&i| self.run_one(faults[i].site, faults[i].bit))
+            .collect();
         let mut out: Vec<Option<Experiment>> = vec![None; faults.len()];
         for (chunk, exps) in chunks.iter().zip(&batched) {
             for (&i, e) in chunk.idxs.iter().zip(exps) {
@@ -433,7 +428,10 @@ impl<'k> Injector<'k> {
         if let Some(engine) = self.batch_engine() {
             return self.run_plan_batched(&engine, faults);
         }
-        par_map(faults, |f| self.run_one(f.site, f.bit))
+        faults
+            .par_iter()
+            .map(|f| self.run_one(f.site, f.bit))
+            .collect()
     }
 
     /// Alias for [`Injector::run_many`], kept for existing callers.

@@ -239,14 +239,11 @@ pub fn run_section_campaign(
 
     // phase 2: re-run masked experiments with propagation extraction,
     // folding only this section's sites. A fold truncated to `< hi`
-    // depends only on the execution prefix the section covers. (Over
-    // the index range: the vendored rayon stand-in's slice source panics
-    // when the slice is short relative to the pool.)
+    // depends only on the execution prefix the section covers.
     let extract = |faults: &[FaultSpec]| -> Vec<MaskedFold> {
-        (0..faults.len())
-            .into_par_iter()
-            .flat_map_iter(|i| {
-                let f = &faults[i];
+        faults
+            .par_iter()
+            .flat_map_iter(|f| {
                 let mut deltas = Vec::new();
                 let mut frontier_max = 0.0f64;
                 let mut slots: Vec<(u32, f64)> = Vec::new();

@@ -392,3 +392,138 @@ fn cli_adaptive_checkpoint_roundtrips() {
     let _ = std::fs::remove_file(&cp);
     let _ = std::fs::remove_file(&metrics_path);
 }
+
+/// Mutable object member `key` of a JSON value.
+fn member<'a>(v: &'a mut serde_json::Value, key: &str) -> &'a mut serde_json::Value {
+    v.as_object_mut()
+        .expect("JSON object")
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .map(|(_, m)| m)
+        .unwrap_or_else(|| panic!("checkpoint has no field {key:?}"))
+}
+
+fn array(v: &mut serde_json::Value) -> &mut Vec<serde_json::Value> {
+    match v {
+        serde_json::Value::Array(items) => items,
+        other => panic!("expected an array, found {}", other.kind()),
+    }
+}
+
+/// A resumed adaptive state indexes its per-site vectors, candidate
+/// masks and samples by site and bit without further checks, so each
+/// way a checkpoint can disagree with its own fault space must be
+/// refused with an error before the sampler runs — never panic inside
+/// `step` or `finish`.
+#[test]
+fn cli_adaptive_resume_refuses_tampered_checkpoint() {
+    let cp = tmp("cli-adaptive-tamper.json");
+    let tampered = tmp("cli-adaptive-tampered.json");
+    let _ = std::fs::remove_file(&cp);
+    let cpp = cp.to_str().unwrap();
+    let tp = tampered.to_str().unwrap();
+
+    let base = [
+        "adaptive", "--kernel", "matvec", "--n", "6", "--f32", "--seed", "11",
+    ];
+    let mut with_cp = base.to_vec();
+    with_cp.extend(["--checkpoint", cpp]);
+    cli(&with_cp);
+    let real: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&cp).unwrap()).unwrap();
+    let n_sites = real.get("state").unwrap().get("n_sites").unwrap();
+    let n_sites = n_sites.as_u64().unwrap() as usize;
+
+    type Tamper = Box<dyn Fn(&mut serde_json::Value)>;
+    let pop = |field: &'static str| -> Tamper {
+        Box::new(move |s| {
+            array(member(s, field)).pop();
+        })
+    };
+    let cases: Vec<(&str, Tamper, &str)> = vec![
+        ("untampered", Box::new(|_| {}), ""),
+        (
+            "information",
+            pop("information"),
+            "`information` does not cover",
+        ),
+        ("min_sdc", pop("min_sdc"), "`min_sdc` does not cover"),
+        (
+            "candidate masks",
+            Box::new(|s| {
+                array(member(member(s, "space"), "masks")).pop();
+            }),
+            "`space.masks` does not cover",
+        ),
+        (
+            "candidate bit past the width",
+            Box::new(|s| {
+                array(member(member(s, "space"), "masks"))[0] = serde_json::Value::PosInt(1 << 40);
+            }),
+            "exceeds 32 bits",
+        ),
+        (
+            "boundary thresholds",
+            Box::new(|s| {
+                array(member(member(s, "boundary"), "thresholds")).pop();
+            }),
+            "`boundary` does not cover",
+        ),
+        (
+            "boundary support",
+            Box::new(|s| {
+                array(member(member(s, "boundary"), "support")).pop();
+            }),
+            "`boundary` does not cover",
+        ),
+        (
+            "prior",
+            Box::new(move |s| {
+                *member(s, "prior") = serde_json::to_value(Boundary::zero(n_sites - 1)).unwrap();
+            }),
+            "`prior` does not cover",
+        ),
+        (
+            "sample site",
+            Box::new(move |s| {
+                let sample = &mut array(member(s, "samples"))[0];
+                *member(sample, "site") = serde_json::Value::PosInt(n_sites as u64);
+            }),
+            "outside the fault space",
+        ),
+        (
+            "sample bit",
+            Box::new(|s| {
+                let sample = &mut array(member(s, "samples"))[0];
+                *member(sample, "bit") = serde_json::Value::PosInt(32);
+            }),
+            "outside the fault space",
+        ),
+    ];
+
+    for (name, tamper, expected) in cases {
+        let mut cp_json = real.clone();
+        let state = member(&mut cp_json, "state");
+        // reopen the finished run so a resume would also reach `step`
+        *member(state, "done") = serde_json::Value::Bool(false);
+        tamper(state);
+        std::fs::write(&tampered, serde_json::to_string(&cp_json).unwrap()).unwrap();
+
+        let mut resume = base.to_vec();
+        resume.extend(["--checkpoint", tp, "--resume"]);
+        let raw: Vec<String> = resume.iter().map(|s| s.to_string()).collect();
+        let result = ftb_cli::commands::dispatch(&ftb_cli::parse(&raw).unwrap());
+        if expected.is_empty() {
+            assert!(result.is_ok(), "{name}: {:?}", result.err());
+        } else {
+            let err = result.expect_err(name);
+            assert!(
+                err.0.contains("corrupt or foreign checkpoint") && err.0.contains(expected),
+                "{name}: unexpected error: {}",
+                err.0
+            );
+        }
+    }
+    let _ = std::fs::remove_file(&cp);
+    let _ = std::fs::remove_file(&tampered);
+}

@@ -128,6 +128,48 @@ fn adaptive_trajectory_is_reproducible() {
     });
 }
 
+/// Workers claim experiments from a shared counter, so which experiments
+/// share a fold partial differs from run to run. Boundary inference and
+/// the adaptive trajectory must not: repeated runs under 2 and 12
+/// workers reproduce the 1-worker result byte for byte, on CG, whose
+/// experiment costs vary most.
+#[test]
+fn repeated_runs_identical_under_self_scheduling() {
+    let (config, tol) = &tiny_suite()[0]; // cg
+    let kernel = config.build();
+    let run_with_pool = |threads: usize| {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            let analysis = Analysis::new(kernel.as_ref(), Classifier::new(*tol));
+            let samples = analysis.sample_uniform(0.3, 21);
+            let inferred = analysis.infer(&samples, FilterMode::PerSite);
+            let adaptive = analysis.adaptive(&AdaptiveConfig {
+                seed: 21,
+                ..Default::default()
+            });
+            (
+                serde_json::to_string(&inferred.boundary).unwrap(),
+                inferred.prop_hits,
+                adaptive.rounds,
+                adaptive.samples.experiments().to_vec(),
+                serde_json::to_string(&adaptive.inference.boundary).unwrap(),
+            )
+        })
+    };
+    let serial = run_with_pool(1);
+    for threads in [2, 12] {
+        for repeat in 0..3 {
+            assert!(
+                run_with_pool(threads) == serial,
+                "{threads} workers, repeat {repeat}: result differs from 1 worker"
+            );
+        }
+    }
+}
+
 /// The serial-vs-parallel characterization itself: for the acceptance
 /// trio (lu, fft, stencil) the per-site outcome distributions under
 /// 1-, 4- and 8-thread pools must be indistinguishable — every pairwise
