@@ -994,7 +994,9 @@ struct AdaptiveCheckpoint {
     state: AdaptiveState,
 }
 
-const ADAPTIVE_FORMAT: &str = "ftb-adaptive-v1";
+/// `v2` records hangs as stopped at the hang budget, as the `v2`
+/// experiment ledger does; a `v1` checkpoint is refused.
+const ADAPTIVE_FORMAT: &str = "ftb-adaptive-v2";
 
 /// Atomically replace the checkpoint (write-to-temp + rename), so a
 /// crash mid-write leaves the previous round's state intact.

@@ -230,8 +230,10 @@ pub struct AdaptiveState {
     boundary: crate::boundary::Boundary,
     /// A prior boundary (typically from `staticbound`) the run was seeded
     /// with; re-merged into the canonical rebuild at [`finish`] time.
-    /// `None` for cold-start runs and for checkpoints written before the
-    /// field existed (`ftb-adaptive-v1` stays readable).
+    /// `None` for cold-start runs. Defaulted on read, although every
+    /// checkpoint old enough to lack the field is an `ftb-adaptive-v1`
+    /// one, which the CLI now refuses (its hang records predate the hang
+    /// budget).
     ///
     /// [`finish`]: AdaptiveState::finish
     #[serde(default)]

@@ -59,6 +59,10 @@ pub struct Injector<'k> {
     /// Shared read-only golden buffer for streamed propagation extraction.
     compact: CompactGolden,
     classifier: Classifier,
+    /// The classifier's hang budget for this golden run
+    /// ([`Classifier::budget`]): outcome experiments stop executing past
+    /// it, since their outcome is then decided.
+    budget: usize,
     /// Golden-run boundary snapshots; when present, outcome experiments
     /// resume from the latest snapshot preceding their fault site
     /// instead of re-executing from `t = 0`.
@@ -93,13 +97,26 @@ impl<'k> Injector<'k> {
 
     /// Bind to an already-recorded golden run (avoids re-recording when
     /// several analyses share one kernel).
+    ///
+    /// # Panics
+    /// Panics if the classifier's `hang_factor` is NaN or below 1: such a
+    /// budget is shorter than the golden run, so the golden run itself
+    /// would classify as a hang, and outcome runs could stop before
+    /// their fault site or a snapshot-resumed bitwise exit.
     pub fn with_golden(kernel: &'k dyn Kernel, golden: GoldenRun, classifier: Classifier) -> Self {
+        assert!(
+            classifier.hang_factor >= 1.0,
+            "hang_factor must be at least 1 (got {})",
+            classifier.hang_factor
+        );
         let compact = CompactGolden::from_golden(&golden);
+        let budget = classifier.budget(golden.n_dynamic);
         Injector {
             kernel,
             golden,
             compact,
             classifier,
+            budget,
             snapshots: None,
             certified_exits: false,
             batch_lanes: 1,
@@ -312,7 +329,10 @@ impl<'k> Injector<'k> {
         }
     }
 
-    /// Run one experiment (outcome only — the fast path).
+    /// Run one experiment (outcome only — the fast path). The run stops
+    /// at the classifier's hang budget; its record is bit-identical to
+    /// that of the complete run ([`Classifier::classify`] depends only on
+    /// the instructions before the budget).
     ///
     /// # Panics
     /// Panics if `site` is out of range.
@@ -322,8 +342,10 @@ impl<'k> Injector<'k> {
         if let Some(e) = self.try_run_one_resumed(fault) {
             return e;
         }
-        let run = self.kernel.run_injected(fault, RecordMode::OutputOnly);
-        self.classified(fault, &run, None)
+        let mut t = Tracer::inject(self.kernel.precision(), fault, RecordMode::OutputOnly)
+            .with_budget(self.budget);
+        let out = self.kernel.run(&mut t);
+        self.classified(fault, &t.finish(out), None)
     }
 
     /// Outcome-only experiment resumed from the snapshot preceding its
@@ -339,7 +361,8 @@ impl<'k> Injector<'k> {
         let (store, snap) = self.resume_for(fault)?;
         let state = store.state(snap);
         let mut t = Tracer::inject(self.kernel.precision(), fault, RecordMode::OutputOnly)
-            .resume_at(snap.cursor, snap.branch_count);
+            .resume_at(snap.cursor, snap.branch_count)
+            .with_budget(self.budget);
         let mut exit = None;
         let out = self
             .kernel
@@ -867,5 +890,36 @@ mod tests {
             .unwrap();
         assert_eq!(thin.lanes, 8);
         assert_ne!(b8.digest, thin.digest);
+    }
+
+    fn with_hang_factor(hang_factor: f64) -> Classifier {
+        Classifier {
+            hang_factor,
+            ..Classifier::new(1e-6)
+        }
+    }
+
+    #[test]
+    fn hang_factor_of_one_binds() {
+        let k = tiny_kernel();
+        let inj = Injector::new(&k, with_hang_factor(1.0));
+        // the golden length is within a factor-1 budget: a masked run
+        // is no hang
+        assert_eq!(inj.run_one(inj.n_sites() - 1, 0).outcome, Outcome::Masked);
+        let _ = Injector::new(&k, with_hang_factor(f64::INFINITY));
+    }
+
+    #[test]
+    #[should_panic(expected = "hang_factor must be at least 1")]
+    fn hang_factor_below_one_is_refused() {
+        let k = tiny_kernel();
+        let _ = Injector::new(&k, with_hang_factor(0.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "hang_factor must be at least 1")]
+    fn nan_hang_factor_is_refused() {
+        let k = tiny_kernel();
+        let _ = Injector::new(&k, with_hang_factor(f64::NAN));
     }
 }

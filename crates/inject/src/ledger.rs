@@ -22,7 +22,13 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Format tag written into every ledger header.
-pub const LEDGER_FORMAT: &str = "ftb-ledger-v1";
+///
+/// `v2` records hangs as stopped at the classifier's hang budget: a
+/// `Crash(Hang)` record has `output_err = +∞`, and a run whose first
+/// non-finite value came after the budget is a `Hang`, not a
+/// `NonFinite`. A `v1` ledger holds the old records, so resuming it is
+/// refused rather than mixing the two.
+pub const LEDGER_FORMAT: &str = "ftb-ledger-v2";
 
 /// Everything a ledger (or adaptive checkpoint) must agree on before a
 /// resume is allowed to skip already-completed work.
@@ -519,6 +525,22 @@ mod tests {
     }
 
     #[test]
+    fn v1_ledger_is_refused() {
+        let path = tmp("v1.jsonl");
+        let mut header = LedgerHeader::new(binding("exhaustive"));
+        header.format = "ftb-ledger-v1".into();
+        let mut w = LedgerWriter::create(&path, &header).unwrap();
+        w.append_chunk(&[exp(0, 1)]).unwrap();
+        drop(w);
+        match read_ledger(&path) {
+            Err(LedgerError::Format { line: 1, msg }) => {
+                assert!(msg.contains("\"ftb-ledger-v1\""), "{msg}")
+            }
+            other => panic!("expected a format refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn binding_match_is_sensitive_to_plan_and_config() {
         let a = binding("exhaustive");
         assert!(a.matches(&binding("exhaustive")));
@@ -537,5 +559,98 @@ mod tests {
         assert!(rec.experiments.is_empty());
         assert!(!rec.dropped_trailing);
         assert_eq!(rec.valid_len, std::fs::metadata(&path).unwrap().len());
+    }
+
+    /// A valid ledger of `k` records, with the byte length of its header
+    /// line and the end offset of each record's JSON (newline excluded).
+    fn valid_ledger(k: usize) -> (Vec<u8>, usize, Vec<usize>, Vec<Experiment>) {
+        let header = serde_json::to_string(&LedgerHeader::new(binding("exhaustive"))).unwrap();
+        let mut bytes = format!("{header}\n").into_bytes();
+        let (mut ends, mut exps) = (Vec::new(), Vec::new());
+        for i in 0..k {
+            let e = Experiment {
+                output_err: i as f64 * 0.125,
+                ..exp(i, (i * 7 % 64) as u8)
+            };
+            bytes.extend_from_slice(serde_json::to_string(&e).unwrap().as_bytes());
+            ends.push(bytes.len());
+            bytes.push(b'\n');
+            exps.push(e);
+        }
+        (bytes, header.len(), ends, exps)
+    }
+
+    /// Read `bytes` as a ledger. Whatever the damage, the reader must
+    /// either refuse or recover a prefix that is itself an intact ledger
+    /// (re-reading exactly that prefix yields the same records, with no
+    /// torn tail to drop).
+    fn recover(name: &str, bytes: &[u8]) -> Option<Vec<Experiment>> {
+        let path = tmp(name);
+        std::fs::write(&path, bytes).unwrap();
+        let rec = read_ledger(&path).ok()?;
+        assert!(rec.valid_len as usize <= bytes.len());
+        std::fs::write(&path, &bytes[..rec.valid_len as usize]).unwrap();
+        let again = read_ledger(&path).expect("the recovered prefix reads back");
+        assert!(!again.dropped_trailing);
+        assert_eq!(again.experiments, rec.experiments);
+        assert_eq!(again.valid_len, rec.valid_len);
+        Some(rec.experiments)
+    }
+
+    mod damaged {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+                let _ = recover("prop-arbitrary.jsonl", &bytes);
+            }
+
+            #[test]
+            fn arbitrary_records_after_a_valid_header_never_panic(
+                tail in proptest::collection::vec(any::<u8>(), 0..256),
+            ) {
+                let (mut bytes, _, _, _) = valid_ledger(0);
+                bytes.extend_from_slice(&tail);
+                let _ = recover("prop-tail.jsonl", &bytes);
+            }
+
+            #[test]
+            fn truncation_recovers_the_complete_records(k in 0usize..6, frac in 0.0f64..1.0) {
+                let (bytes, header_len, ends, exps) = valid_ledger(k);
+                let cut = (frac * (bytes.len() + 1) as f64) as usize;
+                let got = recover("prop-truncated.jsonl", &bytes[..cut]);
+                if cut < header_len {
+                    prop_assert!(got.is_none(), "a torn header is refused");
+                } else {
+                    let complete = ends.iter().filter(|&&e| e <= cut).count();
+                    prop_assert_eq!(got.as_deref(), Some(&exps[..complete]));
+                }
+            }
+
+            #[test]
+            fn bit_flips_refuse_or_keep_the_undamaged_prefix(
+                k in 1usize..6,
+                at in 0.0f64..1.0,
+                bit in 0u8..8,
+            ) {
+                let (mut bytes, header_len, ends, exps) = valid_ledger(k);
+                let pos = (at * bytes.len() as f64) as usize;
+                bytes[pos] ^= 1 << bit;
+                if let Some(got) = recover("prop-flipped.jsonl", &bytes) {
+                    // a header that still parses is caught later, by the
+                    // binding check; its records are untouched
+                    let before = if pos <= header_len {
+                        k
+                    } else {
+                        ends.iter().filter(|&&e| e < pos).count()
+                    };
+                    // records wholly before the flipped byte survive
+                    prop_assert!(got.len() >= before && got.len() <= k);
+                    prop_assert_eq!(&got[..before], &exps[..before]);
+                }
+            }
+        }
     }
 }

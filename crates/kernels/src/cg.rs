@@ -71,7 +71,8 @@ pub struct CgConfig {
     pub grid: usize,
     /// Relative residual reduction target (‖r‖² ≤ rtol² ‖b‖²).
     pub rtol: f64,
-    /// Hard iteration cap (the hang bound for faulty runs).
+    /// Hard iteration cap. Outcome campaigns stop a faulty run earlier,
+    /// at the classifier's hang budget (`Tracer::with_budget`).
     pub max_iters: usize,
     /// Element precision. The paper analyses CG with 32-bit floats.
     pub precision: Precision,
@@ -305,8 +306,8 @@ impl CgKernel {
             }
             rr = rr_new;
             it += 1;
-            // NaN-exception model, as in the main body
-            if t.trapped() {
+            // NaN-exception model and hang watchdog, as in the main body
+            if t.should_stop() {
                 break;
             }
             if boundary(t.cursor(), t.branch_count(), it, x, r, p, rr) {
@@ -655,8 +656,9 @@ impl Kernel for CgKernel {
             }
             it += 1;
             // NaN-exception model: the program dies at the trap rather
-            // than iterating on poisoned data.
-            if t.trapped() {
+            // than iterating on poisoned data. A run past the tracer's
+            // hang budget is killed here too, as a watchdog would.
+            if t.should_stop() {
                 break;
             }
         }

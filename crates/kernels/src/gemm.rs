@@ -166,7 +166,7 @@ impl Kernel for GemmKernel {
     /// never read back, so the cell value `s` is computed once and
     /// broadcast — lanes diverge only through the tracer (quantisation,
     /// the flip, the non-finite trap). `trap_break` is `false`: the
-    /// scalar [`GemmKernel::cell_rows`] has no `Tracer::trapped` break,
+    /// scalar [`GemmKernel::cell_rows`] has no `Tracer::should_stop` break,
     /// so trapped lanes run to completion exactly as scalar runs do.
     fn run_batch_resumed(
         &self,

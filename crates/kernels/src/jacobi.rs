@@ -283,7 +283,7 @@ impl JacobiKernel {
                 }
                 let _ = t.value(sid::RESID, res2);
             }
-            if t.trapped() {
+            if t.should_stop() {
                 break;
             }
             if sweep + 1 < self.cfg.sweeps
@@ -911,7 +911,7 @@ impl Kernel for JacobiKernel {
                 }
                 let _ = t.value(sid::RESID, res2);
             }
-            if t.trapped() {
+            if t.should_stop() {
                 break;
             }
         }

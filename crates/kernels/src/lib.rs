@@ -95,11 +95,12 @@ pub type BoundaryMonitor<'a> = &'a mut dyn FnMut(usize, u64, &[&[f64]]) -> bool;
 /// then internal scratch; the monitor retires lanes by compacting the
 /// tracer and every buffer in `laned` with one keep mask. `trap_break`
 /// is `true` when the scalar path breaks out of its loop on
-/// `Tracer::trapped` at this point, so trapped lanes retire here with
+/// `Tracer::should_stop` at this point, so trapped lanes retire here with
 /// the shared cursor as their `n_dynamic`; kernels without a trap break
 /// (gemm) pass `false` and trapped lanes run to completion, exactly as
-/// their scalar loop does. Returns `true` to stop the run (no live
-/// lanes remain).
+/// their scalar loop does. Only the trap half of `should_stop` applies:
+/// batch-capable kernels have fixed trip counts, so no lane ever passes
+/// a hang budget. Returns `true` to stop the run (no live lanes remain).
 pub type BatchBoundary<'a> =
     &'a mut dyn FnMut(&mut BatchTracer, u64, bool, &mut [&mut Vec<f64>]) -> bool;
 

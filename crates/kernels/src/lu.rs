@@ -202,7 +202,7 @@ impl LuKernel {
                 }
             }
 
-            if t.trapped() {
+            if t.should_stop() {
                 break;
             }
             if blk + 1 < nblocks && boundary(t.cursor(), t.branch_count(), blk + 1, a) {
@@ -284,7 +284,7 @@ impl Kernel for LuKernel {
     /// sequence mirrors [`LuKernel::block_steps`] exactly — the hoisted
     /// `pivot`/`lik` reads are loop-invariant there, so re-reading them
     /// per store produces the same values. `trap_break` is `true`: the
-    /// scalar loop breaks on `Tracer::trapped` at every block bottom.
+    /// scalar loop breaks on `Tracer::should_stop` at every block bottom.
     fn run_batch_resumed(
         &self,
         bt: &mut BatchTracer,
@@ -492,7 +492,7 @@ impl Kernel for LuKernel {
             }
 
             k0 = kend;
-            if t.trapped() {
+            if t.should_stop() {
                 break;
             }
         }

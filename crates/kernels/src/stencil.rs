@@ -156,7 +156,7 @@ impl Kernel for StencilKernel {
                     next[i * g + g - 1] = t.value(sid::EDGE, cur[i * g + g - 1]);
                 }
                 std::mem::swap(&mut cur, &mut next);
-                if t.trapped() {
+                if t.should_stop() {
                     break;
                 }
             }
@@ -211,7 +211,7 @@ impl Kernel for StencilKernel {
             }
             std::mem::swap(&mut cur, &mut next);
             std::mem::swap(&mut def_cur, &mut def_next);
-            if t.trapped() {
+            if t.should_stop() {
                 break;
             }
         }

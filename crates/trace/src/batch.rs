@@ -182,8 +182,10 @@ impl BatchTracer {
     }
 
     /// Whether lane `l`'s non-finite trap has fired (the per-lane
-    /// equivalent of `Tracer::trapped`, polled by kernels that break at
-    /// section bottoms).
+    /// equivalent of the trap half of `Tracer::should_stop`, polled by
+    /// kernels that break at section bottoms). Batch lanes have no hang
+    /// budget: batch-capable kernels have fixed trip counts, so a lane
+    /// never runs longer than the golden run.
     #[inline]
     pub fn lane_trapped(&self, l: usize) -> bool {
         self.first_nonfinite[l].is_some()

@@ -14,7 +14,9 @@
 //! * **Fault injection, outcome only** ([`RecordMode::OutputOnly`]) — every
 //!   outcome campaign (exhaustive, Monte-Carlo, ledger chunks, samplers):
 //!   classifying Masked/SDC/Crash needs only the final output, so
-//!   nothing is buffered or compared.
+//!   nothing is buffered or compared. These runs also carry the
+//!   classifier's hang budget ([`Tracer::with_budget`]) and stop once
+//!   past it.
 //! * **One-sided streamed comparison** ([`Tracer::comparing`]) — propagation
 //!   extraction for the masked experiments that feed Algorithm 1 and
 //!   composition: the run compares its value/branch streams against a
@@ -249,6 +251,9 @@ pub struct Tracer<'g> {
     branches: Vec<u64>,
     first_nonfinite: Option<usize>,
     injected_err: Option<f64>,
+    /// Absolute dynamic index past which [`Tracer::should_stop`] fires
+    /// (`usize::MAX` = never; see [`Tracer::with_budget`]).
+    budget: usize,
     /// One-sided comparison state ([`Tracer::comparing`]).
     compare: Option<CompareState<'g>>,
     /// Operand-provenance recorder ([`Tracer::with_ddg`]); golden mode
@@ -279,6 +284,7 @@ impl<'g> Tracer<'g> {
             branches: Vec::new(),
             first_nonfinite: None,
             injected_err: None,
+            budget: usize::MAX,
             compare: None,
             ddg: None,
         }
@@ -418,6 +424,18 @@ impl<'g> Tracer<'g> {
         if let Some(cs) = &mut self.compare {
             cs.branch_idx = branch_count;
         }
+        self
+    }
+
+    /// Stop the run once it has executed more than `budget` dynamic
+    /// instructions: [`Tracer::should_stop`] fires at the kernel's first
+    /// poll past that point, as a watchdog would kill a hung program.
+    /// The index is absolute, so a snapshot-resumed tracer
+    /// ([`Tracer::resume_at`]) stops at the same point as a from-scratch
+    /// one. Outcome campaigns pass the classifier's hang budget, past
+    /// which the outcome is already decided.
+    pub fn with_budget(mut self, budget: usize) -> Self {
+        self.budget = budget;
         self
     }
 
@@ -599,13 +617,15 @@ impl<'g> Tracer<'g> {
         self.cursor
     }
 
-    /// Whether the non-finite trap has fired. Kernels with unbounded
-    /// data-dependent loops may poll this to emulate the program dying at
-    /// the exception rather than spinning (the outcome classification is
-    /// identical either way).
+    /// Whether the run should stop: the non-finite trap has fired, or
+    /// the cursor has passed the budget ([`Tracer::with_budget`]).
+    /// Kernels poll this once per outer iteration to emulate the program
+    /// dying at the exception, or being killed by a watchdog, rather than
+    /// spinning on. The outcome classification is identical either way:
+    /// it depends only on the first `budget` dynamic instructions.
     #[inline]
-    pub fn trapped(&self) -> bool {
-        self.first_nonfinite.is_some()
+    pub fn should_stop(&self) -> bool {
+        self.first_nonfinite.is_some() || self.cursor > self.budget
     }
 
     /// Dynamic index at which the first non-finite value appeared.
@@ -808,10 +828,23 @@ mod tests {
     fn nonfinite_trap_fires() {
         let mut t = Tracer::golden(Precision::F64);
         t.value(SID, 1.0);
-        assert!(!t.trapped());
+        assert!(!t.should_stop());
         t.value(SID, f64::NAN);
-        assert!(t.trapped());
+        assert!(t.should_stop());
         assert_eq!(t.first_nonfinite(), Some(1));
+    }
+
+    #[test]
+    fn budget_stops_past_its_absolute_index() {
+        let f = FaultSpec { site: 5, bit: 0 };
+        let mut t = Tracer::inject(Precision::F64, f, RecordMode::OutputOnly)
+            .resume_at(4, 0)
+            .with_budget(6);
+        for expect_stop in [false, false, true] {
+            t.value(SID, 1.0);
+            assert_eq!(t.should_stop(), expect_stop, "cursor {}", t.cursor());
+        }
+        assert_eq!(t.first_nonfinite(), None);
     }
 
     #[test]

@@ -393,6 +393,76 @@ fn cli_adaptive_checkpoint_roundtrips() {
     let _ = std::fs::remove_file(&metrics_path);
 }
 
+/// Run `args` through the CLI, expecting a refusal; returns the message.
+fn cli_err(args: &[&str]) -> String {
+    let raw: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+    let parsed = ftb_cli::parse(&raw).unwrap();
+    ftb_cli::commands::dispatch(&parsed).unwrap_err().0
+}
+
+/// Rewrite the format tag at the head of the file at `path` (the
+/// ledger's header line, or the adaptive checkpoint's first member).
+fn retag(path: &std::path::Path, from: &str, to: &str) {
+    let data = std::fs::read_to_string(path).unwrap();
+    let tag = format!("{{\"format\":\"{from}\"");
+    assert!(data.starts_with(&tag), "{path:?} does not start with {tag}");
+    let retagged = format!("{{\"format\":\"{to}\"{}", &data[tag.len()..]);
+    std::fs::write(path, retagged).unwrap();
+}
+
+/// Ledgers and adaptive checkpoints written before hangs were stopped at
+/// their budget record hang outcomes differently; resuming one must be
+/// refused, not mixed with new records.
+#[test]
+fn cli_resume_refuses_v1_ledgers_and_checkpoints() {
+    let ledger = tmp("cli-v1.jsonl");
+    let _ = std::fs::remove_file(&ledger);
+    let lp = ledger.to_str().unwrap();
+    let campaign = [
+        "campaign",
+        "--kernel",
+        "matvec",
+        "--n",
+        "4",
+        "--samples",
+        "50",
+        "--checkpoint",
+        lp,
+    ];
+    cli(&campaign);
+    retag(&ledger, "ftb-ledger-v2", "ftb-ledger-v1");
+    let mut resume = campaign.to_vec();
+    resume.push("--resume");
+    let err = cli_err(&resume);
+    assert!(err.contains("\"ftb-ledger-v1\""), "unexpected error: {err}");
+
+    let cp = tmp("cli-adaptive-v1.json");
+    let _ = std::fs::remove_file(&cp);
+    let cpp = cp.to_str().unwrap();
+    let adaptive = [
+        "adaptive",
+        "--kernel",
+        "matvec",
+        "--n",
+        "6",
+        "--seed",
+        "11",
+        "--checkpoint",
+        cpp,
+    ];
+    cli(&adaptive);
+    retag(&cp, "ftb-adaptive-v2", "ftb-adaptive-v1");
+    let mut resume = adaptive.to_vec();
+    resume.push("--resume");
+    let err = cli_err(&resume);
+    assert!(
+        err.contains("unsupported checkpoint format \"ftb-adaptive-v1\""),
+        "unexpected error: {err}"
+    );
+    let _ = std::fs::remove_file(&ledger);
+    let _ = std::fs::remove_file(&cp);
+}
+
 /// Mutable object member `key` of a JSON value.
 fn member<'a>(v: &'a mut serde_json::Value, key: &str) -> &'a mut serde_json::Value {
     v.as_object_mut()
