@@ -35,7 +35,10 @@
 //! outright and confines the sweep to the live subgraph; threshold mode
 //! processes injection sites in chunks of at most `budget` (≤ 64)
 //! shared symbols per sweep, so one sweep costs `O(edges · chunk)` and
-//! never needs condensation.
+//! never needs condensation. The chunks are independent (no symbol ever
+//! reads another's state), so they run in parallel on the ambient rayon
+//! pool, each worker reusing one sweep scratch, with results identical
+//! at every thread count and chunk width.
 //!
 //! The modelling caveat is inherited unchanged from the backward pass:
 //! per-edge secant bounds compose over paths, and cross terms of one
@@ -45,18 +48,22 @@
 
 use super::forward::{forward_pass, AbsIntError, ForwardConfig, ForwardIntervals};
 use super::interval::Interval;
-use super::slice::{influence_slice, InfluenceSlice};
+use super::slice::influence_slice;
 use crate::staticbound::{backward_pass, StaticBoundError};
 use ftb_trace::{Ddg, GoldenRun};
+use rayon::prelude::*;
 
 /// Tuning knobs of the affine domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AffineConfig {
-    /// Noise-symbol budget per node. Threshold sweeps chunk the
-    /// injection sites to `min(budget, 64)` shared symbols; the
-    /// value-envelope sweep condenses the oldest symbols into the
-    /// interval remainder beyond this many. Larger is tighter and
-    /// proportionally more expensive.
+    /// Noise-symbol budget per node.
+    ///
+    /// In threshold mode ([`affine_bound`]) it only sets the chunk
+    /// width, `min(budget, 64)` injection sites sharing one sweep: it
+    /// changes the cost, never a threshold. In the value-envelope sweep
+    /// ([`affine_forward`]) the oldest symbols beyond this many condense
+    /// into the interval remainder, so there a larger budget is tighter
+    /// and proportionally more expensive.
     pub budget: usize,
 }
 
@@ -229,44 +236,69 @@ fn quot_down(num: f64, den: f64) -> f64 {
     (num / den).next_down().max(0.0)
 }
 
-/// Reusable buffers of the chunked threshold sweep.
-struct ThresholdSweep {
-    pairs: Vec<Vec<Pair>>,
-    outdeg: Vec<u32>,
-    outdeg0: Vec<u32>,
+/// Graph facts every threshold sweep reads, built once per
+/// [`affine_bound`] call and shared read-only by all workers.
+struct SweepGraph<'a> {
+    ddg: &'a Ddg,
+    reach: &'a [bool],
+    sinks: SinkIndex,
     cap: Vec<f64>,
+    outdeg: Vec<u32>,
+    tolerance: f64,
+}
+
+impl<'a> SweepGraph<'a> {
+    fn new(ddg: &'a Ddg, reach: &'a [bool], tolerance: f64) -> Self {
+        SweepGraph {
+            ddg,
+            reach,
+            sinks: SinkIndex::new(ddg),
+            cap: min_caps(ddg),
+            outdeg: out_degrees(ddg),
+            tolerance,
+        }
+    }
+}
+
+/// One worker's reusable scratch for the chunked threshold sweep. Node
+/// `u` carries the symbols set in `syms[u]`, and `pairs[u]` holds their
+/// `(c, k)` pairs in ascending symbol order, allocated at exactly that
+/// length.
+struct ThresholdSweep {
+    outdeg: Vec<u32>,
+    syms: Vec<u64>,
+    pairs: Vec<Vec<(f64, f64)>>,
 }
 
 impl ThresholdSweep {
-    fn new(ddg: &Ddg) -> Self {
-        let outdeg0 = out_degrees(ddg);
+    fn new(g: &SweepGraph<'_>) -> Self {
+        let n = g.ddg.n_sites;
         ThresholdSweep {
-            pairs: vec![Vec::new(); ddg.n_sites],
-            outdeg: outdeg0.clone(),
-            outdeg0,
-            cap: min_caps(ddg),
+            outdeg: g.outdeg.clone(),
+            syms: vec![0; n],
+            pairs: vec![Vec::new(); n],
         }
     }
 
-    /// One forward sweep for `seeds.len() ≤ 64` injection sites sharing
-    /// the symbol space `0..seeds.len()`. Returns the per-seed raw
-    /// threshold (before the safety division), `+∞` when nothing in the
-    /// cone constrains the site.
-    fn run(
-        &mut self,
-        ddg: &Ddg,
-        slice: &InfluenceSlice,
-        sinks: &SinkIndex,
-        tolerance: f64,
-        seeds: &[usize],
-    ) -> Vec<f64> {
+    fn release(&mut self, u: usize) {
+        self.syms[u] = 0;
+        self.pairs[u] = Vec::new();
+    }
+
+    /// One forward sweep for `seeds.len() ≤ 64` distinct injection sites
+    /// sharing the symbol space `0..seeds.len()`. Returns the per-seed
+    /// raw threshold (before the safety division), `+∞` when nothing in
+    /// the cone constrains the site.
+    fn run(&mut self, g: &SweepGraph<'_>, seeds: &[usize]) -> Vec<f64> {
         debug_assert!(seeds.len() <= 64);
-        let n = ddg.n_sites;
+        let ddg = g.ddg;
         let ne = ddg.defs.len();
         let mut t = vec![f64::INFINITY; seeds.len()];
         let mut touched: Vec<usize> = Vec::new();
         for (j, &s) in seeds.iter().enumerate() {
-            self.pairs[s].push((j as u32, 1.0, 0.0));
+            debug_assert_eq!(self.syms[s], 0, "seed {s} repeats within a chunk");
+            self.syms[s] = 1 << j;
+            self.pairs[s] = vec![(1.0, 0.0)];
             touched.push(s);
         }
 
@@ -275,17 +307,19 @@ impl ThresholdSweep {
         let mut acc_k = [0.0f64; 64];
 
         let mut e = 0usize;
-        for u in 0..n {
-            let live = slice.reach[u];
+        for u in 0..ddg.n_sites {
+            let live = g.reach[u];
             let mut seen: u64 = 0;
             while e < ne && ddg.uses[e] as usize == u {
                 let d = ddg.defs[e] as usize;
                 let amp = ddg.amps[e];
-                if live && amp > 0.0 && !self.pairs[d].is_empty() {
+                if live && amp > 0.0 && self.syms[d] != 0 {
                     let dc = dcoef_at(ddg, e);
-                    for &(sym, c, k) in &self.pairs[d] {
+                    let mut bits = self.syms[d];
+                    for &(c, k) in &self.pairs[d] {
+                        let i = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
                         let (c2, k2) = transfer(amp, dc, c, k);
-                        let i = sym as usize;
                         if seen >> i & 1 == 1 {
                             accumulate(&mut acc_c[i], &mut acc_k[i], c2, k2);
                         } else {
@@ -297,39 +331,52 @@ impl ThresholdSweep {
                 }
                 self.outdeg[d] -= 1;
                 if self.outdeg[d] == 0 {
-                    self.pairs[d] = Vec::new();
+                    self.release(d);
                 }
                 e += 1;
             }
             if seen != 0 {
-                if self.pairs[u].is_empty() {
+                // Edges point backward, so the only symbol `u` can hold
+                // already is its own seed's, with its initial pair.
+                let own = self.syms[u];
+                debug_assert_eq!(own & seen, 0, "edge into its own def at {u}");
+                if own == 0 {
                     touched.push(u);
                 }
-                let pu = &mut self.pairs[u];
-                let mut bits = seen;
+                let syms = own | seen;
+                let mut pu = Vec::with_capacity(syms.count_ones() as usize);
+                let mut bits = syms;
                 while bits != 0 {
                     let i = bits.trailing_zeros() as usize;
-                    pu.push((i as u32, acc_c[i], acc_k[i]));
                     bits &= bits - 1;
+                    pu.push(if own >> i & 1 == 1 {
+                        (1.0, 0.0)
+                    } else {
+                        (acc_c[i], acc_k[i])
+                    });
                 }
+                self.syms[u] = syms;
+                self.pairs[u] = pu;
             }
-            if self.pairs[u].is_empty() {
+            if self.syms[u] == 0 {
                 continue;
             }
             // constraints at u: curvature cap, then each sink reached
-            let cu = self.cap[u];
-            let outs = sinks.outs_at(u as u32);
-            let branches = sinks.branches_at(u as u32);
+            let cu = g.cap[u];
+            let outs = g.sinks.outs_at(u as u32);
+            let branches = g.sinks.branches_at(u as u32);
             if cu.is_finite() || !outs.is_empty() || !branches.is_empty() {
-                for &(sym, c, k) in &self.pairs[u] {
+                let mut bits = self.syms[u];
+                for &(c, k) in &self.pairs[u] {
                     let m = mass(c, k);
-                    let tj = &mut t[sym as usize];
+                    let tj = &mut t[bits.trailing_zeros() as usize];
+                    bits &= bits - 1;
                     if cu.is_finite() {
                         *tj = tj.min(quot_down(cu, m));
                     }
                     for &(_, amp) in outs {
                         if amp > 0.0 {
-                            *tj = tj.min(quot_down(tolerance, up(amp * m)));
+                            *tj = tj.min(quot_down(g.tolerance, up(amp * m)));
                         }
                     }
                     for &(_, amp, margin) in branches {
@@ -347,9 +394,9 @@ impl ThresholdSweep {
 
         // reset for the next chunk
         for s in touched {
-            self.pairs[s] = Vec::new();
+            self.release(s);
         }
-        self.outdeg.copy_from_slice(&self.outdeg0);
+        self.outdeg.copy_from_slice(&g.outdeg);
         t
     }
 }
@@ -360,8 +407,14 @@ impl ThresholdSweep {
 ///
 /// `targets` restricts the (per-site-cost) affine sweep to the given
 /// injection sites — the shape campaign stride plans want; `None`
-/// sweeps every live site. Untargeted sites keep their backward-pass
-/// thresholds, so the result is sound and complete either way.
+/// sweeps every live site. Duplicates and order in `targets` do not
+/// matter. Untargeted sites keep their backward-pass thresholds, so the
+/// result is sound and complete either way.
+///
+/// The seed chunks run in parallel on the ambient rayon pool, one
+/// reusable sweep scratch per worker. A chunk's thresholds depend only
+/// on its own seeds, so the result is identical at every thread count
+/// and every `cfg.budget`.
 ///
 /// # Errors
 /// Same contract as [`crate::static_bound`]: refuses uninstrumented
@@ -391,33 +444,55 @@ pub fn affine_bound(
         }
     }
 
+    // sorted and distinct: a site seeded twice in one chunk would share
+    // one symbol slot between two seeds
     let target_list: Vec<usize> = match targets {
-        Some(list) => list
-            .iter()
-            .copied()
-            .filter(|&s| s < n && slice.reach[s])
-            .collect(),
+        Some(list) => {
+            let mut list: Vec<usize> = list
+                .iter()
+                .copied()
+                .filter(|&s| s < n && slice.reach[s])
+                .collect();
+            list.sort_unstable();
+            list.dedup();
+            list
+        }
         None => (0..n).filter(|&s| slice.reach[s]).collect(),
     };
 
-    let chunk = cfg.budget.clamp(1, 64);
+    // each worker builds one scratch on its first chunk and keeps it
+    let chunks: Vec<&[usize]> = target_list.chunks(cfg.budget.clamp(1, 64)).collect();
+    let g = SweepGraph::new(ddg, &slice.reach, tolerance);
+    let (_, mut done) = (0..chunks.len())
+        .into_par_iter()
+        .fold(
+            || (None, Vec::new()),
+            |(sweep, mut done): (Option<ThresholdSweep>, Vec<_>), ci| {
+                let mut sweep = sweep.unwrap_or_else(|| ThresholdSweep::new(&g));
+                done.push((ci, sweep.run(&g, chunks[ci])));
+                (Some(sweep), done)
+            },
+        )
+        .reduce(
+            || (None, Vec::new()),
+            |(_, mut a), (_, b)| {
+                a.extend(b);
+                (None, a)
+            },
+        );
+    done.sort_unstable_by_key(|&(ci, _)| ci);
+    let raw = done.into_iter().flat_map(|(_, r)| r);
+
     let mut n_tightened = 0usize;
-    if !target_list.is_empty() {
-        let sinks = SinkIndex::new(ddg);
-        let mut sweep = ThresholdSweep::new(ddg);
-        for seeds in target_list.chunks(chunk) {
-            let raw = sweep.run(ddg, &slice, &sinks, tolerance, seeds);
-            for (&s, &r) in seeds.iter().zip(&raw) {
-                let ta = if r.is_finite() {
-                    (r / safety).next_down().max(0.0)
-                } else {
-                    f64::MAX
-                };
-                if ta > thresholds[s] {
-                    thresholds[s] = ta;
-                    n_tightened += 1;
-                }
-            }
+    for (&s, r) in target_list.iter().zip(raw) {
+        let ta = if r.is_finite() {
+            (r / safety).next_down().max(0.0)
+        } else {
+            f64::MAX
+        };
+        if ta > thresholds[s] {
+            thresholds[s] = ta;
+            n_tightened += 1;
         }
     }
 
@@ -754,6 +829,19 @@ mod tests {
         let bw = backward_pass(&ddg, 1e-3, 1.0);
         assert_eq!(only_s1.thresholds[0], bw.thresholds[0]);
         assert_eq!(only_s1.n_swept, 1);
+    }
+
+    #[test]
+    fn duplicated_unsorted_targets_sweep_each_site_once() {
+        let (_, ddg) = cancelling_diamond();
+        for budget in [1, 32] {
+            let cfg = AffineConfig { budget };
+            let clean = affine_bound(&ddg, 1e-3, 1.0, &cfg, Some(&[0, 1, 3])).unwrap();
+            let messy = affine_bound(&ddg, 1e-3, 1.0, &cfg, Some(&[3, 0, 1, 0, 3, 0, 9])).unwrap();
+            assert_eq!(messy, clean, "budget {budget}");
+            assert_eq!(messy.n_swept, 3);
+            assert_eq!(messy.n_tightened, 1, "s0 is tightened once");
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property tests for the affine-form abstract domain: soundness and
 //! tightness relative to the interval domain on synthetic dependence
-//! graphs, budget monotonicity of the condensation rule, and the
-//! influence slice's `Masked` certificates against exhaustive ground
-//! truth on real kernels.
+//! graphs, budget monotonicity of the condensation rule, chunk
+//! independence of the threshold sweep, and the influence slice's
+//! `Masked` certificates against exhaustive ground truth on real
+//! kernels.
 
 use ftb_core::absint::{
     affine_bound, affine_forward, forward_pass, influence_slice, AffineConfig, ForwardConfig,
@@ -164,6 +165,49 @@ proptest! {
             }
         }
         prop_assert_eq!(ab.n_dead, slice.n_dead);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Chunk independence, the property the parallel sweep relies on: a
+    /// site's affine threshold never depends on which other sites share
+    /// its chunk. Every swept site's threshold is bit-identical at chunk
+    /// widths 1, 7, 32 and 64 and in a sweep of that site alone.
+    #[test]
+    fn swept_thresholds_ignore_the_chunking(
+        n in 3usize..120,
+        edges in proptest::collection::vec(
+            (any::<u64>(), 0.1f64..3.0, -1.0f64..1.0), 2..400),
+        tolerance in 1e-8f64..1e-2,
+    ) {
+        let ddg = build_ddg(n, &edges);
+        let sweep = |budget: usize, targets: Option<&[usize]>| {
+            affine_bound(&ddg, tolerance, 1.0, &AffineConfig { budget }, targets).unwrap()
+        };
+        let reference = sweep(1, None);
+        for budget in [7, 32, 64] {
+            let b = sweep(budget, None);
+            prop_assert_eq!(b.n_swept, reference.n_swept);
+            prop_assert_eq!(b.n_tightened, reference.n_tightened);
+            for (i, (x, r)) in b.thresholds.iter().zip(&reference.thresholds).enumerate() {
+                prop_assert_eq!(
+                    x.to_bits(), r.to_bits(),
+                    "site {}: budget {} gives {:e}, budget 1 gives {:e}", i, budget, x, r
+                );
+            }
+        }
+        let slice = influence_slice(&ddg);
+        for s in (0..n).filter(|&s| slice.reach[s]) {
+            let alone = sweep(32, Some(&[s]));
+            prop_assert_eq!(alone.n_swept, 1);
+            prop_assert_eq!(
+                alone.thresholds[s].to_bits(), reference.thresholds[s].to_bits(),
+                "site {}: swept alone {:e}, in chunks {:e}",
+                s, alone.thresholds[s], reference.thresholds[s]
+            );
+        }
     }
 }
 

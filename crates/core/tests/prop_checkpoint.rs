@@ -1,7 +1,8 @@
 //! Property tests for reading an adaptive checkpoint's sampler state:
 //! deserializing arbitrary, truncated or bit-flipped bytes into an
 //! [`AdaptiveState`] and validating it against the injector must refuse
-//! or accept, and never panic.
+//! or accept, and never panic; a state that validates must also step
+//! and finish without panicking.
 
 use ftb_core::{AdaptiveConfig, AdaptiveState};
 use ftb_inject::{Classifier, Injector};
@@ -22,6 +23,10 @@ fn kernel() -> &'static MatvecKernel {
 fn injector() -> Injector<'static> {
     Injector::new(kernel(), Classifier::new(1e-6))
 }
+
+/// Rounds a bit-flipped state that validates is stepped through before
+/// `finish`.
+const STEP_ROUNDS: usize = 3;
 
 /// A real sampler state two rounds in, serialized as a checkpoint
 /// stores it.
@@ -73,10 +78,15 @@ proptest! {
         let mut bytes = state_bytes(&inj).to_vec();
         let pos = (at * bytes.len() as f64) as usize;
         bytes[pos] ^= 1 << bit;
-        if let Ok(state) = load(&inj, &bytes) {
+        if let Ok(mut state) = load(&inj, &bytes) {
             // a flip that still validates describes this fault space
             prop_assert_eq!(state.n_sites, inj.n_sites());
             prop_assert_eq!(state.bits, inj.bits());
+            // ... and the sampler can go on from it
+            for _ in 0..STEP_ROUNDS {
+                state.step(&inj);
+            }
+            state.finish(&inj);
         }
     }
 }

@@ -43,6 +43,43 @@ fn inference_identical_across_thread_counts() {
     assert_eq!(i1.sig_injections, i4.sig_injections);
 }
 
+/// The affine threshold sweep runs its seed chunks on the ambient pool.
+/// Its thresholds (bit for bit), counts and the affine mask digest must
+/// not depend on the worker count.
+#[test]
+fn affine_sweep_identical_across_thread_counts() {
+    let lu = ftb_kernels::KernelConfig::Lu(ftb_kernels::LuConfig {
+        n: 24,
+        block: 8,
+        ..ftb_kernels::LuConfig::small()
+    });
+    let jacobi = &tiny_suite()[7];
+    for (config, tol) in [(&lu, 3e-5), (&jacobi.0, jacobi.1)] {
+        let (golden, ddg) = config.build().golden_with_ddg();
+        let acfg = AffineConfig::default();
+        let envelope = affine_forward(&ddg, &golden, &ForwardConfig { widen: 0.0 }, &acfg).unwrap();
+        let run_with_pool = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let b = pool.install(|| affine_bound(&ddg, tol, 1.0, &acfg, None).unwrap());
+            let digest = safe_bit_masks(&envelope, &b.boundary(), MaskSource::Affine).digest();
+            let bits: Vec<u64> = b.thresholds.iter().map(|t| t.to_bits()).collect();
+            (bits, b.n_tightened, b.n_swept, digest)
+        };
+        let serial = run_with_pool(1);
+        assert!(serial.1 > 0, "{config:?}: the sweep tightens nothing");
+        assert!(serial.2 > acfg.budget, "{config:?}: one chunk only");
+        for threads in [2, 12, 64] {
+            assert!(
+                run_with_pool(threads) == serial,
+                "{config:?}: {threads} workers differ from 1"
+            );
+        }
+    }
+}
+
 #[test]
 fn exhaustive_campaign_identical_across_thread_counts() {
     let (config, tol) = &tiny_suite()[5]; // gemm
