@@ -38,7 +38,7 @@
 use crate::experiment::Experiment;
 use crate::outcome::{Classifier, Outcome};
 use crate::snapshot::{bits_eq, Snapshot, SnapshotStore};
-use ftb_kernels::Kernel;
+use ftb_kernels::{Kernel, MAX_BATCH_LANES};
 use ftb_trace::norms::Norm;
 use ftb_trace::{compact_soa, extract_lane, BatchTracer, FaultSpec, GoldenRun, RunTrace};
 
@@ -102,7 +102,10 @@ pub(crate) struct BatchEngine<'a> {
 
 impl BatchEngine<'_> {
     /// Partition a plan snapshot-major: faults served by the same
-    /// snapshot group into chunks of at most `lanes`; faults with no
+    /// snapshot group into chunks of at most `min(lanes,
+    /// MAX_BATCH_LANES)` (each lane's result is independent of the width
+    /// it runs at, so wider configurations only change how the faults
+    /// are grouped, never their records); faults with no
     /// serving snapshot (pre-first-boundary sites) are returned as
     /// from-scratch leftovers. Within a group the plan order is
     /// preserved, so chunking is deterministic.
@@ -117,7 +120,7 @@ impl BatchEngine<'_> {
         }
         let mut chunks = Vec::new();
         for (snap_idx, group) in groups.iter().enumerate() {
-            for idxs in group.chunks(self.lanes) {
+            for idxs in group.chunks(self.lanes.min(MAX_BATCH_LANES)) {
                 chunks.push(BatchChunk {
                     snap_idx,
                     idxs: idxs.to_vec(),

@@ -172,7 +172,11 @@ impl<'k> Injector<'k> {
     /// ([`Injector::with_snapshots`]), and only outcome campaigns
     /// ([`Injector::run_many`] and everything built on it) batch;
     /// propagation extraction silently stays scalar. `lanes = 1`
-    /// disables batching.
+    /// disables batching. Widths above
+    /// [`MAX_BATCH_LANES`](ftb_kernels::MAX_BATCH_LANES) (16) run as
+    /// chunks of at most 16 lanes: a lane's record does not depend on
+    /// the width it ran at, so the configured width only changes how
+    /// faults are grouped (and the [`BatchBinding`] it records).
     ///
     /// # Panics
     /// Panics if `lanes` is zero.
@@ -359,25 +363,25 @@ impl<'k> Injector<'k> {
     /// serves the site.
     fn try_run_one_resumed(&self, fault: FaultSpec) -> Option<Experiment> {
         let (store, snap) = self.resume_for(fault)?;
-        let state = store.state(snap);
-        let mut t = Tracer::inject(self.kernel.precision(), fault, RecordMode::OutputOnly)
-            .resume_at(snap.cursor, snap.branch_count)
-            .with_budget(self.budget);
         let mut exit = None;
-        let out = self
-            .kernel
-            .run_resumed(&mut t, &state, &mut |cursor, step, arrays| {
-                if cursor <= fault.site {
-                    return false;
-                }
-                if store.state_matches(cursor, arrays) {
-                    exit = Some(EarlyExit::Bitwise);
-                } else if let Some(b) = self.certified_exit(store, cursor, step, arrays) {
-                    exit = Some(EarlyExit::Certified(b));
-                }
-                exit.is_some()
-            });
-        Some(self.classified(fault, &t.finish(out), exit))
+        let mut monitor = |cursor: usize, _: usize, step: u64, arrays: &[&[f64]]| {
+            if cursor <= fault.site {
+                return false;
+            }
+            if store.state_matches(cursor, arrays) {
+                exit = Some(EarlyExit::Bitwise);
+            } else if let Some(b) = self.certified_exit(store, cursor, step, arrays) {
+                exit = Some(EarlyExit::Certified(b));
+            }
+            exit.is_some()
+        };
+        let mut t = Tracer::inject(self.kernel.precision(), fault, RecordMode::OutputOnly)
+            .resume_at(snap.cursor, snap.branch_count, store.state(snap))
+            .with_budget(self.budget)
+            .with_boundary_hook(&mut monitor);
+        let out = self.kernel.run(&mut t);
+        let run = t.finish(out);
+        Some(self.classified(fault, &run, exit))
     }
 
     /// Run one experiment from scratch with full tracing and extract its

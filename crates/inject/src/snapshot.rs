@@ -96,7 +96,8 @@ impl SnapshotStore {
     /// snapshot-capable.
     ///
     /// The capture re-runs the kernel under an untraced tracer (site
-    /// counting and value quantisation only — no recording), which is
+    /// counting and value quantisation only — no recording) whose
+    /// boundary hook records every state the kernel reports, which is
     /// cheap next to the golden run itself, and asserts bitwise
     /// agreement with `golden` so a capture that drifted from the
     /// recorded trace can never serve resumed experiments.
@@ -114,8 +115,7 @@ impl SnapshotStore {
         let mut interned: HashMap<u64, Vec<u32>> = HashMap::new();
         let mut snapshots: Vec<Snapshot> = Vec::new();
 
-        let mut t = Tracer::untraced(kernel.precision());
-        let out = kernel.run_snapshotting(&mut t, &mut |cursor, branch_count, step, arrays| {
+        let mut capture = |cursor: usize, branch_count: usize, step: u64, arrays: &[&[f64]]| {
             let idxs = arrays
                 .iter()
                 .map(|a| {
@@ -144,12 +144,16 @@ impl SnapshotStore {
                 // maxima below, once the whole run has been seen
                 suffix_mags: own_mags,
             });
-        });
+            false
+        };
+        let mut t = Tracer::untraced(kernel.precision()).with_boundary_hook(&mut capture);
+        let out = kernel.run(&mut t);
+        let run = t.finish(out);
+        let out = run.output;
 
         // capture fidelity: the capture run must be the golden run
         assert_eq!(
-            t.cursor(),
-            golden.n_dynamic,
+            run.n_dynamic, golden.n_dynamic,
             "snapshot capture executed a different dynamic-instruction count than the golden run"
         );
         assert!(

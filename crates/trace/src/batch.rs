@@ -23,7 +23,7 @@ use crate::tracer::FaultSpec;
 /// A lane-batched tracer: one shared cursor, per-lane fault state.
 ///
 /// Semantically equivalent to `lanes` independent
-/// `Tracer::inject(.., RecordMode::OutputOnly).resume_at(cursor, 0)`
+/// `Tracer::inject(.., RecordMode::OutputOnly).resume_at(cursor, 0, ..)`
 /// tracers, restricted to branch-free kernels: per lane, the quantise →
 /// flip-at-site → non-finite-trap pipeline of `Tracer::value` is
 /// reproduced bit-for-bit.
@@ -268,7 +268,7 @@ pub fn extract_lane(buf: &[f64], lanes: usize, lane: usize) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::site::StaticId;
-    use crate::tracer::{RecordMode, Tracer};
+    use crate::tracer::{KernelState, RecordMode, Tracer};
 
     /// A deterministic pseudo-random value stream (no external RNG).
     fn stream(n: usize) -> Vec<f64> {
@@ -312,8 +312,13 @@ mod tests {
                 }
             }
             for (l, &fault) in faults.iter().enumerate() {
-                let mut t =
-                    Tracer::inject(precision, fault, RecordMode::OutputOnly).resume_at(RESUME, 0);
+                let state = KernelState {
+                    step: 0,
+                    arrays: Vec::new(),
+                };
+                let mut t = Tracer::inject(precision, fault, RecordMode::OutputOnly)
+                    .resume_at(RESUME, 0, state);
+                assert!(t.take_resume().is_some());
                 let produced: Vec<f64> = vals[RESUME..]
                     .iter()
                     .map(|&v| t.value(StaticId(0), v))

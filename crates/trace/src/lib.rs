@@ -63,4 +63,4 @@ pub use golden::{GoldenRun, RunTrace};
 pub use section::{Fnv1a, SectionMap};
 pub use site::{Region, StaticId, StaticInstr, StaticRegistry};
 pub use streamed::{streamed_propagation, CompareScratch, StreamedWindow};
-pub use tracer::{FaultSpec, RecordMode, Tracer};
+pub use tracer::{BoundaryHook, FaultSpec, KernelState, RecordMode, Tracer};

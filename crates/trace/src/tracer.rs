@@ -24,6 +24,13 @@
 //!   only the nonzero `(site, Δx)` pairs into a reusable
 //!   [`CompareScratch`] or handing them to an online fold. See
 //!   [`crate::streamed`].
+//!
+//! Any of these runs can also start mid-execution and watch section
+//! boundaries: [`Tracer::resume_at`] hands a snapshot-capable kernel the
+//! [`KernelState`] to re-enter its main loop from, and
+//! [`Tracer::with_boundary_hook`] installs the [`BoundaryHook`] the
+//! kernel calls ([`Tracer::boundary`]) at every section boundary — the
+//! snapshot store's capture and a resumed experiment's early exits.
 
 use crate::bits::Precision;
 use crate::compact::{CompactGolden, GoldenValues};
@@ -32,6 +39,37 @@ use crate::golden::{GoldenRun, RunTrace};
 use crate::site::StaticId;
 use crate::streamed::{CompareScratch, StreamedWindow};
 use serde::{Deserialize, Serialize};
+
+/// Full mid-run state of a snapshot-capable kernel at a section
+/// boundary: everything needed to re-enter the kernel's main loop and
+/// reproduce the remaining execution bit-for-bit. The tracer position
+/// (cursor, branch count) travels separately — it belongs to the
+/// instrumentation, not the kernel ([`Tracer::resume_at`]).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct KernelState {
+    /// Loop progress: completed sweeps / rows / iterations.
+    pub step: u64,
+    /// The live arrays, in the kernel-defined order its boundary hook
+    /// calls report them in ([`Tracer::boundary`]) and its resumed `run`
+    /// takes them back in. Values are exactly as the tracer quantised
+    /// them, so resumed arithmetic is bit-identical.
+    pub arrays: Vec<Vec<f64>>,
+}
+
+/// Section-boundary hook ([`Tracer::with_boundary_hook`]):
+/// `hook(cursor, branch_count, step, arrays)` fires wherever the live
+/// `arrays` plus the loop `step` fully determine the rest of the run;
+/// returning `true` stops the run early.
+pub type BoundaryHook<'g> = &'g mut dyn FnMut(usize, usize, u64, &[&[f64]]) -> bool;
+
+/// [`BoundaryHook`] holder, so the tracer stays `Debug`.
+struct Hook<'g>(BoundaryHook<'g>);
+
+impl std::fmt::Debug for Hook<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("BoundaryHook")
+    }
+}
 
 /// A single-bit-flip fault: flip bit `bit` of the value produced by
 /// dynamic instruction `site`.
@@ -259,6 +297,11 @@ pub struct Tracer<'g> {
     /// Operand-provenance recorder ([`Tracer::with_ddg`]); golden mode
     /// only, `None` in every hot injection path.
     ddg: Option<Box<DdgBuilder>>,
+    /// Kernel state to resume from ([`Tracer::resume_at`]), until the
+    /// kernel takes it ([`Tracer::take_resume`]).
+    resume: Option<KernelState>,
+    /// Section-boundary hook ([`Tracer::with_boundary_hook`]).
+    hook: Option<Hook<'g>>,
 }
 
 impl<'g> Tracer<'g> {
@@ -287,6 +330,8 @@ impl<'g> Tracer<'g> {
             budget: usize::MAX,
             compare: None,
             ddg: None,
+            resume: None,
+            hook: None,
         }
     }
 
@@ -391,24 +436,27 @@ impl<'g> Tracer<'g> {
         self
     }
 
-    /// Position the tracer as if `cursor` dynamic instructions and
-    /// `branch_count` branch events had already executed — the
-    /// snapshot-resume entry point. A kernel resumed from a mid-run state
-    /// snapshot drives this tracer through only the *suffix* of its
-    /// execution, and every recorded index (fault site, divergence
-    /// cursor, non-finite trap, branch encoding) comes out in the same
-    /// absolute coordinates a from-`t=0` run would have produced.
+    /// Resume from a captured section boundary — the snapshot-resume
+    /// entry point. The tracer is positioned as if `cursor` dynamic
+    /// instructions and `branch_count` branch events had already
+    /// executed, and a snapshot-capable kernel's `run` takes `state`
+    /// ([`Tracer::take_resume`]) and re-enters its main loop there
+    /// instead of initialising. Every recorded index (fault site,
+    /// divergence cursor, non-finite trap, branch encoding) comes out in
+    /// the same absolute coordinates a from-`t=0` run would have
+    /// produced.
     ///
     /// In comparing mode the golden branch stream is fast-forwarded by
     /// the same `branch_count`, so online divergence detection stays
-    /// index-aligned. Values are never recorded for the skipped prefix;
-    /// callers that need a full trace stitch the golden prefix back in.
+    /// index-aligned. Values are never recorded for the skipped prefix.
     ///
     /// # Panics
     /// Panics if the tracer injects a fault *before* `cursor` — the
     /// skipped prefix would silently never flip — or if values were
-    /// already traced.
-    pub fn resume_at(mut self, cursor: usize, branch_count: usize) -> Self {
+    /// already traced. [`Tracer::finish`] panics if the kernel never took
+    /// `state`: a kernel that is not snapshot-capable would otherwise run
+    /// from scratch at a shifted cursor.
+    pub fn resume_at(mut self, cursor: usize, branch_count: usize, state: KernelState) -> Self {
         assert!(
             self.fault_site == usize::MAX || self.fault_site >= cursor,
             "fault site {} lies inside the skipped prefix (resume cursor {})",
@@ -424,7 +472,39 @@ impl<'g> Tracer<'g> {
         if let Some(cs) = &mut self.compare {
             cs.branch_idx = branch_count;
         }
+        self.resume = Some(state);
         self
+    }
+
+    /// Take the state set by [`Tracer::resume_at`]: `Some` exactly once
+    /// on a resumed tracer, when a snapshot-capable kernel's `run`
+    /// starts; `None` means run from the initial state.
+    pub fn take_resume(&mut self) -> Option<KernelState> {
+        self.resume.take()
+    }
+
+    /// Install a section-boundary hook: snapshot-capable kernels call it
+    /// through [`Tracer::boundary`] right after initialisation (step 0,
+    /// from-scratch runs only) and at the bottom of each outer-loop
+    /// step, before the dynamic instructions of the next. Snapshot
+    /// capture records states with it; resumed experiments use it to
+    /// stop once the outcome is decided.
+    pub fn with_boundary_hook(mut self, hook: BoundaryHook<'g>) -> Self {
+        self.hook = Some(Hook(hook));
+        self
+    }
+
+    /// Report a section boundary: `step` loop steps are done and
+    /// `arrays` (the kernel's [`KernelState`] order) hold the live state.
+    /// Calls the hook with the tracer's cursor and branch count and
+    /// returns its answer — `true` means stop the run — or `false` when
+    /// no hook is installed.
+    #[inline]
+    pub fn boundary(&mut self, step: u64, arrays: &[&[f64]]) -> bool {
+        match &mut self.hook {
+            Some(Hook(hook)) => hook(self.cursor, self.branch_count, step, arrays),
+            None => false,
+        }
     }
 
     /// Stop the run once it has executed more than `budget` dynamic
@@ -639,8 +719,23 @@ impl<'g> Tracer<'g> {
         self.injected_err
     }
 
+    /// Refuse to yield a record for a resumed run whose kernel ignored
+    /// the resume state (see [`Tracer::resume_at`]).
+    fn assert_resume_taken(&self) {
+        assert!(
+            self.resume.is_none(),
+            "the kernel never took its resume state: a kernel that is not \
+             snapshot-capable ran from scratch at a resumed cursor ({})",
+            self.cursor
+        );
+    }
+
     /// Consume the tracer, yielding the run record.
+    ///
+    /// # Panics
+    /// Panics if a resume state ([`Tracer::resume_at`]) was never taken.
     pub fn finish(self, output: Vec<f64>) -> RunTrace {
+        self.assert_resume_taken();
         RunTrace {
             values: if self.record_values {
                 Some(self.values)
@@ -729,8 +824,10 @@ impl<'g> Tracer<'g> {
     ///
     /// # Panics
     /// Panics if the tracer was not constructed with [`Tracer::golden`]
-    /// (a fault or missing recording would poison every later comparison).
+    /// (a fault or missing recording would poison every later comparison),
+    /// or if a resume state was never taken.
     pub fn finish_golden(self, output: Vec<f64>) -> GoldenRun {
+        self.assert_resume_taken();
         assert!(
             self.fault_site == usize::MAX && self.record_values && self.record_ids,
             "finish_golden requires a Tracer::golden tracer"
@@ -758,6 +855,14 @@ mod tests {
     use crate::site::StaticId;
 
     const SID: StaticId = StaticId(0);
+
+    /// A resume state for tests that drive the tracer by hand.
+    fn state() -> KernelState {
+        KernelState {
+            step: 1,
+            arrays: vec![vec![1.0]],
+        }
+    }
 
     /// A toy "kernel": y = sum of squares of 1..=4, each square traced.
     fn toy(t: &mut Tracer) -> Vec<f64> {
@@ -838,7 +943,7 @@ mod tests {
     fn budget_stops_past_its_absolute_index() {
         let f = FaultSpec { site: 5, bit: 0 };
         let mut t = Tracer::inject(Precision::F64, f, RecordMode::OutputOnly)
-            .resume_at(4, 0)
+            .resume_at(4, 0, state())
             .with_budget(6);
         for expect_stop in [false, false, true] {
             t.value(SID, 1.0);
@@ -878,7 +983,10 @@ mod tests {
     #[test]
     fn resume_at_presets_absolute_coordinates() {
         let f = FaultSpec { site: 5, bit: 63 };
-        let mut t = Tracer::inject(Precision::F64, f, RecordMode::OutputOnly).resume_at(4, 1);
+        let mut t =
+            Tracer::inject(Precision::F64, f, RecordMode::OutputOnly).resume_at(4, 1, state());
+        assert_eq!(t.take_resume(), Some(state()));
+        assert_eq!(t.take_resume(), None);
         // sites 4 and 5 execute; the flip lands on site 5
         let a = t.value(SID, 1.0);
         assert_eq!(a, 1.0);
@@ -896,7 +1004,43 @@ mod tests {
     #[should_panic(expected = "skipped prefix")]
     fn resume_past_fault_site_rejected() {
         let f = FaultSpec { site: 2, bit: 0 };
-        let _ = Tracer::inject(Precision::F64, f, RecordMode::OutputOnly).resume_at(3, 0);
+        let _ = Tracer::inject(Precision::F64, f, RecordMode::OutputOnly).resume_at(3, 0, state());
+    }
+
+    #[test]
+    #[should_panic(expected = "never took its resume state")]
+    fn finish_refuses_an_untaken_resume_state() {
+        let f = FaultSpec { site: 5, bit: 0 };
+        let mut t =
+            Tracer::inject(Precision::F64, f, RecordMode::OutputOnly).resume_at(4, 0, state());
+        let out = toy(&mut t);
+        let _ = t.finish(out);
+    }
+
+    #[test]
+    fn boundary_reports_absolute_position_to_the_hook() {
+        let mut t = Tracer::untraced(Precision::F64);
+        assert!(!t.boundary(0, &[]), "no hook: never stop");
+        let mut seen = Vec::new();
+        let mut hook = |cursor: usize, bc: usize, step: u64, arrays: &[&[f64]]| {
+            seen.push((cursor, bc, step, arrays.concat()));
+            step == 2
+        };
+        let mut t = Tracer::inject(
+            Precision::F64,
+            FaultSpec { site: 9, bit: 0 },
+            RecordMode::OutputOnly,
+        )
+        .resume_at(3, 1, state())
+        .with_boundary_hook(&mut hook);
+        let _ = t.take_resume();
+        t.value(SID, 1.0);
+        t.branch(true);
+        assert!(!t.boundary(1, &[&[4.0]]));
+        t.value(SID, 2.0);
+        assert!(t.boundary(2, &[&[5.0], &[6.0]]));
+        let _ = t.finish(vec![]);
+        assert_eq!(seen, vec![(4, 2, 1, vec![4.0]), (5, 2, 2, vec![5.0, 6.0])]);
     }
 
     #[test]

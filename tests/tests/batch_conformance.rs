@@ -5,16 +5,23 @@
 //! the two properties most at risk are (1) a retired lane's
 //! `Experiment` drifting from what the same fault produces alone, and
 //! (2) the result depending on which faults happen to share a chunk.
-//! Both must hold bitwise for every lane width and plan order.
+//! Both must hold bitwise for every lane width and plan order —
+//! including widths above `MAX_BATCH_LANES`, which the planner splits
+//! into chunks of at most that many lanes.
 
 use ftb_inject::{Classifier, Experiment, Injector};
 use ftb_integration::tiny_suite;
-use ftb_kernels::KernelConfig;
+use ftb_kernels::{KernelConfig, MAX_BATCH_LANES};
 use ftb_trace::FaultSpec;
 use proptest::prelude::*;
 
 /// tiny_suite indices of the batch-capable kernels: lu, gemm, jacobi.
 const BATCHABLE: [usize; 3] = [1, 5, 7];
+
+/// Lane widths under test: 2 to 9, which kernels run at directly, and
+/// three above `MAX_BATCH_LANES`, which run as chunks of at most that
+/// width.
+const WIDTHS: [usize; 11] = [2, 3, 4, 5, 6, 7, 8, 9, 17, 24, 33];
 
 fn pick(idx: usize) -> (KernelConfig, f64) {
     tiny_suite().swap_remove(BATCHABLE[idx])
@@ -56,7 +63,8 @@ fn shuffle<T>(items: &mut [T], mut seed: u64) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    // 14 cases keep about 10 of them at the widths 2 to 9
+    #![proptest_config(ProptestConfig::with_cases(14))]
 
     /// A fault that runs inside a batch — including lanes retired early
     /// by trap, bitwise reconvergence, or a contraction certificate —
@@ -66,9 +74,10 @@ proptest! {
     #[test]
     fn early_retired_lane_matches_solo_run(
         kernel_idx in 0usize..3,
-        lanes in 2usize..10,
+        width in 0..WIDTHS.len(),
         raw in proptest::collection::vec((0.0f64..1.0, 0u8..64), 1..20),
     ) {
+        let lanes = WIDTHS[width];
         let (config, tol) = pick(kernel_idx);
         let kernel = config.build();
         let batched_inj = Injector::new(kernel.as_ref(), Classifier::new(tol))
@@ -107,11 +116,12 @@ proptest! {
     #[test]
     fn batch_invariant_to_lane_order_and_count(
         kernel_idx in 0usize..3,
-        lanes_a in 2usize..10,
-        lanes_b in 2usize..10,
+        width_a in 0..WIDTHS.len(),
+        width_b in 0..WIDTHS.len(),
         raw in proptest::collection::vec((0.0f64..1.0, 0u8..64), 2..24),
         perm_seed in any::<u64>(),
     ) {
+        let (lanes_a, lanes_b) = (WIDTHS[width_a], WIDTHS[width_b]);
         let (config, tol) = pick(kernel_idx);
         let kernel = config.build();
         let inj = |lanes: usize| {
@@ -134,5 +144,46 @@ proptest! {
             "{:?}: lanes {} (plan order) vs lanes {} (shuffled)",
             config, lanes_a, lanes_b
         );
+    }
+}
+
+/// A snapshot group wider than `MAX_BATCH_LANES` — every fault served by
+/// one boundary — runs at widths 17, 24 and 33 as chunks of at most
+/// `MAX_BATCH_LANES` lanes, each fault's record bitwise equal to its
+/// scalar solo run.
+#[test]
+fn groups_wider_than_the_lane_cap_match_scalar_solo_runs() {
+    for kernel_idx in 0..BATCHABLE.len() {
+        let (config, tol) = pick(kernel_idx);
+        let kernel = config.build();
+        let inj = |lanes: usize| {
+            Injector::new(kernel.as_ref(), Classifier::new(tol))
+                .with_snapshots(usize::MAX)
+                .with_certified_exits()
+                .with_batch_lanes(lanes)
+        };
+        let scalar = inj(1);
+        let store = scalar
+            .snapshot_store()
+            .expect("batch-capable kernels snapshot");
+        // every site served by the last boundary, all bits of each
+        let (last, _) = store.for_site(scalar.n_sites() - 1).expect("served");
+        let plan: Vec<FaultSpec> = (0..scalar.n_sites())
+            .filter(|&s| store.for_site(s).is_some_and(|(i, _)| i == last))
+            .flat_map(|site| (0..scalar.bits()).map(move |bit| FaultSpec { site, bit }))
+            .take(3 * MAX_BATCH_LANES)
+            .collect();
+        assert!(
+            plan.len() > 2 * MAX_BATCH_LANES,
+            "{config:?}: group too narrow"
+        );
+        let want: Vec<_> = plan
+            .iter()
+            .map(|f| key(&scalar.run_many(&[*f])[0]))
+            .collect();
+        for lanes in [17, 24, 33] {
+            let got: Vec<_> = inj(lanes).run_many(&plan).iter().map(key).collect();
+            assert_eq!(got, want, "{config:?}: {lanes} lanes vs scalar solo");
+        }
     }
 }

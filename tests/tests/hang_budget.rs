@@ -10,8 +10,7 @@
 
 use ftb_inject::{Classifier, CrashKind, Experiment, Injector, Outcome};
 use ftb_kernels::{
-    BoundaryMonitor, CaptureHook, CgConfig, CgStorage, JacobiConfig, Kernel, KernelConfig,
-    KernelState, LuConfig, StencilConfig,
+    CgConfig, CgStorage, JacobiConfig, Kernel, KernelConfig, LuConfig, StencilConfig,
 };
 use ftb_trace::{FaultSpec, Precision, RecordMode, SectionMap, StaticRegistry, Tracer};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -216,12 +215,14 @@ fn iteration_ends(kernel: &dyn Kernel) -> Vec<usize> {
     let golden = kernel.golden();
     let mut ends = Vec::new();
     if kernel.snapshot_capable() {
-        let mut t = Tracer::untraced(kernel.precision());
-        let _ = kernel.run_snapshotting(&mut t, &mut |cursor, _, step, _| {
+        let mut capture = |cursor: usize, _: usize, step: u64, _: &[&[f64]]| {
             if step > 0 {
                 ends.push(cursor);
             }
-        });
+            false
+        };
+        let mut t = Tracer::untraced(kernel.precision()).with_boundary_hook(&mut capture);
+        let _ = kernel.run(&mut t);
     } else {
         let map = SectionMap::phases(&golden, &kernel.registry());
         ends.extend((1..map.n_sections()).map(|t| map.range(t).1));
@@ -291,18 +292,6 @@ impl Kernel for Watched<'_> {
     }
     fn snapshot_capable(&self) -> bool {
         self.inner.snapshot_capable()
-    }
-    fn run_snapshotting(&self, t: &mut Tracer, capture: CaptureHook<'_>) -> Vec<f64> {
-        self.inner.run_snapshotting(t, capture)
-    }
-    fn run_resumed(
-        &self,
-        t: &mut Tracer,
-        state: &KernelState,
-        monitor: BoundaryMonitor<'_>,
-    ) -> Vec<f64> {
-        let out = self.inner.run_resumed(t, state, monitor);
-        self.record(t, out)
     }
 }
 

@@ -5,6 +5,10 @@
 //! kill/resume of a snapshot-backed ledger
 //! campaign mid-section. The snapshot store is a pure performance
 //! artefact; nothing downstream may be able to tell it was there.
+//! Underneath, every snapshot-capable kernel's one entry point,
+//! `Kernel::run`, must resume from each boundary it reports exactly as
+//! it would have continued, and a kernel that ignores a resume state
+//! must be refused.
 
 use ftb_core::prelude::*;
 use ftb_inject::{
@@ -12,8 +16,11 @@ use ftb_inject::{
     Experiment, LedgerError,
 };
 use ftb_integration::reference_batch;
-use ftb_kernels::{JacobiConfig, JacobiKernel, KernelConfig, LuConfig, LuKernel};
-use ftb_trace::FaultSpec;
+use ftb_kernels::{
+    CgConfig, CgKernel, GemmConfig, GemmKernel, JacobiConfig, JacobiKernel, Kernel, KernelConfig,
+    KernelState, LuConfig, LuKernel, StubKernel, SweepTweak,
+};
+use ftb_trace::{FaultSpec, Precision, RecordMode, RunTrace, StaticRegistry, Tracer};
 use std::path::PathBuf;
 
 fn cfg() -> JacobiConfig {
@@ -311,6 +318,203 @@ fn batched_campaign_resume_rejects_changed_lane_config() {
         }
     }
     let _ = std::fs::remove_file(&path);
+}
+
+// ------------------------------------------------------ kernel entry point
+
+/// A section boundary as `Tracer::boundary` reports it: cursor, branch
+/// count, step and the live arrays (as raw bits).
+type Reported = (usize, usize, u64, Vec<Vec<u64>>);
+
+fn bits_of(arrays: &[&[f64]]) -> Vec<Vec<u64>> {
+    arrays
+        .iter()
+        .map(|a| a.iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+/// Run `kernel` fault-free, from scratch or from `resume` (cursor,
+/// branch count, state), collecting every boundary it reports.
+fn run_hooked(
+    kernel: &dyn Kernel,
+    resume: Option<(usize, usize, KernelState)>,
+) -> (RunTrace, Vec<Reported>) {
+    let mut seen = Vec::new();
+    let mut hook = |cursor: usize, bc: usize, step: u64, arrays: &[&[f64]]| {
+        seen.push((cursor, bc, step, bits_of(arrays)));
+        false
+    };
+    let mut t = Tracer::untraced(kernel.precision());
+    if let Some((cursor, bc, state)) = resume {
+        t = t.resume_at(cursor, bc, state);
+    }
+    let mut t = t.with_boundary_hook(&mut hook);
+    let out = kernel.run(&mut t);
+    let run = t.finish(out);
+    (run, seen)
+}
+
+/// Everything observable about a run's end, with floats as raw bits.
+fn run_key(r: &RunTrace) -> (Vec<u64>, usize, Option<usize>, Option<u64>) {
+    (
+        r.output.iter().map(|v| v.to_bits()).collect(),
+        r.n_dynamic,
+        r.first_nonfinite,
+        r.injected_err.map(f64::to_bits),
+    )
+}
+
+/// The one-entry-point contract, for every snapshot-capable kernel: at
+/// each boundary a capture run reports, (1) a fault-free resume
+/// reproduces the golden output and final cursor bit for bit, (2) the
+/// resumed run reports exactly the capture's later boundaries — the
+/// same cursors, branch counts, steps and states — and (3) a fault at or
+/// after the boundary gives the same run, bit for bit, as the
+/// from-scratch `Kernel::run_injected`.
+#[test]
+fn every_boundary_resumes_bit_identically() {
+    let jacobi = JacobiConfig {
+        sweeps: 8,
+        ..JacobiConfig::small()
+    };
+    let kernels: Vec<(&str, Box<dyn Kernel>)> = vec![
+        (
+            "cg",
+            Box::new(CgKernel::new(CgConfig {
+                grid: 5,
+                ..CgConfig::small()
+            })),
+        ),
+        ("jacobi", Box::new(JacobiKernel::new(jacobi.clone()))),
+        (
+            "jacobi fine-grained",
+            Box::new(JacobiKernel::new(JacobiConfig {
+                fine_grained: true,
+                ..jacobi.clone()
+            })),
+        ),
+        (
+            "jacobi tweaked",
+            Box::new(JacobiKernel::new(JacobiConfig {
+                tweak: Some(SweepTweak {
+                    sweep: 3,
+                    omega: 0.7,
+                }),
+                ..jacobi
+            })),
+        ),
+        (
+            "gemm",
+            Box::new(GemmKernel::new(GemmConfig {
+                n: 6,
+                ..GemmConfig::small()
+            })),
+        ),
+        ("lu", Box::new(LuKernel::new(LuConfig::small()))),
+    ];
+    for (name, k) in kernels {
+        assert!(k.snapshot_capable(), "{name}");
+        let p = k.precision();
+        let golden = k.golden();
+        let (capture, boundaries) = run_hooked(k.as_ref(), None);
+        let golden_bits: Vec<u64> = golden.output.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(run_key(&capture).0, golden_bits, "{name}: capture output");
+        assert_eq!(
+            capture.n_dynamic, golden.n_dynamic,
+            "{name}: capture cursor"
+        );
+        assert!(boundaries.len() >= 3, "{name}: too few boundaries");
+        assert_eq!(boundaries[0].2, 0, "{name}: no step-0 boundary");
+        for (i, (cursor, bc, step, arrays)) in boundaries.iter().enumerate() {
+            let state = || KernelState {
+                step: *step,
+                arrays: arrays
+                    .iter()
+                    .map(|a| a.iter().map(|&b| f64::from_bits(b)).collect())
+                    .collect(),
+            };
+            let (resumed, later) = run_hooked(k.as_ref(), Some((*cursor, *bc, state())));
+            assert_eq!(
+                run_key(&resumed).0,
+                golden_bits,
+                "{name}: fault-free resume from step {step}"
+            );
+            assert_eq!(resumed.n_dynamic, golden.n_dynamic, "{name} step {step}");
+            assert!(
+                later == boundaries[i + 1..],
+                "{name}: resume from step {step} reported other boundaries"
+            );
+            // CG reports its last iteration too, past which no site lies
+            let faultable = if *cursor < golden.n_dynamic { 3 } else { 0 };
+            for j in 0..faultable {
+                let fault = FaultSpec {
+                    site: cursor + (golden.n_dynamic - 1 - cursor) * j / 2,
+                    bit: ((i * 7 + j * 19) % p.bits() as usize) as u8,
+                };
+                let want = k.run_injected(fault, RecordMode::OutputOnly);
+                let mut t = Tracer::inject(p, fault, RecordMode::OutputOnly).resume_at(
+                    *cursor,
+                    *bc,
+                    state(),
+                );
+                let out = k.run(&mut t);
+                assert_eq!(
+                    run_key(&t.finish(out)),
+                    run_key(&want),
+                    "{name}: {fault:?} resumed from step {step}"
+                );
+            }
+        }
+    }
+}
+
+/// Claims snapshot capability and reports a boundary after each of its
+/// steps, so a snapshot store serves late sites from them, but never
+/// takes the resume state: every run restarts from its initial state.
+struct Forgetful(StubKernel);
+
+const FORGETFUL_STEPS: u64 = 3;
+
+impl Kernel for Forgetful {
+    fn name(&self) -> &'static str {
+        "forgetful"
+    }
+    fn precision(&self) -> Precision {
+        self.0.precision()
+    }
+    fn registry(&self) -> StaticRegistry {
+        self.0.registry()
+    }
+    fn run(&self, t: &mut Tracer) -> Vec<f64> {
+        let mut out = Vec::new();
+        for step in 1..=FORGETFUL_STEPS {
+            out = self.0.run(t);
+            if step < FORGETFUL_STEPS && t.boundary(step, &[&out]) {
+                break;
+            }
+        }
+        out
+    }
+    fn snapshot_capable(&self) -> bool {
+        true
+    }
+}
+
+/// A resume state the kernel never takes fails loudly: a resumed
+/// experiment on a kernel that ignores it would otherwise run from
+/// scratch at a shifted cursor and report a wrong outcome.
+#[test]
+#[should_panic(expected = "never took its resume state")]
+fn ignored_resume_state_is_refused() {
+    let k = Forgetful(StubKernel::new(12, 3));
+    let inj = Injector::new(&k, Classifier::new(1e-6)).with_snapshots(usize::MAX);
+    let store = inj.snapshot_store().expect("captured");
+    assert_eq!(store.len(), FORGETFUL_STEPS as usize - 1);
+    let last = inj.n_sites() - 1;
+    // a site before the first boundary runs from scratch and is fine
+    let _ = inj.run_one(0, 3);
+    assert!(store.for_site(last).is_some());
+    let _ = inj.run_one(last, 3);
 }
 
 // ---------------------------------------------------------------- CLI level
