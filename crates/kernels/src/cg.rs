@@ -23,7 +23,7 @@
 
 use crate::csr::Csr;
 use crate::inputs::uniform_vec;
-use crate::{resume_or_init, Kernel};
+use crate::{load, resume_or_init, Kernel};
 use ftb_trace::{Fnv1a, OpKind, Precision, StaticRegistry, Tracer};
 use serde::{Deserialize, Serialize};
 
@@ -170,21 +170,25 @@ impl CgKernel {
     }
 
     /// Apply the 5-point Poisson operator: `q = A v`, tracing each store
-    /// of `q`. Dirichlet boundary: off-grid neighbours are zero. In
-    /// provenance mode `defs = (def_v, def_q)` supplies the def sites of
-    /// `v`'s elements and receives the def sites of `q`'s stores.
-    fn apply_poisson(
+    /// of `q`. Dirichlet boundary: off-grid neighbours are zero. With
+    /// `DDG`, `dv` supplies the def sites of `v`'s elements and `dq`
+    /// receives the def sites of `q`'s stores (both unused otherwise).
+    // kept out of line, like `solve_loop` itself, so the stencil loop and
+    // the solve loop are register-allocated apart
+    #[inline(never)]
+    fn apply_poisson<const DDG: bool>(
         &self,
         t: &mut Tracer,
         v: &[f64],
         q: &mut [f64],
-        mut defs: Option<(&[usize], &mut [usize])>,
+        dv: &[usize],
+        dq: &mut [usize],
     ) {
         let g = self.cfg.grid;
         for i in 0..g {
             for j in 0..g {
                 let idx = i * g + j;
-                if let Some((dv, dq)) = defs.as_mut() {
+                if DDG {
                     // q_idx = 4 v_idx − Σ v_neighbour
                     t.dep(dv[idx], OpKind::Scale(4.0));
                     if i > 0 {
@@ -201,80 +205,117 @@ impl CgKernel {
                     }
                     dq[idx] = t.cursor();
                 }
-                let mut s = 4.0 * v[idx];
-                if i > 0 {
-                    s -= v[idx - g];
-                }
-                if i + 1 < g {
-                    s -= v[idx + g];
-                }
-                if j > 0 {
-                    s -= v[idx - 1];
-                }
-                if j + 1 < g {
-                    s -= v[idx + 1];
-                }
-                q[idx] = t.value(sid::SPMV_Q, s);
+                q[idx] = t.value(sid::SPMV_Q, poisson_at(g, v, i, j));
             }
         }
     }
 
-    /// The matrix-free setup region (the non-provenance prefix of a
-    /// from-scratch [`CgStorage::MatrixFree`] run): `x = 0`, `b` from the
-    /// manufactured solution, `r = b`, `p = r`, `rr = ⟨r, r⟩`, in state
-    /// order `[x, r, p, b, [rr]]`.
-    fn setup_plain(&self, t: &mut Tracer) -> [Vec<f64>; 5] {
-        let n = self.n_unknowns();
-        let g = self.cfg.grid;
-        let mut x = vec![0.0; n];
-        for xi in x.iter_mut() {
-            *xi = t.value(sid::INIT_X, 0.0);
-        }
-        let mut b = vec![0.0; n];
-        for i in 0..g {
-            for j in 0..g {
-                let idx = i * g + j;
-                let v = &self.x_true;
-                let mut s = 4.0 * v[idx];
-                if i > 0 {
-                    s -= v[idx - g];
-                }
-                if i + 1 < g {
-                    s -= v[idx + g];
-                }
-                if j > 0 {
-                    s -= v[idx - 1];
-                }
-                if j + 1 < g {
-                    s -= v[idx + 1];
-                }
-                b[idx] = t.value(sid::INIT_B, s);
+    /// The one scalar body; `DDG` compiles in the operand-provenance
+    /// bookkeeping. The matrix-free configuration starts from the
+    /// tracer's resume state when one is set; the assembled-CSR one
+    /// (not snapshot-capable) always runs its setup.
+    fn body<const DDG: bool>(&self, t: &mut Tracer) -> Vec<f64> {
+        let len = if DDG { self.n_unknowns() } else { 0 };
+        let mut d = Defs {
+            x: Vec::new(),
+            b: Vec::new(),
+            mat: Vec::new(),
+            r: vec![0; len],
+            p: vec![0; len],
+            q: vec![0; len],
+            rr: usize::MAX,
+        };
+        let mut avals = Vec::new();
+        let started = if self.matrix.is_none() {
+            resume_or_init(t, |t| self.setup::<DDG>(t, &mut d, &mut avals))
+        } else {
+            Ok((0, self.setup::<DDG>(t, &mut d, &mut avals)))
+        };
+        let (start, [mut x, mut r, mut p, b, rr]) = match started {
+            Ok(started) => started,
+            Err([x, ..]) => return x,
+        };
+        self.solve_loop::<DDG>(t, &mut x, &mut r, &mut p, &b, rr[0], start, &avals, &mut d);
+        if DDG {
+            for &dx in &d.x {
+                t.out_dep(dx, 1.0);
             }
         }
+        x
+    }
+
+    /// The setup region, in state order `[x, r, p, b, [rr]]`.
+    ///
+    /// Region 1 zero-initialises the solution vector. Region 1b
+    /// ([`CgStorage::AssembledCsr`] only) assembles the matrix into
+    /// `avals`: every stored entry is a dynamic instruction (MiniFE
+    /// semantics) whose def site feeds every later operator application.
+    /// Region 2 is the one-shot setup `b = A x_true` (manufactured),
+    /// `r = b`, `p = r`, `rr = ⟨r, r⟩`; errors injected later in the run
+    /// never propagate back into it.
+    fn setup<const DDG: bool>(
+        &self,
+        t: &mut Tracer,
+        d: &mut Defs,
+        avals: &mut Vec<f64>,
+    ) -> [Vec<f64>; 5] {
+        let n = self.n_unknowns();
+        let g = self.cfg.grid;
+        let x = load::<DDG>(t, sid::INIT_X, &vec![0.0; n], &mut d.x);
+        // the right-hand side comes from the source term, not from the
+        // stored operator entries (so a corrupted matrix entry leads to an
+        // inconsistent system, as in a real FE code where b is integrated
+        // independently): compute from pristine values, trace the stores
+        let rhs = match &self.matrix {
+            Some(m) => {
+                *avals = load::<DDG>(t, sid::INIT_MAT, m.values(), &mut d.mat);
+                let mut rhs = vec![0.0; n];
+                m.spmv(&self.x_true, &mut rhs);
+                rhs
+            }
+            None => (0..n)
+                .map(|idx| poisson_at(g, &self.x_true, idx / g, idx % g))
+                .collect(),
+        };
+        let b = load::<DDG>(t, sid::INIT_B, &rhs, &mut d.b);
         let mut r = vec![0.0; n];
         for i in 0..n {
+            if DDG {
+                t.dep(d.b[i], OpKind::Add);
+                d.r[i] = t.cursor();
+            }
             r[i] = t.value(sid::INIT_R, b[i]);
         }
         let mut p = vec![0.0; n];
         for i in 0..n {
+            if DDG {
+                t.dep(d.r[i], OpKind::Add);
+                d.p[i] = t.cursor();
+            }
             p[i] = t.value(sid::INIT_P, r[i]);
+        }
+        if DDG {
+            for (&def, &ri) in d.r.iter().zip(&r) {
+                t.dep(def, OpKind::Square(ri));
+            }
+            d.rr = t.cursor();
         }
         let rr = t.value(sid::DOT_RR0, dot(&r, &r));
         [x, r, p, b, vec![rr]]
     }
 
-    /// The CG iterations from `start_it` onward — the one matrix-free
-    /// non-provenance solve loop, whether the run started from scratch or
-    /// from a resume state. `tol2` is recomputed from the traced `b`, so a
-    /// resumed run reproduces the convergence test bit-for-bit. The state
-    /// `[x, r, p, b, [rr]]` is reported to [`Tracer::boundary`] at the
-    /// bottom of every completed iteration; an answer of `true` stops the
-    /// loop.
-    // kept out of line, like `LuKernel::block_steps`, so its loops are not
-    // register-allocated together with `run`'s provenance body
+    /// Region 3, the CG iterations from `start_it` onward, whether the run
+    /// started from scratch or from a resume state. `tol2` is recomputed
+    /// from the traced `b`, so a resumed run reproduces the convergence
+    /// test bit-for-bit. The matrix-free state `[x, r, p, b, [rr]]` is
+    /// reported to [`Tracer::boundary`] at the bottom of every completed
+    /// iteration; an answer of `true` stops the loop.
+    // kept out of line, like `LuKernel::block_steps`: inlined into
+    // `body`, its loops would be register-allocated together with the
+    // setup region
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
-    fn solve_loop(
+    fn solve_loop<const DDG: bool>(
         &self,
         t: &mut Tracer,
         x: &mut [f64],
@@ -283,6 +324,8 @@ impl CgKernel {
         b: &[f64],
         rr0: f64,
         start_it: usize,
+        avals: &[f64],
+        d: &mut Defs,
     ) {
         let n = self.n_unknowns();
         let bb: f64 = dot(b, b);
@@ -291,34 +334,125 @@ impl CgKernel {
         let mut rr = rr0;
         let mut it = start_it;
         loop {
+            if DDG {
+                // Convergence test `rr > tol2`: the condition value
+                // depends on the latest rr (amp 1) and — through
+                // tol2 = rtol²·Σ b_i² — on every b element. The margin is
+                // how far the golden condition sits from flipping.
+                let margin = (rr - tol2).abs();
+                t.branch_dep(d.rr, 1.0, margin);
+                let rtol2 = self.cfg.rtol * self.cfg.rtol;
+                for (&def, &bi) in d.b.iter().zip(b) {
+                    let (amp, cap) = OpKind::Square(bi).amplification();
+                    t.branch_dep(def, rtol2 * amp, margin);
+                    t.dep_cap(def, cap);
+                }
+            }
             if !t.branch(it < self.cfg.max_iters && rr > tol2) {
                 break;
             }
-            self.apply_poisson(t, p, &mut q, None);
+            match &self.matrix {
+                Some(m) => {
+                    m.spmv_traced::<DDG>(t, sid::SPMV_Q, avals, &d.mat, p, &d.p, &mut q, &mut d.q)
+                }
+                None => self.apply_poisson::<DDG>(t, p, &mut q, &d.p, &mut d.q),
+            }
+            if DDG {
+                // pq = Σ p_i q_i: bilinear, |∂/∂p_i| = |q_i| and vice
+                // versa (cross terms of a propagated perturbation are the
+                // documented soundness caveat)
+                for i in 0..n {
+                    t.dep(d.p[i], OpKind::Scale(q[i]));
+                    t.dep(d.q[i], OpKind::Scale(p[i]));
+                }
+            }
+            let def_pq = t.cursor();
             let pq = t.value(sid::DOT_PQ, dot(p, &q));
+            if DDG {
+                t.dep(d.rr, OpKind::DivNum(pq));
+                t.dep(def_pq, OpKind::DivDen { num: rr, den: pq });
+            }
+            let def_alpha = t.cursor();
             let alpha = t.value(sid::ALPHA, rr / pq);
             for i in 0..n {
+                if DDG {
+                    t.dep(d.x[i], OpKind::Add);
+                    t.dep(def_alpha, OpKind::Scale(p[i]));
+                    t.dep(d.p[i], OpKind::Scale(alpha));
+                    d.x[i] = t.cursor();
+                }
                 x[i] = t.value(sid::UPDATE_X, x[i] + alpha * p[i]);
             }
             for i in 0..n {
+                if DDG {
+                    // r ← r − α·q: ∂r/∂α = −q_i, ∂r/∂q_i = −α
+                    t.dep(d.r[i], OpKind::Add);
+                    t.dep(def_alpha, OpKind::Scale(-q[i]));
+                    t.dep(d.q[i], OpKind::Scale(-alpha));
+                    d.r[i] = t.cursor();
+                }
                 r[i] = t.value(sid::UPDATE_R, r[i] - alpha * q[i]);
             }
+            if DDG {
+                for (&def, &ri) in d.r.iter().zip(r.iter()) {
+                    t.dep(def, OpKind::Square(ri));
+                }
+            }
+            let def_rr_new = t.cursor();
             let rr_new = t.value(sid::DOT_RR, dot(r, r));
+            if DDG {
+                t.dep(def_rr_new, OpKind::DivNum(rr));
+                t.dep(
+                    d.rr,
+                    OpKind::DivDen {
+                        num: rr_new,
+                        den: rr,
+                    },
+                );
+            }
+            let def_beta = t.cursor();
             let beta = t.value(sid::BETA, rr_new / rr);
             for i in 0..n {
+                if DDG {
+                    t.dep(d.r[i], OpKind::Add);
+                    t.dep(def_beta, OpKind::Scale(p[i]));
+                    t.dep(d.p[i], OpKind::Scale(beta));
+                    d.p[i] = t.cursor();
+                }
                 p[i] = t.value(sid::UPDATE_P, r[i] + beta * p[i]);
             }
             rr = rr_new;
+            if DDG {
+                d.rr = def_rr_new;
+            }
             it += 1;
-            // NaN-exception model and hang watchdog, as in the main body
+            // NaN-exception model: the program dies at the trap rather
+            // than iterating on poisoned data. A run past the tracer's
+            // hang budget is killed here too, as a watchdog would.
             if t.should_stop() {
                 break;
             }
-            if t.boundary(it as u64, &[x, r, p, b, &[rr]]) {
+            if self.matrix.is_none() && t.boundary(it as u64, &[x, r, p, b, &[rr]]) {
                 break;
             }
         }
     }
+}
+
+/// Def sites of the CG body's arrays and scalars: the dynamic
+/// instruction that last defined each element. Filled only by the
+/// provenance instance of the body (`x`, `b` and `mat` by [`load`]); the
+/// vectors stay empty otherwise.
+struct Defs {
+    x: Vec<usize>,
+    b: Vec<usize>,
+    r: Vec<usize>,
+    p: Vec<usize>,
+    q: Vec<usize>,
+    /// The assembled operator's entries ([`CgStorage::AssembledCsr`]).
+    mat: Vec<usize>,
+    /// The latest `rr = ⟨r, r⟩`.
+    rr: usize,
 }
 
 impl Kernel for CgKernel {
@@ -366,258 +500,34 @@ impl Kernel for CgKernel {
     }
 
     fn run(&self, t: &mut Tracer) -> Vec<f64> {
-        // The hot (injection) path of the matrix-free configuration goes
-        // through the shared setup + solve loop; provenance recording and
-        // the assembled-CSR variant keep the annotated body below.
-        if self.matrix.is_none() && !t.ddg_enabled() {
-            let (start, [mut x, mut r, mut p, b, rr]) =
-                match resume_or_init(t, |t| self.setup_plain(t)) {
-                    Ok(started) => started,
-                    Err([x, ..]) => return x,
-                };
-            self.solve_loop(t, &mut x, &mut r, &mut p, &b, rr[0], start);
-            return x;
-        }
-        let n = self.n_unknowns();
-        let g = self.cfg.grid;
-
-        let ddg = t.ddg_enabled();
-        let mut def_x = vec![0usize; if ddg { n } else { 0 }];
-        let mut def_b = def_x.clone();
-        let mut def_r = def_x.clone();
-        let mut def_p = def_x.clone();
-        let mut def_q = def_x.clone();
-        let mut def_rr = usize::MAX;
-
-        // Region 1: zero-initialise the solution vector.
-        let mut x = vec![0.0; n];
-        for (i, xi) in x.iter_mut().enumerate() {
-            if ddg {
-                def_x[i] = t.cursor();
-            }
-            *xi = t.value(sid::INIT_X, 0.0);
-        }
-
-        // Region 1b (AssembledCsr only): matrix assembly — every stored
-        // entry is a dynamic instruction (MiniFE semantics). In
-        // provenance mode each entry's def site feeds every subsequent
-        // operator application through the traced SpMV.
-        let mut def_mat: Vec<usize> = Vec::new();
-        let avals: Option<Vec<f64>> = self.matrix.as_ref().map(|m| {
-            m.values()
-                .iter()
-                .map(|&v| {
-                    if ddg {
-                        def_mat.push(t.cursor());
-                    }
-                    t.value(sid::INIT_MAT, v)
-                })
-                .collect()
-        });
-
-        // Region 2: one-shot setup. b = A x_true (manufactured), r = b,
-        // p = r. Errors injected later in the run never propagate back
-        // into these dynamic instructions.
-        let mut b = vec![0.0; n];
-        if let Some(m) = &self.matrix {
-            // the right-hand side comes from the source term, not from the
-            // stored operator entries (so a corrupted matrix entry leads
-            // to an inconsistent system, as in a real FE code where b is
-            // integrated independently): compute from pristine values,
-            // trace only the stores
-            let mut tmp = vec![0.0; n];
-            m.spmv(&self.x_true, &mut tmp);
-            for (i, (dst, &src)) in b.iter_mut().zip(&tmp).enumerate() {
-                if ddg {
-                    def_b[i] = t.cursor();
-                }
-                *dst = t.value(sid::INIT_B, src);
-            }
+        if t.ddg_enabled() {
+            self.body::<true>(t)
         } else {
-            for i in 0..g {
-                for j in 0..g {
-                    let idx = i * g + j;
-                    let v = &self.x_true;
-                    let mut s = 4.0 * v[idx];
-                    if i > 0 {
-                        s -= v[idx - g];
-                    }
-                    if i + 1 < g {
-                        s -= v[idx + g];
-                    }
-                    if j > 0 {
-                        s -= v[idx - 1];
-                    }
-                    if j + 1 < g {
-                        s -= v[idx + 1];
-                    }
-                    if ddg {
-                        def_b[idx] = t.cursor();
-                    }
-                    b[idx] = t.value(sid::INIT_B, s);
-                }
-            }
+            self.body::<false>(t)
         }
-        let mut r = vec![0.0; n];
-        for i in 0..n {
-            if ddg {
-                t.dep(def_b[i], OpKind::Add);
-                def_r[i] = t.cursor();
-            }
-            r[i] = t.value(sid::INIT_R, b[i]);
-        }
-        let mut p = vec![0.0; n];
-        for i in 0..n {
-            if ddg {
-                t.dep(def_r[i], OpKind::Add);
-                def_p[i] = t.cursor();
-            }
-            p[i] = t.value(sid::INIT_P, r[i]);
-        }
-        if ddg {
-            for i in 0..n {
-                t.dep(def_r[i], OpKind::Square(r[i]));
-            }
-            def_rr = t.cursor();
-        }
-        let mut rr = t.value(sid::DOT_RR0, dot(&r, &r));
-
-        let bb: f64 = dot(&b, &b);
-        let tol2 = self.cfg.rtol * self.cfg.rtol * bb;
-
-        // Region 3: the iterative solve.
-        let mut q = vec![0.0; n];
-        let mut it = 0;
-        loop {
-            if ddg {
-                // Convergence test `rr > tol2`: the condition value
-                // depends on the latest rr (amp 1) and — through
-                // tol2 = rtol²·Σ b_i² — on every b element. The margin is
-                // how far the golden condition sits from flipping.
-                let margin = (rr - tol2).abs();
-                t.branch_dep(def_rr, 1.0, margin);
-                let rtol2 = self.cfg.rtol * self.cfg.rtol;
-                for i in 0..n {
-                    let (amp, cap) = OpKind::Square(b[i]).amplification();
-                    t.branch_dep(def_b[i], rtol2 * amp, margin);
-                    t.dep_cap(def_b[i], cap);
-                }
-            }
-            if !t.branch(it < self.cfg.max_iters && rr > tol2) {
-                break;
-            }
-            if let (Some(m), Some(av)) = (&self.matrix, &avals) {
-                if ddg {
-                    let defs =
-                        m.spmv_with_provenance(t, sid::SPMV_Q, av, &def_mat, &p, &def_p, &mut q);
-                    def_q.copy_from_slice(&defs);
-                } else {
-                    m.spmv_traced(t, sid::SPMV_Q, av, &p, &mut q);
-                }
-            } else {
-                self.apply_poisson(
-                    t,
-                    &p,
-                    &mut q,
-                    if ddg {
-                        Some((def_p.as_slice(), def_q.as_mut_slice()))
-                    } else {
-                        None
-                    },
-                );
-            }
-            let def_pq = if ddg {
-                // pq = Σ p_i q_i: bilinear, |∂/∂p_i| = |q_i| and vice
-                // versa (cross terms of a propagated perturbation are the
-                // documented soundness caveat)
-                for i in 0..n {
-                    t.dep(def_p[i], OpKind::Scale(q[i]));
-                    t.dep(def_q[i], OpKind::Scale(p[i]));
-                }
-                t.cursor()
-            } else {
-                usize::MAX
-            };
-            let pq = t.value(sid::DOT_PQ, dot(&p, &q));
-            let def_alpha = if ddg {
-                t.dep(def_rr, OpKind::DivNum(pq));
-                t.dep(def_pq, OpKind::DivDen { num: rr, den: pq });
-                t.cursor()
-            } else {
-                usize::MAX
-            };
-            let alpha = t.value(sid::ALPHA, rr / pq);
-            for i in 0..n {
-                if ddg {
-                    t.dep(def_x[i], OpKind::Add);
-                    t.dep(def_alpha, OpKind::Scale(p[i]));
-                    t.dep(def_p[i], OpKind::Scale(alpha));
-                    def_x[i] = t.cursor();
-                }
-                x[i] = t.value(sid::UPDATE_X, x[i] + alpha * p[i]);
-            }
-            for i in 0..n {
-                if ddg {
-                    // r ← r − α·q: ∂r/∂α = −q_i, ∂r/∂q_i = −α
-                    t.dep(def_r[i], OpKind::Add);
-                    t.dep(def_alpha, OpKind::Scale(-q[i]));
-                    t.dep(def_q[i], OpKind::Scale(-alpha));
-                    def_r[i] = t.cursor();
-                }
-                r[i] = t.value(sid::UPDATE_R, r[i] - alpha * q[i]);
-            }
-            let def_rr_new = if ddg {
-                for i in 0..n {
-                    t.dep(def_r[i], OpKind::Square(r[i]));
-                }
-                t.cursor()
-            } else {
-                usize::MAX
-            };
-            let rr_new = t.value(sid::DOT_RR, dot(&r, &r));
-            let def_beta = if ddg {
-                t.dep(def_rr_new, OpKind::DivNum(rr));
-                t.dep(
-                    def_rr,
-                    OpKind::DivDen {
-                        num: rr_new,
-                        den: rr,
-                    },
-                );
-                t.cursor()
-            } else {
-                usize::MAX
-            };
-            let beta = t.value(sid::BETA, rr_new / rr);
-            for i in 0..n {
-                if ddg {
-                    t.dep(def_r[i], OpKind::Add);
-                    t.dep(def_beta, OpKind::Scale(p[i]));
-                    t.dep(def_p[i], OpKind::Scale(beta));
-                    def_p[i] = t.cursor();
-                }
-                p[i] = t.value(sid::UPDATE_P, r[i] + beta * p[i]);
-            }
-            rr = rr_new;
-            if ddg {
-                def_rr = def_rr_new;
-            }
-            it += 1;
-            // NaN-exception model: the program dies at the trap rather
-            // than iterating on poisoned data. A run past the tracer's
-            // hang budget is killed here too, as a watchdog would.
-            if t.should_stop() {
-                break;
-            }
-        }
-
-        if ddg {
-            for &d in &def_x {
-                t.out_dep(d, 1.0);
-            }
-        }
-        x
     }
+}
+
+/// `(A v)` at cell `(i, j)` of the 5-point Poisson operator on a
+/// `g × g` mesh: `4 v_ij` minus each in-grid neighbour (Dirichlet
+/// boundary: off-grid neighbours are zero).
+#[inline(always)]
+fn poisson_at(g: usize, v: &[f64], i: usize, j: usize) -> f64 {
+    let idx = i * g + j;
+    let mut s = 4.0 * v[idx];
+    if i > 0 {
+        s -= v[idx - g];
+    }
+    if i + 1 < g {
+        s -= v[idx + g];
+    }
+    if j > 0 {
+        s -= v[idx - 1];
+    }
+    if j + 1 < g {
+        s -= v[idx + 1];
+    }
+    s
 }
 
 /// Untraced dot product (its *result* is traced by the caller; the paper's

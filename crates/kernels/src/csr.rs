@@ -151,42 +151,18 @@ impl Csr {
     /// kernel can route the matrix data itself through the tracer at
     /// load time (making matrix entries injectable) and then apply it.
     ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn spmv_traced(
-        &self,
-        t: &mut Tracer,
-        sid: StaticId,
-        vals: &[f64],
-        x: &[f64],
-        y: &mut [f64],
-    ) {
-        assert_eq!(vals.len(), self.nnz(), "vals dimension mismatch");
-        assert_eq!(x.len(), self.n_cols, "x dimension mismatch");
-        assert_eq!(y.len(), self.n_rows, "y dimension mismatch");
-        for (r, yr) in y.iter_mut().enumerate() {
-            let lo = self.row_ptr[r] as usize;
-            let hi = self.row_ptr[r + 1] as usize;
-            let mut s = 0.0;
-            for (c, v) in self.cols[lo..hi].iter().zip(&vals[lo..hi]) {
-                s += v * x[*c as usize];
-            }
-            *yr = t.value(sid, s);
-        }
-    }
-
-    /// Provenance-recording `y = A·x`: like [`Csr::spmv_traced`], but
-    /// records each stored product's operand secants before every `y[r]`
-    /// store (`|∂y_r/∂a_{rc}| = |x_c|`, `|∂y_r/∂x_c| = |a_{rc}|`, both
-    /// exact for one perturbed operand) and returns the def site of each
-    /// output row so the caller can sink them. `def_vals`/`def_x` map
-    /// each stored entry / vector element to the dynamic instruction
-    /// that defined it.
+    /// With `DDG` (operand provenance), each stored product's operand
+    /// secants are recorded before every `y[r]` store (`|∂y_r/∂a_{rc}| =
+    /// |x_c|`, `|∂y_r/∂x_c| = |a_{rc}|`, both exact for one perturbed
+    /// operand), and `def_y[r]` receives the def site of each output row.
+    /// `def_vals`/`def_x` map each stored entry / vector element to the
+    /// dynamic instruction that defined it. Without `DDG` the three def
+    /// slices are ignored (pass them empty).
     ///
     /// # Panics
     /// Panics on dimension mismatch.
     #[allow(clippy::too_many_arguments)]
-    pub fn spmv_with_provenance(
+    pub fn spmv_traced<const DDG: bool>(
         &self,
         t: &mut Tracer,
         sid: StaticId,
@@ -195,27 +171,33 @@ impl Csr {
         x: &[f64],
         def_x: &[usize],
         y: &mut [f64],
-    ) -> Vec<usize> {
+        def_y: &mut [usize],
+    ) {
         assert_eq!(vals.len(), self.nnz(), "vals dimension mismatch");
-        assert_eq!(def_vals.len(), self.nnz(), "def_vals dimension mismatch");
         assert_eq!(x.len(), self.n_cols, "x dimension mismatch");
-        assert_eq!(def_x.len(), self.n_cols, "def_x dimension mismatch");
         assert_eq!(y.len(), self.n_rows, "y dimension mismatch");
-        let mut defs = Vec::with_capacity(self.n_rows);
+        if DDG {
+            assert_eq!(def_vals.len(), self.nnz(), "def_vals dimension mismatch");
+            assert_eq!(def_x.len(), self.n_cols, "def_x dimension mismatch");
+            assert_eq!(def_y.len(), self.n_rows, "def_y dimension mismatch");
+        }
         for (r, yr) in y.iter_mut().enumerate() {
             let lo = self.row_ptr[r] as usize;
             let hi = self.row_ptr[r + 1] as usize;
             let mut s = 0.0;
             for (p, (c, v)) in (lo..hi).zip(self.cols[lo..hi].iter().zip(&vals[lo..hi])) {
                 let c = *c as usize;
-                t.dep(def_vals[p], OpKind::Scale(x[c]));
-                t.dep(def_x[c], OpKind::Scale(*v));
+                if DDG {
+                    t.dep(def_vals[p], OpKind::Scale(x[c]));
+                    t.dep(def_x[c], OpKind::Scale(*v));
+                }
                 s += v * x[c];
             }
-            defs.push(t.cursor());
+            if DDG {
+                def_y[r] = t.cursor();
+            }
             *yr = t.value(sid, s);
         }
-        defs
     }
 }
 
@@ -290,7 +272,16 @@ mod tests {
         a.spmv(&x, &mut y1);
         let mut y2 = vec![0.0; 9];
         let mut t = Tracer::untraced(Precision::F64);
-        a.spmv_traced(&mut t, StaticId(0), a.values(), &x, &mut y2);
+        a.spmv_traced::<false>(
+            &mut t,
+            StaticId(0),
+            a.values(),
+            &[],
+            &x,
+            &[],
+            &mut y2,
+            &mut [],
+        );
         assert_eq!(y1, y2);
         assert_eq!(t.cursor(), 9);
     }

@@ -102,7 +102,8 @@ impl CBuf {
 }
 
 /// Def-site map paralleling a [`CBuf`]: the dynamic instruction that
-/// last defined each real / imaginary element (provenance mode only).
+/// last defined each real / imaginary element (provenance mode only;
+/// empty otherwise).
 #[derive(Debug, Clone)]
 struct DefBuf {
     re: Vec<usize>,
@@ -159,13 +160,99 @@ impl FftKernel {
         self.cfg.n()
     }
 
+    /// The one scalar body; `DDG` compiles in the operand-provenance
+    /// bookkeeping: def maps travel with the complex buffers through
+    /// every stage. The complex product's real/imaginary mixing makes
+    /// each butterfly/twiddle store depend on both parts of its source
+    /// element.
+    fn body<const DDG: bool>(&self, t: &mut Tracer) -> Vec<f64> {
+        let (n1, n2) = (self.cfg.n1, self.cfg.n2);
+        let n = n1 * n2;
+        let n_defs = if DDG { n } else { 0 };
+
+        // Init region: load the signal (2 dynamic instructions per
+        // sample).
+        let mut x = CBuf::zero(n);
+        let mut dx = DefBuf::zero(n_defs);
+        for i in 0..n {
+            if DDG {
+                dx.re[i] = t.cursor();
+            }
+            x.re[i] = t.value(sid::INIT, self.input_re[i]);
+            if DDG {
+                dx.im[i] = t.cursor();
+            }
+            x.im[i] = t.value(sid::INIT, self.input_im[i]);
+        }
+
+        // Step 1: transpose n1×n2 -> n2×n1.
+        let mut y = CBuf::zero(n);
+        let mut dy = DefBuf::zero(n_defs);
+        Self::transpose::<DDG>(t, sid::TRANS1, (&x, &dx), (&mut y, &mut dy), n1, n2);
+
+        // Step 2: n2 row FFTs of length n1.
+        Self::row_ffts::<DDG>(t, sid::FFT1_REV, sid::FFT1_BFY, &mut y, &mut dy, n2, n1);
+
+        // Step 3: twiddle multiply Y[j2][j1] *= W_n^(j1*j2).
+        let w0 = -2.0 * std::f64::consts::PI / n as f64;
+        for j2 in 0..n2 {
+            for j1 in 0..n1 {
+                let ang = w0 * (j1 * j2) as f64;
+                let (wr, wi) = (ang.cos(), ang.sin());
+                let idx = j2 * n1 + j1;
+                let (r, i) = (y.re[idx], y.im[idx]);
+                // (r + i·j)(wr + wi·j): re' = r·wr − i·wi, im' = r·wi + i·wr
+                let (dr, di) = if DDG {
+                    (dy.re[idx], dy.im[idx])
+                } else {
+                    (0, 0)
+                };
+                if DDG {
+                    t.dep(dr, OpKind::Scale(wr));
+                    t.dep(di, OpKind::Scale(-wi));
+                    dy.re[idx] = t.cursor();
+                }
+                y.re[idx] = t.value(sid::TWIDDLE, r * wr - i * wi);
+                if DDG {
+                    t.dep(dr, OpKind::Scale(wi));
+                    t.dep(di, OpKind::Scale(wr));
+                    dy.im[idx] = t.cursor();
+                }
+                y.im[idx] = t.value(sid::TWIDDLE, r * wi + i * wr);
+            }
+        }
+
+        // Step 4: transpose n2×n1 -> n1×n2.
+        Self::transpose::<DDG>(t, sid::TRANS2, (&y, &dy), (&mut x, &mut dx), n2, n1);
+
+        // Step 5: n1 row FFTs of length n2.
+        Self::row_ffts::<DDG>(t, sid::FFT2_REV, sid::FFT2_BFY, &mut x, &mut dx, n1, n2);
+
+        // Step 6: final transpose to natural order (n1×n2 -> n2×n1).
+        Self::transpose::<DDG>(t, sid::TRANS3, (&x, &dx), (&mut y, &mut dy), n1, n2);
+
+        // Output: interleaved re/im, each element sunk from its final
+        // (transpose3) definition.
+        let mut out = Vec::with_capacity(2 * n);
+        for i in 0..n {
+            if DDG {
+                t.out_dep(dy.re[i], 1.0);
+                t.out_dep(dy.im[i], 1.0);
+            }
+            out.push(y.re[i]);
+            out.push(y.im[i]);
+        }
+        out
+    }
+
     /// Traced transpose of an `rows × cols` matrix into `dst`
-    /// (`cols × rows`).
-    fn transpose(
+    /// (`cols × rows`). With `DDG`, each store is linear in its source
+    /// element and the destination def map receives the new def sites.
+    fn transpose<const DDG: bool>(
         t: &mut Tracer,
         sid: StaticId,
-        src: &CBuf,
-        dst: &mut CBuf,
+        (src, src_def): (&CBuf, &DefBuf),
+        (dst, dst_def): (&mut CBuf, &mut DefBuf),
         rows: usize,
         cols: usize,
     ) {
@@ -173,7 +260,15 @@ impl FftKernel {
             for c in 0..cols {
                 let s = r * cols + c;
                 let d = c * rows + r;
+                if DDG {
+                    t.dep(src_def.re[s], OpKind::Add);
+                    dst_def.re[d] = t.cursor();
+                }
                 dst.re[d] = t.value(sid, src.re[s]);
+                if DDG {
+                    t.dep(src_def.im[s], OpKind::Add);
+                    dst_def.im[d] = t.cursor();
+                }
                 dst.im[d] = t.value(sid, src.im[s]);
             }
         }
@@ -181,11 +276,18 @@ impl FftKernel {
 
     /// In-place iterative radix-2 FFT over each length-`len` row of `buf`
     /// (`rows` rows). Bit-reversal stores and butterfly stores are traced.
-    fn row_ffts(
+    ///
+    /// With `DDG`, `def` travels with `buf`. A butterfly output
+    /// `u' = u ± w·v` is `Linear` in `u` and `Scale(|w_re|)/Scale(|w_im|)`
+    /// in the real / imaginary parts of `v` (the complex product mixes
+    /// them): `re(u') = re(u) ± (w_re·re(v) − w_im·im(v))` and
+    /// `im(u') = im(u) ± (w_re·im(v) + w_im·re(v))`.
+    fn row_ffts<const DDG: bool>(
         t: &mut Tracer,
         rev_sid: StaticId,
         bfy_sid: StaticId,
         buf: &mut CBuf,
+        def: &mut DefBuf,
         rows: usize,
         len: usize,
     ) {
@@ -198,9 +300,30 @@ impl FftKernel {
                 if i < j {
                     let (ai, aj) = (base + i, base + j);
                     let (re_i, im_i) = (buf.re[ai], buf.im[ai]);
+                    let (dre_i, dim_i) = if DDG {
+                        (def.re[ai], def.im[ai])
+                    } else {
+                        (0, 0)
+                    };
+                    if DDG {
+                        t.dep(def.re[aj], OpKind::Add);
+                        def.re[ai] = t.cursor();
+                    }
                     buf.re[ai] = t.value(rev_sid, buf.re[aj]);
+                    if DDG {
+                        t.dep(def.im[aj], OpKind::Add);
+                        def.im[ai] = t.cursor();
+                    }
                     buf.im[ai] = t.value(rev_sid, buf.im[aj]);
+                    if DDG {
+                        t.dep(dre_i, OpKind::Add);
+                        def.re[aj] = t.cursor();
+                    }
                     buf.re[aj] = t.value(rev_sid, re_i);
+                    if DDG {
+                        t.dep(dim_i, OpKind::Add);
+                        def.im[aj] = t.cursor();
+                    }
                     buf.im[aj] = t.value(rev_sid, im_i);
                 }
             }
@@ -218,122 +341,44 @@ impl FftKernel {
                         let v = u + half;
                         let (ur, ui) = (buf.re[u], buf.im[u]);
                         let (vr, vi) = (buf.re[v], buf.im[v]);
+                        let [dur, dui, dvr, dvi] = if DDG {
+                            [def.re[u], def.im[u], def.re[v], def.im[v]]
+                        } else {
+                            [0; 4]
+                        };
                         let tr = wr * vr - wi * vi;
                         let ti = wr * vi + wi * vr;
+                        if DDG {
+                            // re(u') = ur + (wr·vr − wi·vi)
+                            t.dep(dur, OpKind::Add);
+                            t.dep(dvr, OpKind::Scale(wr));
+                            t.dep(dvi, OpKind::Scale(-wi));
+                            def.re[u] = t.cursor();
+                        }
                         buf.re[u] = t.value(bfy_sid, ur + tr);
+                        if DDG {
+                            // im(u') = ui + (wr·vi + wi·vr)
+                            t.dep(dui, OpKind::Add);
+                            t.dep(dvi, OpKind::Scale(wr));
+                            t.dep(dvr, OpKind::Scale(wi));
+                            def.im[u] = t.cursor();
+                        }
                         buf.im[u] = t.value(bfy_sid, ui + ti);
+                        if DDG {
+                            // re(v') = ur − (wr·vr − wi·vi)
+                            t.dep(dur, OpKind::Add);
+                            t.dep(dvr, OpKind::Scale(-wr));
+                            t.dep(dvi, OpKind::Scale(wi));
+                            def.re[v] = t.cursor();
+                        }
                         buf.re[v] = t.value(bfy_sid, ur - tr);
-                        buf.im[v] = t.value(bfy_sid, ui - ti);
-                    }
-                }
-                half = step;
-            }
-        }
-    }
-
-    /// Provenance-recording transpose: each store is `Linear` in its
-    /// source element; `dst_def` receives the new def sites.
-    #[allow(clippy::too_many_arguments)]
-    fn transpose_prov(
-        t: &mut Tracer,
-        sid: StaticId,
-        src: &CBuf,
-        src_def: &DefBuf,
-        dst: &mut CBuf,
-        dst_def: &mut DefBuf,
-        rows: usize,
-        cols: usize,
-    ) {
-        for r in 0..rows {
-            for c in 0..cols {
-                let s = r * cols + c;
-                let d = c * rows + r;
-                t.dep(src_def.re[s], OpKind::Add);
-                dst_def.re[d] = t.cursor();
-                dst.re[d] = t.value(sid, src.re[s]);
-                t.dep(src_def.im[s], OpKind::Add);
-                dst_def.im[d] = t.cursor();
-                dst.im[d] = t.value(sid, src.im[s]);
-            }
-        }
-    }
-
-    /// Provenance-recording row FFTs. A butterfly output `u' = u ± w·v`
-    /// is `Linear` in `u` and `Scale(|w_re|)/Scale(|w_im|)` in the real /
-    /// imaginary parts of `v` (the complex product mixes them):
-    /// `re(u') = re(u) ± (w_re·re(v) − w_im·im(v))` and
-    /// `im(u') = im(u) ± (w_re·im(v) + w_im·re(v))`.
-    fn row_ffts_prov(
-        t: &mut Tracer,
-        rev_sid: StaticId,
-        bfy_sid: StaticId,
-        buf: &mut CBuf,
-        def: &mut DefBuf,
-        rows: usize,
-        len: usize,
-    ) {
-        for row in 0..rows {
-            let base = row * len;
-            let bits = len.trailing_zeros();
-            for i in 0..len {
-                let j = i.reverse_bits() >> (usize::BITS - bits);
-                if i < j {
-                    let (ai, aj) = (base + i, base + j);
-                    let (re_i, im_i) = (buf.re[ai], buf.im[ai]);
-                    let (dre_i, dim_i) = (def.re[ai], def.im[ai]);
-                    t.dep(def.re[aj], OpKind::Add);
-                    def.re[ai] = t.cursor();
-                    buf.re[ai] = t.value(rev_sid, buf.re[aj]);
-                    t.dep(def.im[aj], OpKind::Add);
-                    def.im[ai] = t.cursor();
-                    buf.im[ai] = t.value(rev_sid, buf.im[aj]);
-                    t.dep(dre_i, OpKind::Add);
-                    def.re[aj] = t.cursor();
-                    buf.re[aj] = t.value(rev_sid, re_i);
-                    t.dep(dim_i, OpKind::Add);
-                    def.im[aj] = t.cursor();
-                    buf.im[aj] = t.value(rev_sid, im_i);
-                }
-            }
-            let mut half = 1;
-            while half < len {
-                let step = half * 2;
-                let ang0 = -std::f64::consts::PI / half as f64;
-                for start in (0..len).step_by(step) {
-                    for k in 0..half {
-                        let ang = ang0 * k as f64;
-                        let (wr, wi) = (ang.cos(), ang.sin());
-                        let u = base + start + k;
-                        let v = u + half;
-                        let (ur, ui) = (buf.re[u], buf.im[u]);
-                        let (vr, vi) = (buf.re[v], buf.im[v]);
-                        let (dur, dui) = (def.re[u], def.im[u]);
-                        let (dvr, dvi) = (def.re[v], def.im[v]);
-                        let tr = wr * vr - wi * vi;
-                        let ti = wr * vi + wi * vr;
-                        // re(u') = ur + (wr·vr − wi·vi)
-                        t.dep(dur, OpKind::Add);
-                        t.dep(dvr, OpKind::Scale(wr));
-                        t.dep(dvi, OpKind::Scale(-wi));
-                        def.re[u] = t.cursor();
-                        buf.re[u] = t.value(bfy_sid, ur + tr);
-                        // im(u') = ui + (wr·vi + wi·vr)
-                        t.dep(dui, OpKind::Add);
-                        t.dep(dvi, OpKind::Scale(wr));
-                        t.dep(dvr, OpKind::Scale(wi));
-                        def.im[u] = t.cursor();
-                        buf.im[u] = t.value(bfy_sid, ui + ti);
-                        // re(v') = ur − (wr·vr − wi·vi)
-                        t.dep(dur, OpKind::Add);
-                        t.dep(dvr, OpKind::Scale(-wr));
-                        t.dep(dvi, OpKind::Scale(wi));
-                        def.re[v] = t.cursor();
-                        buf.re[v] = t.value(bfy_sid, ur - tr);
-                        // im(v') = ui − (wr·vi + wi·vr)
-                        t.dep(dui, OpKind::Add);
-                        t.dep(dvi, OpKind::Scale(-wr));
-                        t.dep(dvr, OpKind::Scale(-wi));
-                        def.im[v] = t.cursor();
+                        if DDG {
+                            // im(v') = ui − (wr·vi + wi·vr)
+                            t.dep(dui, OpKind::Add);
+                            t.dep(dvi, OpKind::Scale(-wr));
+                            t.dep(dvr, OpKind::Scale(-wi));
+                            def.im[v] = t.cursor();
+                        }
                         buf.im[v] = t.value(bfy_sid, ui - ti);
                     }
                 }
@@ -371,109 +416,11 @@ impl Kernel for FftKernel {
     }
 
     fn run(&self, t: &mut Tracer) -> Vec<f64> {
-        let (n1, n2) = (self.cfg.n1, self.cfg.n2);
-        let n = n1 * n2;
-
-        // Hot (injection) path: no def-map bookkeeping.
-        if !t.ddg_enabled() {
-            // Init region: load the signal (2 dynamic instructions per
-            // sample).
-            let mut x = CBuf::zero(n);
-            for i in 0..n {
-                x.re[i] = t.value(sid::INIT, self.input_re[i]);
-                x.im[i] = t.value(sid::INIT, self.input_im[i]);
-            }
-
-            // Step 1: transpose n1×n2 -> n2×n1.
-            let mut y = CBuf::zero(n);
-            Self::transpose(t, sid::TRANS1, &x, &mut y, n1, n2);
-
-            // Step 2: n2 row FFTs of length n1.
-            Self::row_ffts(t, sid::FFT1_REV, sid::FFT1_BFY, &mut y, n2, n1);
-
-            // Step 3: twiddle multiply Y[j2][j1] *= W_n^(j1*j2).
-            let w0 = -2.0 * std::f64::consts::PI / n as f64;
-            for j2 in 0..n2 {
-                for j1 in 0..n1 {
-                    let ang = w0 * (j1 * j2) as f64;
-                    let (wr, wi) = (ang.cos(), ang.sin());
-                    let idx = j2 * n1 + j1;
-                    let (r, i) = (y.re[idx], y.im[idx]);
-                    y.re[idx] = t.value(sid::TWIDDLE, r * wr - i * wi);
-                    y.im[idx] = t.value(sid::TWIDDLE, r * wi + i * wr);
-                }
-            }
-
-            // Step 4: transpose n2×n1 -> n1×n2.
-            Self::transpose(t, sid::TRANS2, &y, &mut x, n2, n1);
-
-            // Step 5: n1 row FFTs of length n2.
-            Self::row_ffts(t, sid::FFT2_REV, sid::FFT2_BFY, &mut x, n1, n2);
-
-            // Step 6: final transpose to natural order (n1×n2 -> n2×n1).
-            Self::transpose(t, sid::TRANS3, &x, &mut y, n1, n2);
-
-            // Output: interleaved re/im.
-            let mut out = Vec::with_capacity(2 * n);
-            for i in 0..n {
-                out.push(y.re[i]);
-                out.push(y.im[i]);
-            }
-            return out;
+        if t.ddg_enabled() {
+            self.body::<true>(t)
+        } else {
+            self.body::<false>(t)
         }
-
-        // Provenance mode: def maps travel with the complex buffers
-        // through every stage. The complex product's real/imaginary
-        // mixing makes each butterfly/twiddle store depend on both parts
-        // of its source element.
-        let mut x = CBuf::zero(n);
-        let mut dx = DefBuf::zero(n);
-        for i in 0..n {
-            dx.re[i] = t.cursor();
-            x.re[i] = t.value(sid::INIT, self.input_re[i]);
-            dx.im[i] = t.cursor();
-            x.im[i] = t.value(sid::INIT, self.input_im[i]);
-        }
-
-        let mut y = CBuf::zero(n);
-        let mut dy = DefBuf::zero(n);
-        Self::transpose_prov(t, sid::TRANS1, &x, &dx, &mut y, &mut dy, n1, n2);
-        Self::row_ffts_prov(t, sid::FFT1_REV, sid::FFT1_BFY, &mut y, &mut dy, n2, n1);
-
-        let w0 = -2.0 * std::f64::consts::PI / n as f64;
-        for j2 in 0..n2 {
-            for j1 in 0..n1 {
-                let ang = w0 * (j1 * j2) as f64;
-                let (wr, wi) = (ang.cos(), ang.sin());
-                let idx = j2 * n1 + j1;
-                let (r, i) = (y.re[idx], y.im[idx]);
-                let (dr, di) = (dy.re[idx], dy.im[idx]);
-                // (r + i·j)(wr + wi·j): re' = r·wr − i·wi, im' = r·wi + i·wr
-                t.dep(dr, OpKind::Scale(wr));
-                t.dep(di, OpKind::Scale(-wi));
-                dy.re[idx] = t.cursor();
-                y.re[idx] = t.value(sid::TWIDDLE, r * wr - i * wi);
-                t.dep(dr, OpKind::Scale(wi));
-                t.dep(di, OpKind::Scale(wr));
-                dy.im[idx] = t.cursor();
-                y.im[idx] = t.value(sid::TWIDDLE, r * wi + i * wr);
-            }
-        }
-
-        Self::transpose_prov(t, sid::TRANS2, &y, &dy, &mut x, &mut dx, n2, n1);
-        Self::row_ffts_prov(t, sid::FFT2_REV, sid::FFT2_BFY, &mut x, &mut dx, n1, n2);
-        Self::transpose_prov(t, sid::TRANS3, &x, &dx, &mut y, &mut dy, n1, n2);
-
-        // Output: interleaved re/im, each element sunk from its final
-        // (transpose3) definition.
-        let mut out = Vec::with_capacity(2 * n);
-        for i in 0..n {
-            t.out_dep(dy.re[i], 1.0);
-            out.push(y.re[i]);
-            t.out_dep(dy.im[i], 1.0);
-            out.push(y.im[i]);
-        }
-        out
     }
 }
 

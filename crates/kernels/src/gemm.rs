@@ -7,7 +7,7 @@
 //! three evaluation kernels.
 
 use crate::inputs::uniform_vec;
-use crate::{resume_or_init, BatchBoundary, Kernel, KernelState};
+use crate::{load, resume_or_init, BatchBoundary, Kernel, KernelState};
 use ftb_trace::{broadcast_soa, BatchTracer, OpKind, Precision, StaticRegistry, Tracer};
 use serde::{Deserialize, Serialize};
 
@@ -75,38 +75,66 @@ impl GemmKernel {
         &self.cfg
     }
 
-    /// Initialise the traced copies of `A` and `B` and a zeroed `C` (the
-    /// non-provenance prefix of every from-scratch run), in state order
-    /// `[a, b, c]`.
-    fn init_plain(&self, t: &mut Tracer) -> [Vec<f64>; 3] {
-        let n = self.cfg.n;
-        let mut a = vec![0.0; n * n];
-        for (dst, &src) in a.iter_mut().zip(&self.a) {
-            *dst = t.value(sid::INIT_A, src);
-        }
-        let mut b = vec![0.0; n * n];
-        for (dst, &src) in b.iter_mut().zip(&self.b) {
-            *dst = t.value(sid::INIT_B, src);
-        }
-        [a, b, vec![0.0; n * n]]
+    /// The one scalar body; `DDG` compiles in the operand-provenance
+    /// bookkeeping. Starts from the tracer's resume state when one is
+    /// set.
+    fn body<const DDG: bool>(&self, t: &mut Tracer) -> Vec<f64> {
+        // INIT_A occupies sites [0, n²), INIT_B sites [n², 2n²) —
+        // recorded explicitly rather than assumed
+        let (mut def_a, mut def_b) = (Vec::new(), Vec::new());
+        // the traced copies of `A` and `B` and a zeroed `C`, in state
+        // order `[a, b, c]`
+        let init = |t: &mut Tracer| {
+            let a = load::<DDG>(t, sid::INIT_A, &self.a, &mut def_a);
+            let b = load::<DDG>(t, sid::INIT_B, &self.b, &mut def_b);
+            [a, b, vec![0.0; self.cfg.n * self.cfg.n]]
+        };
+        let (start, [a, b, mut c]) = match resume_or_init(t, init) {
+            Ok(started) => started,
+            Err([_, _, c]) => return c,
+        };
+        self.cell_rows::<DDG>(t, start, &a, &b, &mut c, &def_a, &def_b);
+        c
     }
 
-    /// The CELL rows from `start_row` onward — the one non-provenance
-    /// row loop, whether the run started from scratch or from a resume
-    /// state. Reports `[a, b, c]` to [`Tracer::boundary`] after every row
-    /// but the last and stops when it answers `true`.
-    // kept out of line, like `LuKernel::block_steps`, so its loops are not
-    // register-allocated together with `run`'s provenance body
+    /// The CELL rows from `start_row` onward, whether the run started
+    /// from scratch or from a resume state. Reports `[a, b, c]` to
+    /// [`Tracer::boundary`] after every row but the last and stops when
+    /// it answers `true`.
+    // kept out of line, like `LuKernel::block_steps`, so its loops are
+    // register-allocated on their own
     #[inline(never)]
-    fn cell_rows(&self, t: &mut Tracer, start_row: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    #[allow(clippy::too_many_arguments)]
+    fn cell_rows<const DDG: bool>(
+        &self,
+        t: &mut Tracer,
+        start_row: usize,
+        a: &[f64],
+        b: &[f64],
+        c: &mut [f64],
+        def_a: &[usize],
+        def_b: &[usize],
+    ) {
         let n = self.cfg.n;
         for i in start_row..n {
             for j in 0..n {
+                if DDG {
+                    // c_ij = Σ_k a_ik b_kj: |∂c/∂a_ik| = |b_kj| and
+                    // vice versa, exact for one perturbed operand
+                    for k in 0..n {
+                        t.dep(def_a[i * n + k], OpKind::Scale(b[k * n + j]));
+                        t.dep(def_b[k * n + j], OpKind::Scale(a[i * n + k]));
+                    }
+                }
                 let mut s = 0.0;
                 for k in 0..n {
                     s += a[i * n + k] * b[k * n + j];
                 }
+                let def = t.cursor();
                 c[i * n + j] = t.value(sid::CELL, s);
+                if DDG {
+                    t.out_dep(def, 1.0);
+                }
             }
             if i + 1 < n && t.boundary((i + 1) as u64, &[a, b, c]) {
                 return;
@@ -149,8 +177,10 @@ impl Kernel for GemmKernel {
     /// never read back, so the cell value `s` is computed once and
     /// broadcast — lanes diverge only through the tracer (quantisation,
     /// the flip, the non-finite trap). `trap_break` is `false`: the
-    /// scalar [`GemmKernel::cell_rows`] has no `Tracer::should_stop` break,
-    /// so trapped lanes run to completion exactly as scalar runs do.
+    /// scalar body's row loop (`GemmKernel::cell_rows`, whose
+    /// `DDG = false` instance injection runs) has no
+    /// `Tracer::should_stop` break, so trapped lanes run to completion
+    /// exactly as scalar runs do.
     fn run_batch_resumed(
         &self,
         bt: &mut BatchTracer,
@@ -190,60 +220,11 @@ impl Kernel for GemmKernel {
     }
 
     fn run(&self, t: &mut Tracer) -> Vec<f64> {
-        // The hot (injection) path goes through the shared row loop; only
-        // provenance recording needs the def-map-annotated body.
-        if !t.ddg_enabled() {
-            let (start, [a, b, mut c]) = match resume_or_init(t, |t| self.init_plain(t)) {
-                Ok(started) => started,
-                Err([_, _, c]) => return c,
-            };
-            self.cell_rows(t, start, &a, &b, &mut c);
-            return c;
+        if t.ddg_enabled() {
+            self.body::<true>(t)
+        } else {
+            self.body::<false>(t)
         }
-        let n = self.cfg.n;
-        // provenance mode: INIT_A occupies sites [0, n²), INIT_B sites
-        // [n², 2n²) — recorded explicitly rather than assumed
-        let ddg = t.ddg_enabled();
-        let mut def_a = vec![0usize; if ddg { n * n } else { 0 }];
-        let mut def_b = def_a.clone();
-
-        let mut a = vec![0.0; n * n];
-        for (i, (dst, &src)) in a.iter_mut().zip(&self.a).enumerate() {
-            if ddg {
-                def_a[i] = t.cursor();
-            }
-            *dst = t.value(sid::INIT_A, src);
-        }
-        let mut b = vec![0.0; n * n];
-        for (i, (dst, &src)) in b.iter_mut().zip(&self.b).enumerate() {
-            if ddg {
-                def_b[i] = t.cursor();
-            }
-            *dst = t.value(sid::INIT_B, src);
-        }
-        let mut c = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                if ddg {
-                    // c_ij = Σ_k a_ik b_kj: |∂c/∂a_ik| = |b_kj| and
-                    // vice versa, exact for one perturbed operand
-                    for k in 0..n {
-                        t.dep(def_a[i * n + k], OpKind::Scale(b[k * n + j]));
-                        t.dep(def_b[k * n + j], OpKind::Scale(a[i * n + k]));
-                    }
-                }
-                let mut s = 0.0;
-                for k in 0..n {
-                    s += a[i * n + k] * b[k * n + j];
-                }
-                let def = t.cursor();
-                c[i * n + j] = t.value(sid::CELL, s);
-                if ddg {
-                    t.out_dep(def, 1.0);
-                }
-            }
-        }
-        c
     }
 }
 

@@ -15,7 +15,7 @@
 
 use crate::csr::Csr;
 use crate::inputs::uniform_vec;
-use crate::{resume_or_init, BatchBoundary, Kernel, KernelState, MAX_BATCH_LANES};
+use crate::{load, resume_or_init, BatchBoundary, Kernel, KernelState, MAX_BATCH_LANES};
 use ftb_trace::{broadcast_soa, BatchTracer, OpKind, Precision, StaticRegistry, Tracer};
 use serde::{Deserialize, Serialize};
 
@@ -213,34 +213,56 @@ impl JacobiKernel {
         &self.x_true
     }
 
-    /// Initialise `x` and `b` through the tracer — the non-provenance
-    /// prefix of every from-scratch run, in state order `[x, b]`.
-    fn init_plain(&self, t: &mut Tracer) -> [Vec<f64>; 2] {
-        let n = self.cfg.grid * self.cfg.grid;
-        let mut x = vec![0.0; n];
-        for xi in x.iter_mut() {
-            *xi = t.value(sid::INIT_X, 0.0);
+    /// The one scalar body; `DDG` compiles in the operand-provenance
+    /// bookkeeping (def-site maps for the `x`/`b` elements, updated as the
+    /// sweep overwrites them). Starts from the tracer's resume state when
+    /// one is set.
+    fn body<const DDG: bool>(&self, t: &mut Tracer) -> Vec<f64> {
+        let (mut def_x, mut def_b) = (Vec::new(), Vec::new());
+        // `x = 0` and the traced copy of `b`, in state order `[x, b]`
+        let init = |t: &mut Tracer| {
+            let x = load::<DDG>(t, sid::INIT_X, &vec![0.0; self.b.len()], &mut def_x);
+            let b = load::<DDG>(t, sid::INIT_B, &self.b, &mut def_b);
+            [x, b]
+        };
+        let (start, [mut x, b]) = match resume_or_init(t, init) {
+            Ok(started) => started,
+            Err([x, _]) => return x,
+        };
+        self.sweep_loop::<DDG>(t, start, &mut x, &b, &mut def_x, &def_b);
+        if DDG {
+            for &d in &def_x {
+                t.out_dep(d, 1.0);
+            }
         }
-        let mut b = vec![0.0; n];
-        for (dst, &src) in b.iter_mut().zip(&self.b) {
-            *dst = t.value(sid::INIT_B, src);
-        }
-        [x, b]
+        x
     }
 
-    /// The Jacobi sweeps from `start` onward — the one non-provenance
-    /// sweep loop, whether the run started from scratch or from a resume
-    /// state. Reports `[x, b]` to [`Tracer::boundary`] at the bottom of
-    /// every sweep but the last and stops when it answers `true`.
-    // kept out of line, like `LuKernel::block_steps`, so its loops are not
-    // register-allocated together with `run`'s provenance body
+    /// The Jacobi sweeps from `start` onward, whether the run started
+    /// from scratch or from a resume state. Reports `[x, b]` to
+    /// [`Tracer::boundary`] at the bottom of every sweep but the last and
+    /// stops when it answers `true`.
+    // kept out of line, like `LuKernel::block_steps`, so its loops are
+    // register-allocated on their own
     #[inline(never)]
-    fn sweep_loop(&self, t: &mut Tracer, start: usize, x: &mut Vec<f64>, b: &[f64]) {
+    fn sweep_loop<const DDG: bool>(
+        &self,
+        t: &mut Tracer,
+        start: usize,
+        x: &mut Vec<f64>,
+        b: &[f64],
+        def_x: &mut Vec<usize>,
+        def_b: &[usize],
+    ) {
         let n = self.cfg.grid * self.cfg.grid;
         let resid_every = self.cfg.residual_every.max(1);
         let mut next = vec![0.0; n];
+        let mut def_next = vec![0usize; if DDG { n } else { 0 }];
         let mut ax = vec![0.0; n];
         for sweep in start..self.cfg.sweeps {
+            // weighted-relaxation factor when this sweep's body is the
+            // tweaked one; `None` keeps the plain path byte-identical to
+            // an untweaked build
             let omega = match self.cfg.tweak {
                 Some(tw) if tw.sweep == sweep => Some(tw.omega),
                 _ => None,
@@ -249,14 +271,50 @@ impl JacobiKernel {
                 let lo = self.off_ptr[r] as usize;
                 let hi = self.off_ptr[r + 1] as usize;
                 let mut off = 0.0;
+                // def site of the latest fine-grained accumulation
+                let mut acc_def = usize::MAX;
                 if self.cfg.fine_grained {
                     for (&c, &v) in self.off_cols[lo..hi].iter().zip(&self.off_vals[lo..hi]) {
+                        if DDG {
+                            if acc_def != usize::MAX {
+                                t.dep(acc_def, OpKind::Add);
+                            }
+                            t.dep(def_x[c as usize], OpKind::Scale(v));
+                            acc_def = t.cursor();
+                        }
                         off = t.value(sid::SWEEP_ACC, off + v * x[c as usize]);
                     }
                 } else {
                     for (&c, &v) in self.off_cols[lo..hi].iter().zip(&self.off_vals[lo..hi]) {
+                        if DDG {
+                            // ∂x_r/∂x_c = −(ω)·v/d_r at the golden values:
+                            // the off-diagonal contribution is subtracted
+                            let amp = match omega {
+                                Some(w) => w * v / self.diag[r],
+                                None => v / self.diag[r],
+                            };
+                            t.dep(def_x[c as usize], OpKind::Scale(-amp));
+                        }
                         off += v * x[c as usize];
                     }
+                }
+                if DDG {
+                    // x_r = (b_r − off) / d_r, damped by ω when tweaked
+                    if let Some(w) = omega {
+                        t.dep(def_b[r], OpKind::Scale(w / self.diag[r]));
+                        if acc_def != usize::MAX {
+                            // x_r falls as off rises: ∂x_r/∂off = −ω/d_r
+                            t.dep(acc_def, OpKind::Scale(-(w / self.diag[r])));
+                        }
+                        t.dep(def_x[r], OpKind::Scale(1.0 - w));
+                    } else {
+                        t.dep(def_b[r], OpKind::DivNum(self.diag[r]));
+                        if acc_def != usize::MAX {
+                            // ∂x_r/∂off = −1/d_r
+                            t.dep(acc_def, OpKind::Scale(-1.0 / self.diag[r]));
+                        }
+                    }
+                    def_next[r] = t.cursor();
                 }
                 let xj = (b[r] - off) / self.diag[r];
                 *nr = t.value(
@@ -268,6 +326,16 @@ impl JacobiKernel {
                 );
             }
             std::mem::swap(x, &mut next);
+            if DDG {
+                std::mem::swap(def_x, &mut def_next);
+            }
+            // residual norm², traced as a reduction (a typical
+            // convergence-monitoring store in real solvers), amortised
+            // over `residual_every` sweeps. Carries no provenance deps:
+            // the monitor value feeds neither the output nor any branch,
+            // so its in-edges cannot constrain any threshold — flips *at*
+            // a RESID site are covered by the crash-aware predictor
+            // (non-finite) or masked (the stored value is discarded).
             if (sweep + 1) % resid_every == 0 {
                 let mut res2 = 0.0;
                 self.matrix.spmv(x, &mut ax);
@@ -584,8 +652,10 @@ impl Kernel for JacobiKernel {
         &[true, false]
     }
 
-    /// The lane-batched sweep loop: per lane, the arithmetic mirrors
-    /// [`JacobiKernel::sweep_loop`] operation-for-operation — the same
+    /// The lane-batched sweep loop: per lane, the arithmetic mirrors the
+    /// scalar body's sweep loop (`JacobiKernel::sweep_loop`, whose
+    /// `DDG = false` instance injection runs) operation-for-operation —
+    /// the same
     /// off-diagonal accumulation order, the same hoisted `xj`, and a
     /// residual whose per-lane SpMV accumulates in exactly
     /// [`Csr::spmv`]'s entry order — so a lane's value stream is
@@ -616,150 +686,11 @@ impl Kernel for JacobiKernel {
     }
 
     fn run(&self, t: &mut Tracer) -> Vec<f64> {
-        // The hot (injection) path goes through the shared sweep loop;
-        // only provenance recording needs the def-map-annotated body.
-        if !t.ddg_enabled() {
-            let (start, [mut x, b]) = match resume_or_init(t, |t| self.init_plain(t)) {
-                Ok(started) => started,
-                Err([x, _]) => return x,
-            };
-            self.sweep_loop(t, start, &mut x, &b);
-            return x;
+        if t.ddg_enabled() {
+            self.body::<true>(t)
+        } else {
+            self.body::<false>(t)
         }
-        let n = self.cfg.grid * self.cfg.grid;
-
-        // provenance mode: def-site maps for x/b elements, updated as the
-        // sweep overwrites them (empty and untouched in injection runs)
-        let ddg = t.ddg_enabled();
-        let mut def_x = vec![0usize; if ddg { n } else { 0 }];
-        let mut def_next = def_x.clone();
-        let mut def_b = def_x.clone();
-
-        let mut x = vec![0.0; n];
-        for (i, xi) in x.iter_mut().enumerate() {
-            if ddg {
-                def_x[i] = t.cursor();
-            }
-            *xi = t.value(sid::INIT_X, 0.0);
-        }
-        let mut b = vec![0.0; n];
-        for (i, (dst, &src)) in b.iter_mut().zip(&self.b).enumerate() {
-            if ddg {
-                def_b[i] = t.cursor();
-            }
-            *dst = t.value(sid::INIT_B, src);
-        }
-
-        let mut next = vec![0.0; n];
-        let mut ax = vec![0.0; n];
-        let resid_every = self.cfg.residual_every.max(1);
-        for sweep in 0..self.cfg.sweeps {
-            // weighted-relaxation factor when this sweep's body is the
-            // tweaked one; `None` keeps the plain path byte-identical to
-            // an untweaked build
-            let omega = match self.cfg.tweak {
-                Some(tw) if tw.sweep == sweep => Some(tw.omega),
-                _ => None,
-            };
-            for (r, nr) in next.iter_mut().enumerate() {
-                let lo = self.off_ptr[r] as usize;
-                let hi = self.off_ptr[r + 1] as usize;
-                let mut off = 0.0;
-                if self.cfg.fine_grained {
-                    let mut acc_def = usize::MAX;
-                    for (&c, &v) in self.off_cols[lo..hi].iter().zip(&self.off_vals[lo..hi]) {
-                        if ddg {
-                            if acc_def != usize::MAX {
-                                t.dep(acc_def, OpKind::Add);
-                            }
-                            t.dep(def_x[c as usize], OpKind::Scale(v));
-                            acc_def = t.cursor();
-                        }
-                        off = t.value(sid::SWEEP_ACC, off + v * x[c as usize]);
-                    }
-                    if ddg {
-                        // x_r = (b_r − off) / d_r, damped by ω when tweaked
-                        if let Some(w) = omega {
-                            t.dep(def_b[r], OpKind::Scale(w / self.diag[r]));
-                            if acc_def != usize::MAX {
-                                // x_r falls as off rises: ∂x_r/∂off = −ω/d_r
-                                t.dep(acc_def, OpKind::Scale(-(w / self.diag[r])));
-                            }
-                            t.dep(def_x[r], OpKind::Scale(1.0 - w));
-                        } else {
-                            t.dep(def_b[r], OpKind::DivNum(self.diag[r]));
-                            if acc_def != usize::MAX {
-                                // ∂x_r/∂off = −1/d_r
-                                t.dep(acc_def, OpKind::Scale(-1.0 / self.diag[r]));
-                            }
-                        }
-                        def_next[r] = t.cursor();
-                    }
-                } else {
-                    if ddg {
-                        // x_r = (b_r − Σ_c v_c x_c) / d_r: each operand's
-                        // |∂| at the golden values, damped by ω when tweaked
-                        for (&c, &v) in self.off_cols[lo..hi].iter().zip(&self.off_vals[lo..hi]) {
-                            // ∂x_r/∂x_c = −(ω)·v/d_r: the off-diagonal
-                            // contribution is subtracted
-                            let amp = match omega {
-                                Some(w) => w * v / self.diag[r],
-                                None => v / self.diag[r],
-                            };
-                            t.dep(def_x[c as usize], OpKind::Scale(-amp));
-                        }
-                        if let Some(w) = omega {
-                            t.dep(def_b[r], OpKind::Scale(w / self.diag[r]));
-                            t.dep(def_x[r], OpKind::Scale(1.0 - w));
-                        } else {
-                            t.dep(def_b[r], OpKind::DivNum(self.diag[r]));
-                        }
-                        def_next[r] = t.cursor();
-                    }
-                    for (&c, &v) in self.off_cols[lo..hi].iter().zip(&self.off_vals[lo..hi]) {
-                        off += v * x[c as usize];
-                    }
-                }
-                let xj = (b[r] - off) / self.diag[r];
-                *nr = t.value(
-                    sid::SWEEP_X,
-                    match omega {
-                        Some(w) => (1.0 - w) * x[r] + w * xj,
-                        None => xj,
-                    },
-                );
-            }
-            std::mem::swap(&mut x, &mut next);
-            if ddg {
-                std::mem::swap(&mut def_x, &mut def_next);
-            }
-            // residual norm², traced as a reduction (a typical
-            // convergence-monitoring store in real solvers), amortised
-            // over `residual_every` sweeps. Carries no provenance deps:
-            // the monitor value feeds neither the output nor any branch,
-            // so its in-edges cannot constrain any threshold — flips *at*
-            // a RESID site are covered by the crash-aware predictor
-            // (non-finite) or masked (the stored value is discarded).
-            if (sweep + 1) % resid_every == 0 {
-                let mut res2 = 0.0;
-                self.matrix.spmv(&x, &mut ax);
-                for r in 0..n {
-                    let d = b[r] - ax[r];
-                    res2 += d * d;
-                }
-                let _ = t.value(sid::RESID, res2);
-            }
-            if t.should_stop() {
-                break;
-            }
-        }
-
-        if ddg {
-            for &d in &def_x {
-                t.out_dep(d, 1.0);
-            }
-        }
-        x
     }
 }
 

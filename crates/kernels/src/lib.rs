@@ -27,9 +27,15 @@
 //! kernels (matrix-free `cg`, `jacobi`, `gemm`, `lu`) additionally start
 //! from the tracer's resume state when one is set and report their
 //! section boundaries to the tracer's boundary hook, which is all
-//! snapshot capture and snapshot-resumed experiments need. Each of them
-//! writes its non-provenance loop once; only the operand-provenance
-//! (DDG) recording keeps an annotated copy. Batch-capable kernels add
+//! snapshot capture and snapshot-resumed experiments need.
+//!
+//! Each kernel writes its scalar computation once, as a body generic
+//! over `const DDG: bool`: every operand-provenance call (def-site maps,
+//! [`Tracer::dep`] and its siblings) sits behind `if DDG`, and `run`
+//! branches once on [`Tracer::ddg_enabled`] into `body::<true>` or
+//! `body::<false>`. The recording that [`Kernel::golden_with_ddg`]
+//! takes is therefore a compile-time instance of the very loop that
+//! fault injection runs, not a copy of it. Batch-capable kernels add
 //! one laned entry point, [`Kernel::run_batch_resumed`], that runs up to
 //! [`MAX_BATCH_LANES`] resumed experiments as one sweep.
 //!
@@ -61,7 +67,8 @@ pub mod stencil;
 pub mod stub;
 
 use ftb_trace::{
-    BatchTracer, Ddg, FaultSpec, GoldenRun, Precision, RecordMode, RunTrace, StaticRegistry, Tracer,
+    BatchTracer, Ddg, FaultSpec, GoldenRun, Precision, RecordMode, RunTrace, StaticId,
+    StaticRegistry, Tracer,
 };
 use serde::{Deserialize, Serialize};
 
@@ -88,8 +95,8 @@ pub const MAX_BATCH_LANES: usize = 16;
 /// A snapshot-capable kernel's live arrays, in [`KernelState`] order.
 type StateArrays<const N: usize> = [Vec<f64>; N];
 
-/// Where a snapshot-capable kernel's non-provenance [`Kernel::run`]
-/// starts: the tracer's resume state ([`Tracer::take_resume`]) as
+/// Where a snapshot-capable kernel's [`Kernel::run`] starts: the
+/// tracer's resume state ([`Tracer::take_resume`]) as
 /// `(step, arrays)`, or else the arrays `init` traces, reported to
 /// [`Tracer::boundary`] as step 0. `Err` holds the initial arrays when
 /// that report asks the run to stop.
@@ -111,6 +118,28 @@ fn resume_or_init<const N: usize>(
         return Err(arrays);
     }
     Ok((0, arrays))
+}
+
+/// Trace a copy of `src`, one `sid` store per element — a kernel's load
+/// of its input. The provenance instance (`DDG`) appends each store's
+/// def site to `defs`.
+fn load<const DDG: bool>(
+    t: &mut Tracer,
+    sid: StaticId,
+    src: &[f64],
+    defs: &mut Vec<usize>,
+) -> Vec<f64> {
+    if DDG {
+        defs.reserve_exact(src.len());
+    }
+    src.iter()
+        .map(|&v| {
+            if DDG {
+                defs.push(t.cursor());
+            }
+            t.value(sid, v)
+        })
+        .collect()
 }
 
 /// Per-boundary lane controller for [`Kernel::run_batch_resumed`]:
@@ -146,9 +175,13 @@ pub trait Kernel: Send + Sync {
     fn registry(&self) -> StaticRegistry;
 
     /// Execute against a tracer, returning the program output — the one
-    /// scalar entry point. Golden recording, fault injection, streamed
-    /// comparison, snapshot capture and snapshot-resumed experiments all
-    /// differ only in how the tracer was built. A
+    /// scalar entry point. Golden recording, provenance recording, fault
+    /// injection, streamed comparison, snapshot capture and
+    /// snapshot-resumed experiments all differ only in how the tracer was
+    /// built. The kernel's one body is generic over `const DDG: bool`;
+    /// `run` picks the provenance instance when [`Tracer::ddg_enabled`]
+    /// and the other one otherwise, and both execute the same dynamic
+    /// instructions. A
     /// [`Kernel::snapshot_capable`] kernel starts from the tracer's resume
     /// state when one is set ([`Tracer::take_resume`]) and otherwise from
     /// its initial state, reporting step 0 to [`Tracer::boundary`] right

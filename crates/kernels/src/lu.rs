@@ -14,7 +14,7 @@
 //! the paper's three benchmarks (35.9% in its Table 1).
 
 use crate::inputs::diag_dominant_matrix;
-use crate::{resume_or_init, BatchBoundary, Kernel, KernelState};
+use crate::{load, resume_or_init, BatchBoundary, Kernel, KernelState};
 use ftb_trace::{broadcast_soa, BatchTracer, Fnv1a, OpKind, Precision, StaticRegistry, Tracer};
 use serde::{Deserialize, Serialize};
 
@@ -114,30 +114,51 @@ impl LuKernel {
         &self.cfg
     }
 
-    /// Initialise the traced copy of the input matrix (the non-provenance
-    /// prefix of every run).
-    fn init_plain(&self, t: &mut Tracer) -> Vec<f64> {
-        let n = self.cfg.n;
-        let mut a = vec![0.0; n * n];
-        for (dst, &src) in a.iter_mut().zip(&self.a0) {
-            *dst = t.value(sid::INIT_A, src);
+    /// The one scalar body; `DDG` compiles in the operand-provenance
+    /// bookkeeping. Starts from the tracer's resume state when one is
+    /// set.
+    ///
+    /// Provenance: `def[idx]` is the dynamic instruction that last
+    /// defined `a[idx]`; every store records its operands' secant
+    /// amplifications before the defining `t.value`. The divisions use
+    /// DivNum/DivDen (the denominator path carries the |den|/2
+    /// perturbation cap), everything else is Add/Scale with signed
+    /// coefficients (the updates subtract their products).
+    fn body<const DDG: bool>(&self, t: &mut Tracer) -> Vec<f64> {
+        let mut def = Vec::new();
+        let init = |t: &mut Tracer| [load::<DDG>(t, sid::INIT_A, &self.a0, &mut def)];
+        let (start, [mut a]) = match resume_or_init(t, init) {
+            Ok(started) => started,
+            Err([a]) => return a,
+        };
+        self.block_steps::<DDG>(t, start, &mut a, &mut def);
+        // The output is the packed L\U factorization itself: every
+        // element's final definition reaches the output with
+        // amplification 1.
+        if DDG {
+            for &d in &def {
+                t.out_dep(d, 1.0);
+            }
         }
         a
     }
 
-    /// The block steps from `start_block` onward — the one
-    /// non-provenance factorization loop, whether the run started from
-    /// scratch or from a resume state. Each step opens at the
+    /// The block steps from `start_block` onward, whether the run started
+    /// from scratch or from a resume state. Each step opens at the
     /// `lu.diag.scale` section boundary of its k-range. `[a]` is reported
     /// to [`Tracer::boundary`] at the bottom of every block step but the
-    /// last, after the trap check (mirroring the provenance loop, which
-    /// trap-breaks right after `k0 = kend`); an answer of `true` stops
-    /// the loop.
-    // kept out of line: inlined into `run`, its loops would be register-
-    // allocated together with the provenance body (from-scratch runs of
-    // LU n=48 measured about 15% slower that way)
+    /// last, after the trap check; an answer of `true` stops the loop.
+    // kept out of line so its loops are register-allocated on their own
+    // (inlined into `run` next to another copy of the loops, from-scratch
+    // runs of LU n=48 measured about 15% slower)
     #[inline(never)]
-    fn block_steps(&self, t: &mut Tracer, start_block: usize, a: &mut [f64]) {
+    fn block_steps<const DDG: bool>(
+        &self,
+        t: &mut Tracer,
+        start_block: usize,
+        a: &mut [f64],
+        def: &mut [usize],
+    ) {
         let n = self.cfg.n;
         let nb = self.cfg.block;
         let nblocks = n / nb;
@@ -149,11 +170,25 @@ impl LuKernel {
             for k in k0..kend {
                 let pivot = a[k * n + k];
                 for i in (k + 1)..kend {
-                    a[i * n + k] = t.value(sid::DIAG_L, a[i * n + k] / pivot);
+                    let num = a[i * n + k];
+                    if DDG {
+                        t.dep(def[i * n + k], OpKind::DivNum(pivot));
+                        t.dep(def[k * n + k], OpKind::DivDen { num, den: pivot });
+                        def[i * n + k] = t.cursor();
+                    }
+                    a[i * n + k] = t.value(sid::DIAG_L, num / pivot);
                 }
                 for i in (k + 1)..kend {
                     let lik = a[i * n + k];
                     for j in (k + 1)..kend {
+                        if DDG {
+                            // a_ij ← a_ij − l_ik·a_kj: the product
+                            // operands enter with negative derivative
+                            t.dep(def[i * n + j], OpKind::Add);
+                            t.dep(def[i * n + k], OpKind::Scale(-a[k * n + j]));
+                            t.dep(def[k * n + j], OpKind::Scale(-lik));
+                            def[i * n + j] = t.cursor();
+                        }
                         a[i * n + j] = t.value(sid::DIAG_U, a[i * n + j] - lik * a[k * n + j]);
                     }
                 }
@@ -163,11 +198,23 @@ impl LuKernel {
             for k in k0..kend {
                 let pivot = a[k * n + k];
                 for i in kend..n {
-                    a[i * n + k] = t.value(sid::COL_L, a[i * n + k] / pivot);
+                    let num = a[i * n + k];
+                    if DDG {
+                        t.dep(def[i * n + k], OpKind::DivNum(pivot));
+                        t.dep(def[k * n + k], OpKind::DivDen { num, den: pivot });
+                        def[i * n + k] = t.cursor();
+                    }
+                    a[i * n + k] = t.value(sid::COL_L, num / pivot);
                 }
                 for i in kend..n {
                     let lik = a[i * n + k];
                     for j in (k + 1)..kend {
+                        if DDG {
+                            t.dep(def[i * n + j], OpKind::Add);
+                            t.dep(def[i * n + k], OpKind::Scale(-a[k * n + j]));
+                            t.dep(def[k * n + j], OpKind::Scale(-lik));
+                            def[i * n + j] = t.cursor();
+                        }
                         a[i * n + j] = t.value(sid::COL_U, a[i * n + j] - lik * a[k * n + j]);
                     }
                 }
@@ -179,18 +226,36 @@ impl LuKernel {
                 for i in (k + 1)..kend {
                     let lik = a[i * n + k];
                     for j in kend..n {
+                        if DDG {
+                            t.dep(def[i * n + j], OpKind::Add);
+                            t.dep(def[i * n + k], OpKind::Scale(-a[k * n + j]));
+                            t.dep(def[k * n + j], OpKind::Scale(-lik));
+                            def[i * n + j] = t.cursor();
+                        }
                         a[i * n + j] = t.value(sid::ROW_U, a[i * n + j] - lik * a[k * n + j]);
                     }
                 }
             }
 
             // 4. Trailing submatrix update: one store per element, inner
-            //    accumulation in registers (a GEMM tile).
+            //    accumulation in registers (a GEMM tile). Provenance: Add
+            //    in the accumulator, negated Scale in each subtracted
+            //    product operand.
             for i in kend..n {
                 for j in kend..n {
+                    if DDG {
+                        t.dep(def[i * n + j], OpKind::Add);
+                    }
                     let mut s = a[i * n + j];
                     for k in k0..kend {
+                        if DDG {
+                            t.dep(def[i * n + k], OpKind::Scale(-a[k * n + j]));
+                            t.dep(def[k * n + j], OpKind::Scale(-a[i * n + k]));
+                        }
                         s -= a[i * n + k] * a[k * n + j];
+                    }
+                    if DDG {
+                        def[i * n + j] = t.cursor();
                     }
                     a[i * n + j] = t.value(sid::TRAIL, s);
                 }
@@ -248,7 +313,8 @@ impl Kernel for LuKernel {
 
     /// The lane-batched block-step loop: the whole matrix is laned (every
     /// element is both read and rewritten), and each lane's operation
-    /// sequence mirrors [`LuKernel::block_steps`] exactly — the hoisted
+    /// sequence mirrors the scalar body's `LuKernel::block_steps`
+    /// exactly — the hoisted
     /// `pivot`/`lik` reads are loop-invariant there, so re-reading them
     /// per store produces the same values. `trap_break` is `true`: the
     /// scalar loop breaks on `Tracer::should_stop` at every block bottom.
@@ -356,123 +422,11 @@ impl Kernel for LuKernel {
     }
 
     fn run(&self, t: &mut Tracer) -> Vec<f64> {
-        let n = self.cfg.n;
-        let nb = self.cfg.block;
-
-        // The hot (injection) path carries no def-map bookkeeping; only
-        // provenance recording takes the annotated body below.
-        if !t.ddg_enabled() {
-            let (start, [mut a]) = match resume_or_init(t, |t| [self.init_plain(t)]) {
-                Ok(started) => started,
-                Err([a]) => return a,
-            };
-            self.block_steps(t, start, &mut a);
-            // Output: the packed L\U factors.
-            return a;
+        if t.ddg_enabled() {
+            self.body::<true>(t)
+        } else {
+            self.body::<false>(t)
         }
-
-        // Provenance mode: def[idx] is the dynamic instruction that last
-        // defined a[idx]; every store records its operands' secant
-        // amplifications before the defining `t.value`. The divisions use
-        // DivNum/DivDen (the denominator path carries the |den|/2
-        // perturbation cap), everything else is Add/Scale with signed
-        // coefficients (the updates subtract their products).
-        let mut def = vec![0usize; n * n];
-        let mut a = vec![0.0; n * n];
-        for (i, (dst, &src)) in a.iter_mut().zip(&self.a0).enumerate() {
-            def[i] = t.cursor();
-            *dst = t.value(sid::INIT_A, src);
-        }
-
-        let mut k0 = 0;
-        while k0 < n {
-            let kend = k0 + nb;
-
-            for k in k0..kend {
-                let pivot = a[k * n + k];
-                for i in (k + 1)..kend {
-                    let num = a[i * n + k];
-                    t.dep(def[i * n + k], OpKind::DivNum(pivot));
-                    t.dep(def[k * n + k], OpKind::DivDen { num, den: pivot });
-                    def[i * n + k] = t.cursor();
-                    a[i * n + k] = t.value(sid::DIAG_L, num / pivot);
-                }
-                for i in (k + 1)..kend {
-                    let lik = a[i * n + k];
-                    for j in (k + 1)..kend {
-                        // a_ij ← a_ij − l_ik·a_kj: the product operands
-                        // enter with negative derivative
-                        t.dep(def[i * n + j], OpKind::Add);
-                        t.dep(def[i * n + k], OpKind::Scale(-a[k * n + j]));
-                        t.dep(def[k * n + j], OpKind::Scale(-lik));
-                        def[i * n + j] = t.cursor();
-                        a[i * n + j] = t.value(sid::DIAG_U, a[i * n + j] - lik * a[k * n + j]);
-                    }
-                }
-            }
-
-            for k in k0..kend {
-                let pivot = a[k * n + k];
-                for i in kend..n {
-                    let num = a[i * n + k];
-                    t.dep(def[i * n + k], OpKind::DivNum(pivot));
-                    t.dep(def[k * n + k], OpKind::DivDen { num, den: pivot });
-                    def[i * n + k] = t.cursor();
-                    a[i * n + k] = t.value(sid::COL_L, num / pivot);
-                }
-                for i in kend..n {
-                    let lik = a[i * n + k];
-                    for j in (k + 1)..kend {
-                        t.dep(def[i * n + j], OpKind::Add);
-                        t.dep(def[i * n + k], OpKind::Scale(-a[k * n + j]));
-                        t.dep(def[k * n + j], OpKind::Scale(-lik));
-                        def[i * n + j] = t.cursor();
-                        a[i * n + j] = t.value(sid::COL_U, a[i * n + j] - lik * a[k * n + j]);
-                    }
-                }
-            }
-
-            for k in k0..kend {
-                for i in (k + 1)..kend {
-                    let lik = a[i * n + k];
-                    for j in kend..n {
-                        t.dep(def[i * n + j], OpKind::Add);
-                        t.dep(def[i * n + k], OpKind::Scale(-a[k * n + j]));
-                        t.dep(def[k * n + j], OpKind::Scale(-lik));
-                        def[i * n + j] = t.cursor();
-                        a[i * n + j] = t.value(sid::ROW_U, a[i * n + j] - lik * a[k * n + j]);
-                    }
-                }
-            }
-
-            for i in kend..n {
-                for j in kend..n {
-                    // s = a_ij - Σ_k a_ik a_kj: Add in the accumulator,
-                    // negated Scale in each subtracted product operand
-                    t.dep(def[i * n + j], OpKind::Add);
-                    let mut s = a[i * n + j];
-                    for k in k0..kend {
-                        t.dep(def[i * n + k], OpKind::Scale(-a[k * n + j]));
-                        t.dep(def[k * n + j], OpKind::Scale(-a[i * n + k]));
-                        s -= a[i * n + k] * a[k * n + j];
-                    }
-                    def[i * n + j] = t.cursor();
-                    a[i * n + j] = t.value(sid::TRAIL, s);
-                }
-            }
-
-            k0 = kend;
-            if t.should_stop() {
-                break;
-            }
-        }
-
-        // The output is the packed factorization itself: every element's
-        // final definition reaches the output with amplification 1.
-        for &d in &def {
-            t.out_dep(d, 1.0);
-        }
-        a
     }
 }
 

@@ -7,7 +7,7 @@
 //! closed form.
 
 use crate::inputs::uniform_vec;
-use crate::Kernel;
+use crate::{load, Kernel};
 use ftb_trace::{Fnv1a, OpKind, Precision, StaticRegistry, Tracer};
 use serde::{Deserialize, Serialize};
 
@@ -90,6 +90,33 @@ impl MatvecKernel {
             .sum::<f64>()
             .sqrt()
     }
+
+    /// The one scalar body; `DDG` compiles in the operand-provenance
+    /// bookkeeping. `y_i = Σ_j a_ij x_j`, so `|∂y_i/∂a_ij| = |x_j|` and
+    /// `|∂y_i/∂x_j| = |a_ij|` — exact for one perturbed operand.
+    fn body<const DDG: bool>(&self, t: &mut Tracer) -> Vec<f64> {
+        let n = self.cfg.n;
+        let (mut def_a, mut def_x) = (Vec::new(), Vec::new());
+        let a = load::<DDG>(t, sid::INIT_A, &self.a, &mut def_a);
+        let x = load::<DDG>(t, sid::INIT_X, &self.x, &mut def_x);
+        let mut y = vec![0.0; n];
+        for i in 0..n {
+            let mut s = 0.0;
+            for j in 0..n {
+                if DDG {
+                    t.dep(def_a[i * n + j], OpKind::Scale(x[j]));
+                    t.dep(def_x[j], OpKind::Scale(a[i * n + j]));
+                }
+                s += a[i * n + j] * x[j];
+            }
+            let def = t.cursor();
+            y[i] = t.value(sid::ROW, s);
+            if DDG {
+                t.out_dep(def, 1.0);
+            }
+        }
+        y
+    }
 }
 
 impl Kernel for MatvecKernel {
@@ -117,56 +144,11 @@ impl Kernel for MatvecKernel {
     }
 
     fn run(&self, t: &mut Tracer) -> Vec<f64> {
-        let n = self.cfg.n;
-
-        // Hot (injection) path: no def-map bookkeeping.
-        if !t.ddg_enabled() {
-            let mut a = vec![0.0; n * n];
-            for (dst, &src) in a.iter_mut().zip(&self.a) {
-                *dst = t.value(sid::INIT_A, src);
-            }
-            let mut x = vec![0.0; n];
-            for (dst, &src) in x.iter_mut().zip(&self.x) {
-                *dst = t.value(sid::INIT_X, src);
-            }
-            let mut y = vec![0.0; n];
-            for i in 0..n {
-                let mut s = 0.0;
-                for j in 0..n {
-                    s += a[i * n + j] * x[j];
-                }
-                y[i] = t.value(sid::ROW, s);
-            }
-            return y;
+        if t.ddg_enabled() {
+            self.body::<true>(t)
+        } else {
+            self.body::<false>(t)
         }
-
-        // Provenance mode: y_i = Σ_j a_ij x_j, so |∂y_i/∂a_ij| = |x_j|
-        // and |∂y_i/∂x_j| = |a_ij| — exact for one perturbed operand.
-        let mut def_a = vec![0usize; n * n];
-        let mut a = vec![0.0; n * n];
-        for (i, (dst, &src)) in a.iter_mut().zip(&self.a).enumerate() {
-            def_a[i] = t.cursor();
-            *dst = t.value(sid::INIT_A, src);
-        }
-        let mut def_x = vec![0usize; n];
-        let mut x = vec![0.0; n];
-        for (i, (dst, &src)) in x.iter_mut().zip(&self.x).enumerate() {
-            def_x[i] = t.cursor();
-            *dst = t.value(sid::INIT_X, src);
-        }
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut s = 0.0;
-            for j in 0..n {
-                t.dep(def_a[i * n + j], OpKind::Scale(x[j]));
-                t.dep(def_x[j], OpKind::Scale(a[i * n + j]));
-                s += a[i * n + j] * x[j];
-            }
-            let def = t.cursor();
-            y[i] = t.value(sid::ROW, s);
-            t.out_dep(def, 1.0);
-        }
-        y
     }
 }
 

@@ -9,7 +9,7 @@
 
 use crate::csr::Csr;
 use crate::inputs::uniform_vec;
-use crate::Kernel;
+use crate::{load, Kernel};
 use ftb_trace::{Fnv1a, Precision, StaticRegistry, Tracer};
 use serde::{Deserialize, Serialize};
 
@@ -95,6 +95,28 @@ impl SpmvKernel {
         }
         s.sqrt()
     }
+
+    /// The one scalar body; `DDG` compiles in the operand-provenance
+    /// bookkeeping: the init def sites here, the per-entry product
+    /// secants in [`Csr::spmv_traced`], and one sink per output row.
+    fn body<const DDG: bool>(&self, t: &mut Tracer) -> Vec<f64> {
+        let n = self.matrix.n_rows();
+        // Init: matrix entries, then the input vector.
+        let (mut def_a, mut def_x) = (Vec::new(), Vec::new());
+        let avals = load::<DDG>(t, sid::INIT_A, self.matrix.values(), &mut def_a);
+        let x = load::<DDG>(t, sid::INIT_X, &self.x, &mut def_x);
+        // Compute: one store per output row.
+        let mut def_y = vec![0usize; if DDG { n } else { 0 }];
+        let mut y = vec![0.0; n];
+        self.matrix
+            .spmv_traced::<DDG>(t, sid::ROW, &avals, &def_a, &x, &def_x, &mut y, &mut def_y);
+        if DDG {
+            for d in def_y {
+                t.out_dep(d, 1.0);
+            }
+        }
+        y
+    }
 }
 
 impl Kernel for SpmvKernel {
@@ -124,54 +146,11 @@ impl Kernel for SpmvKernel {
     }
 
     fn run(&self, t: &mut Tracer) -> Vec<f64> {
-        let n = self.matrix.n_rows();
-
-        // Hot (injection) path: no def-map bookkeeping.
-        if !t.ddg_enabled() {
-            // Init: matrix entries, then the input vector.
-            let avals: Vec<f64> = self
-                .matrix
-                .values()
-                .iter()
-                .map(|&v| t.value(sid::INIT_A, v))
-                .collect();
-            let mut x = vec![0.0; n];
-            for (dst, &src) in x.iter_mut().zip(&self.x) {
-                *dst = t.value(sid::INIT_X, src);
-            }
-            // Compute: one store per output row.
-            let mut y = vec![0.0; n];
-            self.matrix.spmv_traced(t, sid::ROW, &avals, &x, &mut y);
-            return y;
+        if t.ddg_enabled() {
+            self.body::<true>(t)
+        } else {
+            self.body::<false>(t)
         }
-
-        // Provenance mode: the CSR substrate records the per-entry
-        // product secants (`Csr::spmv_with_provenance`); we record the
-        // init def sites and sink each output row.
-        let mut def_a = Vec::with_capacity(self.matrix.nnz());
-        let avals: Vec<f64> = self
-            .matrix
-            .values()
-            .iter()
-            .map(|&v| {
-                def_a.push(t.cursor());
-                t.value(sid::INIT_A, v)
-            })
-            .collect();
-        let mut def_x = vec![0usize; n];
-        let mut x = vec![0.0; n];
-        for (i, (dst, &src)) in x.iter_mut().zip(&self.x).enumerate() {
-            def_x[i] = t.cursor();
-            *dst = t.value(sid::INIT_X, src);
-        }
-        let mut y = vec![0.0; n];
-        let defs =
-            self.matrix
-                .spmv_with_provenance(t, sid::ROW, &avals, &def_a, &x, &def_x, &mut y);
-        for d in defs {
-            t.out_dep(d, 1.0);
-        }
-        y
     }
 }
 

@@ -9,7 +9,7 @@
 //! verify that analysis experimentally.
 
 use crate::inputs::uniform_vec;
-use crate::Kernel;
+use crate::{load, Kernel};
 use ftb_trace::{Fnv1a, OpKind, Precision, StaticRegistry, Tracer};
 use serde::{Deserialize, Serialize};
 
@@ -91,6 +91,69 @@ impl StencilKernel {
     pub fn config(&self) -> &StencilConfig {
         &self.cfg
     }
+
+    /// The one scalar body; `DDG` compiles in the operand-provenance
+    /// bookkeeping: def maps travel with the value buffers (and swap with
+    /// them). Each interior store is a five-operand average — `|∂s/∂x| =
+    /// 0.2` for every neighbour — and each edge copy is linear in its
+    /// source.
+    fn body<const DDG: bool>(&self, t: &mut Tracer) -> Vec<f64> {
+        let g = self.cfg.grid;
+        // Init region: load the grid.
+        let mut def_cur = Vec::new();
+        let mut cur = load::<DDG>(t, sid::INIT, &self.initial, &mut def_cur);
+        let mut def_next = def_cur.clone();
+
+        let mut next = vec![0.0; g * g];
+        for _ in 0..self.cfg.sweeps {
+            // interior: the five-point average of the paper's §5
+            for i in 1..g - 1 {
+                for j in 1..g - 1 {
+                    let idx = i * g + j;
+                    if DDG {
+                        for nb in [idx, idx - g, idx + g, idx - 1, idx + 1] {
+                            t.dep(def_cur[nb], OpKind::Scale(0.2));
+                        }
+                        def_next[idx] = t.cursor();
+                    }
+                    let s = 0.2
+                        * (cur[idx] + cur[idx - g] + cur[idx + g] + cur[idx - 1] + cur[idx + 1]);
+                    next[idx] = t.value(sid::SWEEP, s);
+                }
+            }
+            // fixed boundary: copied forward (traced data movement)
+            let mut edge = |e: usize| {
+                if DDG {
+                    t.dep(def_cur[e], OpKind::Add);
+                    def_next[e] = t.cursor();
+                }
+                next[e] = t.value(sid::EDGE, cur[e]);
+            };
+            for j in 0..g {
+                edge(j);
+                edge((g - 1) * g + j);
+            }
+            for i in 1..g - 1 {
+                edge(i * g);
+                edge(i * g + g - 1);
+            }
+            std::mem::swap(&mut cur, &mut next);
+            if DDG {
+                std::mem::swap(&mut def_cur, &mut def_next);
+            }
+            if t.should_stop() {
+                break;
+            }
+        }
+
+        // Output: the final grid, one sink per element.
+        if DDG {
+            for &d in &def_cur {
+                t.out_dep(d, 1.0);
+            }
+        }
+        cur
+    }
 }
 
 impl Kernel for StencilKernel {
@@ -121,106 +184,11 @@ impl Kernel for StencilKernel {
     }
 
     fn run(&self, t: &mut Tracer) -> Vec<f64> {
-        let g = self.cfg.grid;
-
-        // Hot (injection) path: no def-map bookkeeping.
-        if !t.ddg_enabled() {
-            // Init region: load the grid.
-            let mut cur = vec![0.0; g * g];
-            for (dst, &src) in cur.iter_mut().zip(&self.initial) {
-                *dst = t.value(sid::INIT, src);
-            }
-
-            let mut next = vec![0.0; g * g];
-            for _ in 0..self.cfg.sweeps {
-                // interior: the five-point average of the paper's §5
-                for i in 1..g - 1 {
-                    for j in 1..g - 1 {
-                        let idx = i * g + j;
-                        let s = 0.2
-                            * (cur[idx]
-                                + cur[idx - g]
-                                + cur[idx + g]
-                                + cur[idx - 1]
-                                + cur[idx + 1]);
-                        next[idx] = t.value(sid::SWEEP, s);
-                    }
-                }
-                // fixed boundary: copied forward (traced data movement)
-                for j in 0..g {
-                    next[j] = t.value(sid::EDGE, cur[j]);
-                    next[(g - 1) * g + j] = t.value(sid::EDGE, cur[(g - 1) * g + j]);
-                }
-                for i in 1..g - 1 {
-                    next[i * g] = t.value(sid::EDGE, cur[i * g]);
-                    next[i * g + g - 1] = t.value(sid::EDGE, cur[i * g + g - 1]);
-                }
-                std::mem::swap(&mut cur, &mut next);
-                if t.should_stop() {
-                    break;
-                }
-            }
-
-            return cur;
+        if t.ddg_enabled() {
+            self.body::<true>(t)
+        } else {
+            self.body::<false>(t)
         }
-
-        // Provenance mode: def maps travel with the value buffers (and
-        // swap with them). Each interior store is a five-operand average
-        // — |∂s/∂x| = 0.2 for every neighbour — and each edge copy is
-        // Linear in its source.
-        let mut def_cur = vec![0usize; g * g];
-        let mut def_next = vec![0usize; g * g];
-        let mut cur = vec![0.0; g * g];
-        for (i, (dst, &src)) in cur.iter_mut().zip(&self.initial).enumerate() {
-            def_cur[i] = t.cursor();
-            *dst = t.value(sid::INIT, src);
-        }
-
-        let mut next = vec![0.0; g * g];
-        for _ in 0..self.cfg.sweeps {
-            for i in 1..g - 1 {
-                for j in 1..g - 1 {
-                    let idx = i * g + j;
-                    for nb in [idx, idx - g, idx + g, idx - 1, idx + 1] {
-                        t.dep(def_cur[nb], OpKind::Scale(0.2));
-                    }
-                    let s = 0.2
-                        * (cur[idx] + cur[idx - g] + cur[idx + g] + cur[idx - 1] + cur[idx + 1]);
-                    def_next[idx] = t.cursor();
-                    next[idx] = t.value(sid::SWEEP, s);
-                }
-            }
-            for j in 0..g {
-                t.dep(def_cur[j], OpKind::Add);
-                def_next[j] = t.cursor();
-                next[j] = t.value(sid::EDGE, cur[j]);
-                let bot = (g - 1) * g + j;
-                t.dep(def_cur[bot], OpKind::Add);
-                def_next[bot] = t.cursor();
-                next[bot] = t.value(sid::EDGE, cur[bot]);
-            }
-            for i in 1..g - 1 {
-                let left = i * g;
-                t.dep(def_cur[left], OpKind::Add);
-                def_next[left] = t.cursor();
-                next[left] = t.value(sid::EDGE, cur[left]);
-                let right = i * g + g - 1;
-                t.dep(def_cur[right], OpKind::Add);
-                def_next[right] = t.cursor();
-                next[right] = t.value(sid::EDGE, cur[right]);
-            }
-            std::mem::swap(&mut cur, &mut next);
-            std::mem::swap(&mut def_cur, &mut def_next);
-            if t.should_stop() {
-                break;
-            }
-        }
-
-        // Output: the final grid, one sink per element.
-        for &d in &def_cur {
-            t.out_dep(d, 1.0);
-        }
-        cur
     }
 }
 

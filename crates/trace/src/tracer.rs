@@ -455,8 +455,11 @@ impl<'g> Tracer<'g> {
     /// skipped prefix would silently never flip — or if values were
     /// already traced. [`Tracer::finish`] panics if the kernel never took
     /// `state`: a kernel that is not snapshot-capable would otherwise run
-    /// from scratch at a shifted cursor.
+    /// from scratch at a shifted cursor. Panics on a provenance tracer
+    /// ([`Tracer::with_ddg`]): the skipped prefix would record no def
+    /// sites.
     pub fn resume_at(mut self, cursor: usize, branch_count: usize, state: KernelState) -> Self {
+        assert!(self.ddg.is_none(), "resume_at refuses a with_ddg tracer");
         assert!(
             self.fault_site == usize::MAX || self.fault_site >= cursor,
             "fault site {} lies inside the skipped prefix (resume cursor {})",
@@ -527,19 +530,23 @@ impl<'g> Tracer<'g> {
     /// # Panics
     /// Panics unless the tracer is a [`Tracer::golden`] tracer —
     /// provenance of a faulty run would be meaningless (the amplification
-    /// factors are evaluated at the golden operand values).
+    /// factors are evaluated at the golden operand values) — or if it was
+    /// resumed ([`Tracer::resume_at`]), whose skipped prefix would record
+    /// no def sites.
     pub fn with_ddg(mut self) -> Self {
         assert!(
             self.fault_site == usize::MAX && self.record_values && self.record_ids,
             "with_ddg requires a Tracer::golden tracer"
         );
+        assert!(self.resume.is_none(), "with_ddg refuses a resumed tracer");
         self.ddg = Some(Box::new(DdgBuilder::new()));
         self
     }
 
-    /// Whether operand-provenance recording is active. Kernels gate all
-    /// `dep()` bookkeeping (def-site maps, amplification arithmetic)
-    /// behind this so the injection hot paths stay untouched.
+    /// Whether operand-provenance recording is active. Kernels branch on
+    /// it once per run, into the provenance instance of their body; the
+    /// other instance compiles without any `dep()` bookkeeping (def-site
+    /// maps, amplification arithmetic).
     #[inline]
     pub fn ddg_enabled(&self) -> bool {
         self.ddg.is_some()
@@ -978,6 +985,22 @@ mod tests {
             RecordMode::Full,
         );
         let _ = t.finish_golden(vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "resume_at refuses a with_ddg tracer")]
+    fn resume_refuses_a_provenance_tracer() {
+        let _ = Tracer::golden(Precision::F64)
+            .with_ddg()
+            .resume_at(4, 0, state());
+    }
+
+    #[test]
+    #[should_panic(expected = "with_ddg refuses a resumed tracer")]
+    fn provenance_refuses_a_resumed_tracer() {
+        let _ = Tracer::golden(Precision::F64)
+            .resume_at(4, 0, state())
+            .with_ddg();
     }
 
     #[test]

@@ -8,10 +8,11 @@ use ftb_core::prelude::*;
 use ftb_core::staticbound::StaticBoundError;
 use ftb_inject::Injector;
 use ftb_kernels::{
-    CgConfig, CgKernel, CgStorage, GemmConfig, GemmKernel, JacobiConfig, JacobiKernel, Kernel,
-    LuConfig, LuKernel,
+    CgConfig, CgKernel, CgStorage, FftConfig, FftKernel, GemmConfig, GemmKernel, JacobiConfig,
+    JacobiKernel, Kernel, LuConfig, LuKernel, MatvecConfig, MatvecKernel, SpmvConfig, SpmvKernel,
+    StencilConfig, StencilKernel, SweepTweak,
 };
-use ftb_trace::{Ddg, Precision};
+use ftb_trace::{Ddg, Fnv1a, Precision};
 
 fn jacobi_tiny() -> JacobiKernel {
     JacobiKernel::new(JacobiConfig {
@@ -214,18 +215,188 @@ fn static_thresholds_are_deterministic() {
     assert_eq!(bits1, bits2);
 }
 
+/// One small config of every kernel and of every variant that changes
+/// its provenance body: CG with both operator storages, jacobi plain,
+/// fine-grained, tweaked and with an amortised residual, multi-block LU,
+/// and the four kernels without snapshot support.
+fn provenance_table() -> Vec<(&'static str, Box<dyn Kernel>)> {
+    let jacobi = |label, cfg| (label, Box::new(JacobiKernel::new(cfg)) as Box<dyn Kernel>);
+    vec![
+        ("cg-matrix-free", Box::new(cg_tiny()) as Box<dyn Kernel>),
+        (
+            "cg-assembled-csr",
+            Box::new(CgKernel::new(CgConfig {
+                grid: 4,
+                max_iters: 100,
+                storage: CgStorage::AssembledCsr,
+                ..CgConfig::small()
+            })),
+        ),
+        jacobi("jacobi", jacobi_tiny().config().clone()),
+        jacobi(
+            "jacobi-fine-grained",
+            JacobiConfig {
+                fine_grained: true,
+                ..jacobi_tiny().config().clone()
+            },
+        ),
+        jacobi(
+            "jacobi-tweaked",
+            JacobiConfig {
+                tweak: Some(SweepTweak {
+                    sweep: 3,
+                    omega: 0.7,
+                }),
+                ..jacobi_tiny().config().clone()
+            },
+        ),
+        jacobi(
+            "jacobi-fine-grained-tweaked",
+            JacobiConfig {
+                fine_grained: true,
+                tweak: Some(SweepTweak {
+                    sweep: 2,
+                    omega: 0.6,
+                }),
+                ..jacobi_tiny().config().clone()
+            },
+        ),
+        jacobi(
+            "jacobi-residual-every-3",
+            JacobiConfig {
+                residual_every: 3,
+                ..jacobi_tiny().config().clone()
+            },
+        ),
+        ("gemm", Box::new(gemm_tiny())),
+        (
+            "lu-3-blocks",
+            Box::new(LuKernel::new(LuConfig {
+                n: 12,
+                block: 4,
+                ..LuConfig::small()
+            })),
+        ),
+        (
+            "fft",
+            Box::new(FftKernel::new(FftConfig {
+                n1: 4,
+                n2: 8,
+                ..FftConfig::small()
+            })),
+        ),
+        (
+            "stencil",
+            Box::new(StencilKernel::new(StencilConfig {
+                grid: 5,
+                sweeps: 3,
+                ..StencilConfig::small()
+            })),
+        ),
+        (
+            "matvec",
+            Box::new(MatvecKernel::new(MatvecConfig {
+                n: 6,
+                ..MatvecConfig::small()
+            })),
+        ),
+        (
+            "spmv",
+            Box::new(SpmvKernel::new(SpmvConfig {
+                grid: 4,
+                ..SpmvConfig::small()
+            })),
+        ),
+    ]
+}
+
 /// Provenance mode must not perturb the golden run itself.
 #[test]
 fn ddg_mode_golden_matches_plain_golden() {
-    for k in [
-        Box::new(jacobi_tiny()) as Box<dyn Kernel>,
-        Box::new(gemm_tiny()),
-        Box::new(cg_tiny()),
-    ] {
+    for (label, k) in provenance_table() {
         let plain = k.golden();
-        let (with_ddg, _) = k.golden_with_ddg();
-        assert_eq!(plain.values, with_ddg.values, "{}", k.name());
-        assert_eq!(plain.branches, with_ddg.branches, "{}", k.name());
-        assert_eq!(plain.output, with_ddg.output, "{}", k.name());
+        let (with_ddg, ddg) = k.golden_with_ddg();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&plain.values), bits(&with_ddg.values), "{label}");
+        assert_eq!(plain.static_ids, with_ddg.static_ids, "{label}");
+        assert_eq!(plain.branches, with_ddg.branches, "{label}");
+        assert_eq!(bits(&plain.output), bits(&with_ddg.output), "{label}");
+        assert!(ddg.is_instrumented(), "{label}: uninstrumented DDG");
+        assert_eq!(ddg.n_sites, plain.n_sites(), "{label}");
     }
+}
+
+/// Digest of one table config's streams: the plain golden run's values,
+/// static ids, branches and output, then every field of the provenance
+/// run's [`Ddg`], floats as bit patterns.
+fn stream_digest(k: &dyn Kernel) -> u64 {
+    let golden = k.golden();
+    let (_, ddg) = k.golden_with_ddg();
+    let mut h = Fnv1a::new();
+    let floats = |h: &mut Fnv1a, v: &[f64]| {
+        h.write_u64(v.len() as u64);
+        v.iter().for_each(|x| h.write_u64(x.to_bits()));
+    };
+    floats(&mut h, &golden.values);
+    h.write_u64(golden.static_ids.len() as u64);
+    golden
+        .static_ids
+        .iter()
+        .for_each(|&s| h.write_u64(u64::from(s)));
+    h.write_u64(golden.branches.len() as u64);
+    golden.branches.iter().for_each(|&b| h.write_u64(b));
+    floats(&mut h, &golden.output);
+    h.write_u64(ddg.n_sites as u64);
+    for sites in [&ddg.defs, &ddg.uses] {
+        h.write_u64(sites.len() as u64);
+        sites.iter().for_each(|&s| h.write_u64(u64::from(s)));
+    }
+    floats(&mut h, &ddg.amps);
+    floats(&mut h, &ddg.dcoefs);
+    for sinks in [&ddg.caps, &ddg.out_sinks] {
+        h.write_u64(sinks.len() as u64);
+        for &(s, v) in sinks.iter() {
+            h.write_u64(u64::from(s));
+            h.write_u64(v.to_bits());
+        }
+    }
+    h.write_u64(ddg.branch_sinks.len() as u64);
+    for &(s, amp, margin) in &ddg.branch_sinks {
+        h.write_u64(u64::from(s));
+        h.write_u64(amp.to_bits());
+        h.write_u64(margin.to_bits());
+    }
+    h.finish()
+}
+
+/// Pinned golden and provenance streams of every [`provenance_table`]
+/// config: a kernel edit that changes a single value, branch, output bit
+/// or DDG edge in either the injection or the provenance instance of a
+/// kernel body fails here.
+#[test]
+fn provenance_table_streams_are_pinned() {
+    const PINNED: [(&str, u64); 13] = [
+        ("cg-matrix-free", 0xc39a_c2cb_ee04_fbea),
+        ("cg-assembled-csr", 0x6bc6_6295_2db8_08a8),
+        ("jacobi", 0xd8d1_949a_4540_c2d7),
+        ("jacobi-fine-grained", 0x97bd_95a9_d1df_2611),
+        ("jacobi-tweaked", 0xf867_45f0_0947_de60),
+        ("jacobi-fine-grained-tweaked", 0x5d67_c6f5_a96d_3b83),
+        ("jacobi-residual-every-3", 0x4c47_5da0_ee23_1b3a),
+        ("gemm", 0x6751_9978_6f96_b7a5),
+        ("lu-3-blocks", 0x8c6d_fc68_c341_acd2),
+        ("fft", 0xa209_bc74_e4c2_213c),
+        ("stencil", 0xe4b8_6056_d255_ba18),
+        ("matvec", 0xef4a_e373_46ac_78be),
+        ("spmv", 0xa3b4_733e_044c_6105),
+    ];
+    let got: Vec<(&str, u64)> = provenance_table()
+        .iter()
+        .map(|(label, k)| (*label, stream_digest(k.as_ref())))
+        .collect();
+    for ((label, d), (pinned_label, pinned)) in got.iter().zip(PINNED) {
+        assert_eq!(*label, pinned_label);
+        assert_eq!(*d, pinned, "{label}: streams drifted (digest {d:#018x})");
+    }
+    assert_eq!(got.len(), PINNED.len());
 }
