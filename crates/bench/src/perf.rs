@@ -1224,24 +1224,24 @@ fn run_snapshot_leg(
     // certified exits are sound here: the leg compares outcome *tables*
     // (codes only), which certificate exits keep identical to
     // from-scratch execution
-    let analysis = Analysis::new(kernel, Classifier::new(w.tolerance)).with_certified_exits();
+    let injector = Injector::new(kernel, Classifier::new(w.tolerance)).with_certified_exits();
     let t0 = Instant::now();
-    let analysis = analysis.with_snapshots(DEFAULT_MAX_SNAPSHOTS);
+    let injector = injector.with_snapshots(DEFAULT_MAX_SNAPSHOTS);
     let capture_secs = t0.elapsed().as_secs_f64();
-    let store_len = analysis.injector().snapshot_store()?.len();
-    let store_mb = analysis.injector().snapshot_store()?.store_bytes() as f64 / (1024.0 * 1024.0);
+    let store_len = injector.snapshot_store()?.len();
+    let store_mb = injector.snapshot_store()?.store_bytes() as f64 / (1024.0 * 1024.0);
 
     let bits = kernel.precision().bits();
     let mut table = None;
     let mut exhaustive_secs = f64::INFINITY;
     for _ in 0..w.timing_repeats.max(1) {
         let t1 = Instant::now();
-        let t = strided_outcome_table(analysis.injector(), w.site_stride);
+        let t = strided_outcome_table(&injector, w.site_stride);
         exhaustive_secs = exhaustive_secs.min(t1.elapsed().as_secs_f64());
         table.get_or_insert(t);
     }
     let table = table.expect("at least one timing repeat");
-    let experiments = (analysis.n_sites().div_ceil(w.site_stride) * bits as usize) as u64;
+    let experiments = (injector.n_sites().div_ceil(w.site_stride) * bits as usize) as u64;
     let eps = experiments as f64 / exhaustive_secs.max(1e-9);
     Some(SnapshotStats {
         min_speedup: w.snapshot_min_speedup,
@@ -1305,12 +1305,12 @@ fn run_batch_leg(
     if w.batch_lanes < 2 || !kernel.batch_capable() {
         return None;
     }
-    let analysis = Analysis::new(kernel, Classifier::new(w.tolerance))
+    let injector = Injector::new(kernel, Classifier::new(w.tolerance))
         .with_certified_exits()
         .with_snapshots(DEFAULT_MAX_SNAPSHOTS)
         .with_batch_lanes(w.batch_lanes);
     assert!(
-        analysis.injector().batch_binding().is_some(),
+        injector.batch_binding().is_some(),
         "batch leg configured but batching did not engage"
     );
 
@@ -1319,12 +1319,12 @@ fn run_batch_leg(
     let mut exhaustive_secs = f64::INFINITY;
     for _ in 0..w.timing_repeats.max(1) {
         let t1 = Instant::now();
-        let t = strided_outcome_table(analysis.injector(), w.site_stride);
+        let t = strided_outcome_table(&injector, w.site_stride);
         exhaustive_secs = exhaustive_secs.min(t1.elapsed().as_secs_f64());
         table.get_or_insert(t);
     }
     let table = table.expect("at least one timing repeat");
-    let experiments = (analysis.n_sites().div_ceil(w.site_stride) * bits as usize) as u64;
+    let experiments = (injector.n_sites().div_ceil(w.site_stride) * bits as usize) as u64;
     let eps = experiments as f64 / exhaustive_secs.max(1e-9);
     Some(BatchStats {
         min_speedup: w.batch_min_speedup,
@@ -1424,8 +1424,9 @@ fn run_path(
     reference: bool,
 ) -> (PathStats, ExhaustiveResult) {
     let stride = w.site_stride;
-    let analysis = Analysis::new(kernel, Classifier::new(w.tolerance));
-    let injector = analysis.injector();
+    // from scratch, not under the execution policy: the snapshot and
+    // batch legs report their speedups against this leg
+    let injector = &Injector::new(kernel, Classifier::new(w.tolerance));
     let bits = kernel.precision().bits();
 
     let mut table = None;
@@ -1451,11 +1452,11 @@ fn run_path(
         table.get_or_insert(t);
     }
     let table = table.expect("at least one timing repeat");
-    let exhaustive_experiments = (analysis.n_sites().div_ceil(stride) * bits as usize) as u64;
+    let exhaustive_experiments = (injector.n_sites().div_ceil(stride) * bits as usize) as u64;
 
     let adaptive = (!reference).then(|| {
         let t1 = Instant::now();
-        let adaptive = analysis.adaptive(&w.adaptive);
+        let adaptive = adaptive_boundary(injector, &w.adaptive);
         (adaptive.samples.len() as u64, t1.elapsed().as_secs_f64())
     });
 
@@ -1716,24 +1717,24 @@ mod tests {
         let experiments = kernel.golden().values.len().div_ceil(w.site_stride)
             * kernel.precision().bits() as usize;
 
-        let scalar = Analysis::new(kernel.as_ref(), Classifier::new(w.tolerance))
+        let scalar = Injector::new(kernel.as_ref(), Classifier::new(w.tolerance))
             .with_certified_exits()
             .with_snapshots(DEFAULT_MAX_SNAPSHOTS);
         let t = Instant::now();
-        let scalar_table = strided_outcome_table(scalar.injector(), w.site_stride);
+        let scalar_table = strided_outcome_table(&scalar, w.site_stride);
         let scalar_secs = t.elapsed().as_secs_f64();
 
         let lanes = std::env::var("FTB_PROBE_LANES")
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(w.batch_lanes);
-        let batched = Analysis::new(kernel.as_ref(), Classifier::new(w.tolerance))
+        let batched = Injector::new(kernel.as_ref(), Classifier::new(w.tolerance))
             .with_certified_exits()
             .with_snapshots(DEFAULT_MAX_SNAPSHOTS)
             .with_batch_lanes(lanes);
-        assert!(batched.injector().batch_binding().is_some());
+        assert!(batched.batch_binding().is_some());
         let t = Instant::now();
-        let batched_table = strided_outcome_table(batched.injector(), w.site_stride);
+        let batched_table = strided_outcome_table(&batched, w.site_stride);
         let batched_secs = t.elapsed().as_secs_f64();
 
         eprintln!(

@@ -47,6 +47,10 @@ COMMANDS:
     protect      selective-protection plan from the inferred boundary
     help         print this text
 
+Outcome experiments resume from golden-run snapshots on jacobi, gemm, lu
+and matrix-free cg, and run as lane-batched sweeps on jacobi, gemm and
+lu. Results are bit-identical to from-scratch execution.
+
 KERNEL OPTIONS (defaults in parentheses):
     --kernel NAME          kernel to analyse (required)
     --grid N               cg/stencil/spmv/jacobi grid dimension (8 / 12 / 10 / 6)
@@ -100,21 +104,6 @@ ANALYSIS OPTIONS:
                            deprioritise (adaptive) bits the forward
                            interval analysis certifies as masked
                            (instrumented kernels only)
-    --snapshot             campaign/exhaustive: snapshot full kernel state
-                           at golden-run section boundaries and start each
-                           experiment from the snapshot preceding its
-                           fault site (snapshot-capable kernels only:
-                           jacobi, gemm, blocked lu, matrix-free cg).
-                           Results are
-                           bit-identical to from-scratch execution.
-    --snapshot-max N       snapshot: retain at most N evenly spaced
-                           boundary snapshots (128)
-    --batch-lanes N        campaign/exhaustive with --snapshot: run up to
-                           N experiments sharing a serving snapshot as
-                           one lane-batched sweep (batch-capable kernels:
-                           jacobi, gemm, lu).
-                           Results stay bit-identical to scalar runs.
-                           1 (the default) disables batching.
     --json PATH            also write results as JSON
 
 CHECKPOINT / OBSERVABILITY OPTIONS (campaign, exhaustive, adaptive):
@@ -168,13 +157,6 @@ pub struct Args {
     pub secant: bool,
     /// `exhaustive`/`adaptive`: prune statically certified bits.
     pub bit_prune: bool,
-    /// `campaign`/`exhaustive`: resume experiments from golden-run
-    /// boundary snapshots.
-    pub snapshot: bool,
-    /// Snapshot-store retention cap.
-    pub snapshot_max: usize,
-    /// Lane width for batched snapshot-resumed execution (1 = scalar).
-    pub batch_lanes: usize,
     /// `analyze bits`: relative input widening for the forward pass.
     pub widen: f64,
     /// Abstract domain for zero-injection certification: `"interval"`
@@ -203,7 +185,7 @@ fn err(msg: impl Into<String>) -> CliError {
 }
 
 /// Flags that take no value.
-const BOOLEAN_FLAGS: [&str; 9] = [
+const BOOLEAN_FLAGS: [&str; 8] = [
     "f32",
     "f64",
     "csr",
@@ -212,13 +194,12 @@ const BOOLEAN_FLAGS: [&str; 9] = [
     "static-prior",
     "secant",
     "bit-prune",
-    "snapshot",
 ];
 
 /// Flags that take a value. Anything in neither list is refused, so a
 /// misspelt or retired flag fails loudly instead of silently falling
 /// back to a default.
-const VALUE_FLAGS: [&str; 30] = [
+const VALUE_FLAGS: [&str; 28] = [
     "kernel",
     "grid",
     "rtol",
@@ -243,8 +224,6 @@ const VALUE_FLAGS: [&str; 30] = [
     "chunk",
     "safety",
     "max-sections",
-    "snapshot-max",
-    "batch-lanes",
     "widen",
     "domain",
     "budget",
@@ -479,21 +458,6 @@ pub fn parse(raw: &[String]) -> Result<Args, CliError> {
         },
         secant: flags.contains_key("secant"),
         bit_prune: flags.contains_key("bit-prune"),
-        snapshot: flags.contains_key("snapshot"),
-        snapshot_max: {
-            let m = get_usize("snapshot-max", 128)?;
-            if m == 0 {
-                return Err(err("--snapshot-max must be at least 1"));
-            }
-            m
-        },
-        batch_lanes: {
-            let l = get_usize("batch-lanes", 1)?;
-            if l == 0 {
-                return Err(err("--batch-lanes must be at least 1"));
-            }
-            l
-        },
         widen: {
             let w = get_f64("widen", 0.0)?;
             if !(w.is_finite() && w >= 0.0) {
@@ -692,34 +656,6 @@ mod tests {
         assert!(a.bit_prune);
         let a = parse(&v(&["adaptive", "--kernel", "jacobi"])).unwrap();
         assert!(!a.bit_prune);
-    }
-
-    #[test]
-    fn parses_snapshot_flags() {
-        let a = parse(&v(&["exhaustive", "--kernel", "jacobi", "--snapshot"])).unwrap();
-        assert!(a.snapshot);
-        assert_eq!(a.snapshot_max, 128);
-        let a = parse(&v(&[
-            "exhaustive",
-            "--kernel",
-            "jacobi",
-            "--snapshot",
-            "--snapshot-max",
-            "16",
-        ]))
-        .unwrap();
-        assert_eq!(a.snapshot_max, 16);
-        let a = parse(&v(&["exhaustive", "--kernel", "jacobi"])).unwrap();
-        assert!(!a.snapshot);
-        assert!(parse(&v(&[
-            "exhaustive",
-            "--kernel",
-            "jacobi",
-            "--snapshot",
-            "--snapshot-max",
-            "0"
-        ]))
-        .is_err());
     }
 
     #[test]
@@ -933,6 +869,18 @@ mod tests {
         assert_eq!(e.0, "unknown flag --extraction");
         let e = parse(&v(&["campaign", "--kernel", "matvec", "--capacity", "0"])).unwrap_err();
         assert_eq!(e.0, "unknown flag --capacity");
+        // and so do the retired execution-strategy options: snapshot
+        // resume and lane batching follow from the kernel
+        for retired in [
+            &["--snapshot"][..],
+            &["--snapshot-max", "4"],
+            &["--batch-lanes", "16"],
+        ] {
+            let mut raw = vec!["exhaustive", "--kernel", "jacobi"];
+            raw.extend_from_slice(retired);
+            let e = parse(&v(&raw)).unwrap_err();
+            assert_eq!(e.0, format!("unknown flag {}", retired[0]));
+        }
     }
 
     #[test]

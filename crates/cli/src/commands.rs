@@ -144,11 +144,7 @@ fn golden(args: &Args) -> Result<String, CliError> {
 
 fn campaign(args: &Args) -> Result<String, CliError> {
     let kernel = args.kernel.build();
-    let mut analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance));
-    if args.snapshot {
-        analysis = analysis.with_snapshots(args.snapshot_max);
-    }
-    analysis = analysis.with_batch_lanes(args.batch_lanes);
+    let analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance));
     let injector = analysis.injector();
     let plan_desc = format!("monte-carlo n={} seed={}", args.samples, args.seed);
     let plan = monte_carlo_plan(injector.n_sites(), injector.bits(), args.samples, args.seed);
@@ -208,18 +204,8 @@ fn static_bit_masks(args: &Args, kernel: &dyn ftb_kernels::Kernel) -> Result<Bit
 
 fn exhaustive(args: &Args) -> Result<String, CliError> {
     let kernel = args.kernel.build();
-    let mut analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance));
-    if args.snapshot {
-        analysis = analysis.with_snapshots(args.snapshot_max);
-    }
-    analysis = analysis.with_batch_lanes(args.batch_lanes);
+    let analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance));
     let injector = analysis.injector();
-    if args.snapshot && injector.snapshot_store().is_none() {
-        eprintln!("[ftb exhaustive] note: kernel is not snapshot-capable; running from scratch");
-    }
-    if args.batch_lanes > 1 && injector.batch_binding().is_none() {
-        eprintln!("[ftb exhaustive] note: batching does not apply here; running scalar");
-    }
 
     let masks = if args.bit_prune {
         Some(static_bit_masks(args, kernel.as_ref())?)
@@ -382,7 +368,8 @@ fn analyze_static(args: &Args) -> Result<String, CliError> {
 
     // validation: exhaustive ground truth + a pinned-seed sample, then the
     // static / inferred / golden three-way comparison
-    let injector = Injector::with_golden(kernel.as_ref(), golden, Classifier::new(args.tolerance));
+    let injector = Injector::with_golden(kernel.as_ref(), golden, Classifier::new(args.tolerance))
+        .with_execution_policy();
     let truth = injector.exhaustive();
     let n_val_sites = ((args.rate * injector.n_sites() as f64).ceil() as usize).max(4);
     let samples = SampleSet::sample_sites(&injector, n_val_sites, args.seed);
@@ -477,7 +464,8 @@ fn min_sdc_per_site(golden: &ftb_trace::GoldenRun, truth: &ExhaustiveResult) -> 
 
 fn analyze_compose(args: &Args) -> Result<String, CliError> {
     let kernel = args.kernel.build();
-    let injector = Injector::new(kernel.as_ref(), Classifier::new(args.tolerance));
+    let injector =
+        Injector::new(kernel.as_ref(), Classifier::new(args.tolerance)).with_execution_policy();
     let cfg = ftb_core::ComposeConfig {
         tolerance: args.tolerance,
         rate: args.rate,
@@ -865,7 +853,8 @@ fn analyze_bits(args: &Args) -> Result<String, CliError> {
     }
 
     // conservatism scorecard: every certified bit must really be masked
-    let injector = Injector::with_golden(kernel.as_ref(), golden, Classifier::new(args.tolerance));
+    let injector = Injector::with_golden(kernel.as_ref(), golden, Classifier::new(args.tolerance))
+        .with_execution_policy();
     let truth = injector.exhaustive();
     let (mut violations, mut truly_masked, mut certified_ok, mut crash_hits) =
         (0u64, 0u64, 0u64, 0u64);
@@ -930,7 +919,8 @@ fn analyze_bits(args: &Args) -> Result<String, CliError> {
 
 fn analyze_characterize(args: &Args) -> Result<String, CliError> {
     let kernel = args.kernel.build();
-    let injector = Injector::new(kernel.as_ref(), Classifier::new(args.tolerance));
+    let injector =
+        Injector::new(kernel.as_ref(), Classifier::new(args.tolerance)).with_execution_policy();
     let report = ftb_inject::characterize(&injector, &args.threads);
     maybe_write_json(args, &report)?;
 
@@ -1033,9 +1023,10 @@ fn load_adaptive_checkpoint(
             cp.format
         )));
     }
-    if !cp.binding.matches(expected) {
+    if let Some(field) = cp.binding.mismatch(expected) {
         return Err(CliError(format!(
-            "{path}: checkpoint belongs to a different campaign (recorded plan: {:?})",
+            "{path}: checkpoint belongs to a different campaign: its {field} binding differs \
+             (recorded plan: {:?})",
             cp.binding.plan
         )));
     }
@@ -1671,7 +1662,12 @@ mod tests {
 
     #[test]
     fn exhaustive_snapshot_agrees_with_from_scratch() {
-        let base = [
+        // the CLI's default exhaustive campaign resumes from snapshots
+        // and runs lane-batched on jacobi; its table must be the
+        // library's from-scratch table
+        let path = std::env::temp_dir().join("ftb_cli_exhaustive_policy.json");
+        let _ = std::fs::remove_file(&path);
+        let args = parse(&v(&[
             "exhaustive",
             "--kernel",
             "jacobi",
@@ -1681,23 +1677,19 @@ mod tests {
             "10",
             "--tolerance",
             "1e-4",
-        ];
-        let scratch = dispatch(&parse(&v(&base)).unwrap()).unwrap();
-        let mut snap_args = base.to_vec();
-        snap_args.extend(["--snapshot", "--snapshot-max", "4"]);
-        let snap = dispatch(&parse(&v(&snap_args)).unwrap()).unwrap();
-        assert!(snap.contains("snapshots:    4 boundaries"), "{snap}");
-        let tail = |s: &str| {
-            s.lines()
-                .filter(|l| l.starts_with("outcomes:") || l.starts_with("SDC ratio:"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(
-            tail(&scratch),
-            tail(&snap),
-            "\nscratch:\n{scratch}\nsnapshot:\n{snap}"
-        );
+            "--json",
+            path.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let out = dispatch(&args).unwrap();
+        assert!(out.contains("snapshots:    10 boundaries"), "{out}");
+        let cli: ExhaustiveResult =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let kernel = args.kernel.build();
+        let scratch = Injector::new(kernel.as_ref(), Classifier::new(1e-4));
+        assert!(scratch.snapshot_store().is_none());
+        assert_eq!(cli, scratch.exhaustive());
     }
 
     #[test]

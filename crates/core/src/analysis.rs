@@ -23,39 +23,15 @@ pub struct Analysis<'k> {
 }
 
 impl<'k> Analysis<'k> {
-    /// Record the golden run and prepare the session.
+    /// Record the golden run and prepare the session. Outcome
+    /// experiments run under the injector's one execution policy
+    /// ([`Injector::with_execution_policy`]): snapshot resume and lane
+    /// batching wherever the kernel supports them, with records
+    /// bit-identical to from-scratch execution.
     pub fn new(kernel: &'k dyn Kernel, classifier: Classifier) -> Self {
         Analysis {
-            injector: Injector::new(kernel, classifier),
+            injector: Injector::new(kernel, classifier).with_execution_policy(),
         }
-    }
-
-    /// Capture golden-run boundary snapshots and serve every experiment
-    /// from the snapshot preceding its fault site (see
-    /// [`Injector::with_snapshots`]). A no-op for kernels that are not
-    /// snapshot-capable; results are bit-identical either way.
-    pub fn with_snapshots(mut self, max_snapshots: usize) -> Self {
-        self.injector = self.injector.with_snapshots(max_snapshots);
-        self
-    }
-
-    /// Allow contraction-certificate early exits on snapshot-resumed
-    /// runs (see [`Injector::with_certified_exits`]): outcome codes stay
-    /// identical to from-scratch execution, but `output_err` of a
-    /// certificate-exited experiment is a certified upper bound rather
-    /// than the exact deviation.
-    pub fn with_certified_exits(mut self) -> Self {
-        self.injector = self.injector.with_certified_exits();
-        self
-    }
-
-    /// Run snapshot-sharing experiments as lane-batched sweeps of up to
-    /// `lanes` perturbed states (see [`Injector::with_batch_lanes`]).
-    /// Bit-identical to scalar execution; a no-op where batching does
-    /// not apply. `lanes = 1` keeps every path scalar.
-    pub fn with_batch_lanes(mut self, lanes: usize) -> Self {
-        self.injector = self.injector.with_batch_lanes(lanes);
-        self
     }
 
     /// The underlying injector.

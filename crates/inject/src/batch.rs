@@ -37,7 +37,7 @@
 
 use crate::experiment::Experiment;
 use crate::outcome::{Classifier, Outcome};
-use crate::snapshot::{bits_eq, Snapshot, SnapshotStore};
+use crate::snapshot::{Snapshot, SnapshotStore};
 use ftb_kernels::{Kernel, MAX_BATCH_LANES};
 use ftb_trace::norms::Norm;
 use ftb_trace::{compact_soa, extract_lane, BatchTracer, FaultSpec, GoldenRun, RunTrace};
@@ -141,11 +141,6 @@ impl BatchEngine<'_> {
         let n_lanes = chunk.faults.len();
         let mut bt = BatchTracer::resumed(self.kernel.precision(), &chunk.faults, snap.cursor);
         let laned_mask = self.kernel.batch_laned_arrays();
-        assert_eq!(
-            laned_mask.len(),
-            state.arrays.len(),
-            "laned-array mask does not cover the kernel state"
-        );
 
         let mut exits: Vec<Option<LaneExit>> = (0..n_lanes).map(|_| None).collect();
         // live lane index -> chunk index, compacted alongside the tracer
@@ -168,23 +163,13 @@ impl BatchEngine<'_> {
             } else {
                 self.store.boundary_at(cursor)
             };
-            // shared (non-laned) arrays are identical across lanes, so
-            // their bitwise check and certificate deviation are computed
-            // once per boundary, not once per lane
-            let shared_ok = boundary.is_some_and(|s| {
-                state
-                    .arrays
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| !laned_mask[*i])
-                    .all(|(i, a)| bits_eq(self.store.snapshot_array(s, i), a))
-            });
-            // laned arrays are scanned once, row-major, for every lane
+            // shared (non-laned) arrays are golden at every boundary
+            // (asserted by `SnapshotStore::capture`), so only the laned
+            // arrays decide. They are scanned once, row-major, for every lane
             // together — per-lane strided gathers would re-read the
             // whole SoA buffer once per live lane
             let lane_scan = boundary
                 .map(|snap_b| self.scan_laned_arrays(snap_b, laned_mask, laned, lanes, &pending));
-            let mut shared_devs: Option<Vec<Option<f64>>> = None;
             let mut keep = vec![true; lanes];
             let mut any_retired = false;
             for l in 0..lanes {
@@ -205,7 +190,7 @@ impl BatchEngine<'_> {
                 let (Some(snap_b), Some(scan)) = (boundary, &lane_scan) else {
                     continue;
                 };
-                if shared_ok && scan.eq[l] {
+                if scan.eq[l] {
                     exits[live[l]] = Some(LaneExit::Bitwise {
                         injected_err: bt.lane_injected_err(l),
                     });
@@ -213,15 +198,7 @@ impl BatchEngine<'_> {
                     any_retired = true;
                     continue;
                 }
-                if let Some(bound) = self.certified_lane_exit(
-                    snap_b,
-                    step,
-                    laned_mask,
-                    scan,
-                    l,
-                    &state,
-                    &mut shared_devs,
-                ) {
+                if let Some(bound) = self.certified_lane_exit(snap_b, step, laned_mask, scan, l) {
                     exits[live[l]] = Some(LaneExit::Certified {
                         injected_err: bt.lane_injected_err(l),
                         bound,
@@ -329,9 +306,9 @@ impl BatchEngine<'_> {
     /// One row-major pass over every laned SoA buffer at a boundary,
     /// producing for each lane its bitwise-equality flag against the
     /// golden boundary and (when certificates are live) its per-slot L∞
-    /// deviation. Equivalent to a per-lane strided
-    /// `bits_eq`/`linf_dev`, but touching each cache line once instead
-    /// of once per lane.
+    /// deviation. Equivalent to a per-lane strided bitwise compare and
+    /// L∞ fold, but touching each cache line once instead of once per
+    /// lane.
     ///
     /// The scan aborts early once no lane's retirement decision can
     /// still change: every non-pending lane has bitwise-diverged, and —
@@ -418,11 +395,9 @@ impl BatchEngine<'_> {
 
     /// The per-lane contraction-certificate check, mirroring the scalar
     /// `Injector::certified_exit`: per-array L∞ deviations from the
-    /// golden boundary (non-finite → ∞), the boundary's suffix-magnitude
-    /// bounds, and the kernel's bound, accepted only when finite and
-    /// within tolerance. Shared-array deviations are computed once per
-    /// boundary and memoised in `shared_devs`.
-    #[allow(clippy::too_many_arguments)]
+    /// golden boundary (non-finite → ∞; shared arrays are golden, so 0),
+    /// the boundary's suffix-magnitude bounds, and the kernel's bound,
+    /// accepted only when finite and within tolerance.
     fn certified_lane_exit(
         &self,
         snap_b: &Snapshot,
@@ -430,57 +405,25 @@ impl BatchEngine<'_> {
         laned_mask: &[bool],
         scan: &LaneScan,
         l: usize,
-        state: &ftb_kernels::KernelState,
-        shared_devs: &mut Option<Vec<Option<f64>>>,
     ) -> Option<f64> {
         if !self.certified_exits || !matches!(self.classifier.norm, Norm::LInf) || !scan.shape_ok {
             return None;
         }
         let budget = self.classifier.tolerance;
-        let shared = shared_devs.get_or_insert_with(|| {
-            laned_mask
-                .iter()
-                .enumerate()
-                .map(|(slot, &is_laned)| {
-                    if is_laned {
-                        return None;
-                    }
-                    let g = self.store.snapshot_array(snap_b, slot);
-                    Some(linf_dev(
-                        g.iter().copied(),
-                        state.arrays[slot].iter().copied(),
-                    ))
-                })
-                .collect()
-        });
-        let mut devs = Vec::with_capacity(laned_mask.len());
-        let mut j = 0;
-        for (slot, &is_laned) in laned_mask.iter().enumerate() {
-            if is_laned {
-                devs.push(scan.devs[j][l]);
-                j += 1;
-            } else {
-                devs.push(shared[slot].expect("shared slot deviation"));
-            }
-        }
+        let mut laned_devs = scan.devs.iter();
+        let devs: Vec<f64> = laned_mask
+            .iter()
+            .map(|&is_laned| {
+                if is_laned {
+                    laned_devs.next().expect("laned slot deviation")[l]
+                } else {
+                    0.0
+                }
+            })
+            .collect();
         let bound = self
             .kernel
             .masked_exit_bound(step, &devs, snap_b.suffix_mags(), budget)?;
         (bound.is_finite() && bound <= budget).then_some(bound)
     }
-}
-
-/// L∞ distance between two equal-length value streams, with any NaN
-/// difference collapsing to `+∞` — exactly
-/// `SnapshotStore::state_deviations`' per-array fold.
-fn linf_dev(golden: impl Iterator<Item = f64>, faulty: impl Iterator<Item = f64>) -> f64 {
-    let mut m = 0.0f64;
-    for (x, y) in golden.zip(faulty) {
-        let d = (x - y).abs();
-        if d.is_nan() {
-            return f64::INFINITY;
-        }
-        m = m.max(d);
-    }
-    m
 }

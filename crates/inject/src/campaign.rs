@@ -23,8 +23,8 @@ use crate::batch::BatchEngine;
 use crate::experiment::Experiment;
 use crate::ledger::BatchBinding;
 use crate::outcome::{Classifier, Outcome};
-use crate::snapshot::{Snapshot, SnapshotStore};
-use ftb_kernels::Kernel;
+use crate::snapshot::{Snapshot, SnapshotStore, DEFAULT_MAX_SNAPSHOTS};
+use ftb_kernels::{Kernel, MAX_BATCH_LANES};
 use ftb_trace::{
     propagation, CompactGolden, CompareScratch, FaultSpec, Fnv1a, GoldenRun, Propagation,
     RecordMode, RunTrace, Tracer,
@@ -123,6 +123,20 @@ impl<'k> Injector<'k> {
         }
     }
 
+    /// The one execution policy for outcome experiments, applied by
+    /// `ftb_core::Analysis` and every CLI command: resume from
+    /// [`DEFAULT_MAX_SNAPSHOTS`] golden snapshots when the kernel is
+    /// [`Kernel::snapshot_capable`], and run
+    /// [`MAX_BATCH_LANES`]-wide lane chunks when it is
+    /// [`Kernel::batch_capable`]. Each half is a no-op where it does not
+    /// apply, and records stay bit-identical to from-scratch execution,
+    /// so there is nothing for a user to choose. Certified exits stay
+    /// off: they would change `output_err`.
+    pub fn with_execution_policy(self) -> Self {
+        self.with_snapshots(DEFAULT_MAX_SNAPSHOTS)
+            .with_batch_lanes(MAX_BATCH_LANES)
+    }
+
     /// Capture golden-run boundary snapshots (at most `max_snapshots`,
     /// evenly thinned) and serve every subsequent experiment from the
     /// snapshot immediately preceding its fault site. A no-op when the
@@ -173,7 +187,7 @@ impl<'k> Injector<'k> {
     /// ([`Injector::run_many`] and everything built on it) batch;
     /// propagation extraction silently stays scalar. `lanes = 1`
     /// disables batching. Widths above
-    /// [`MAX_BATCH_LANES`](ftb_kernels::MAX_BATCH_LANES) (16) run as
+    /// [`MAX_BATCH_LANES`] (16) run as
     /// chunks of at most 16 lanes: a lane's record does not depend on
     /// the width it ran at, so the configured width only changes how
     /// faults are grouped (and the [`BatchBinding`] it records).

@@ -54,22 +54,23 @@ pub struct CampaignBinding {
     #[serde(default)]
     pub bit_prune: Option<BitPruneBinding>,
     /// Snapshot-store identity, present iff the campaign resumes
-    /// experiments from golden-run snapshots (`--snapshot`). Part of the
-    /// binding: resumed execution is only byte-identical when every
-    /// session serves experiments from the *same* capture, so a
-    /// snapshot-run ledger must not resume under a different store (or
-    /// none at all). `None` on from-scratch campaigns and defaulted on
-    /// read, so pre-existing ledgers keep matching.
+    /// experiments from golden-run snapshots (the execution policy,
+    /// [`crate::Injector::with_execution_policy`], does so for every
+    /// snapshot-capable kernel). Part of the binding: resumed execution
+    /// is only byte-identical when every session serves experiments
+    /// from the *same* capture, so a snapshot-run ledger must not resume
+    /// under a different store (or none at all). `None` on from-scratch
+    /// campaigns and defaulted on read.
     #[serde(default)]
     pub snapshot: Option<SnapshotBinding>,
     /// Batched-execution identity, present iff the campaign runs
-    /// lane-batched sweeps (`--batch-lanes`). Part of the binding: the
+    /// lane-batched sweeps (the execution policy does so for every
+    /// batch-capable kernel). Part of the binding: the
     /// lane grouping determines nothing about the *records* (they are
     /// bit-identical to scalar), but a resumed session must replay the
     /// same work schedule, and mixing lane configurations across
     /// sessions would silently change the perf characteristics a ledger
-    /// documents. `None` on scalar campaigns and defaulted on read, so
-    /// pre-existing ledgers keep matching.
+    /// documents. `None` on scalar campaigns and defaulted on read.
     #[serde(default)]
     pub batch: Option<BatchBinding>,
 }
@@ -111,10 +112,24 @@ pub struct BitPruneBinding {
 }
 
 impl CampaignBinding {
-    /// Structural equality via canonical JSON (avoids requiring
-    /// `PartialEq` on every nested config type).
-    pub fn matches(&self, other: &CampaignBinding) -> bool {
-        serde_json::to_string(self).ok() == serde_json::to_string(other).ok()
+    /// The first part of the binding on which `self` and `other`
+    /// differ — one of `kernel`, `classifier`, `sites/bits`, `plan`,
+    /// `bit-prune`, `snapshot` or `batch` — or `None` when they agree.
+    pub fn mismatch(&self, other: &CampaignBinding) -> Option<&'static str> {
+        [
+            ("kernel", self.kernel != other.kernel),
+            ("classifier", self.classifier != other.classifier),
+            (
+                "sites/bits",
+                (self.n_sites, self.bits) != (other.n_sites, other.bits),
+            ),
+            ("plan", self.plan != other.plan),
+            ("bit-prune", self.bit_prune != other.bit_prune),
+            ("snapshot", self.snapshot != other.snapshot),
+            ("batch", self.batch != other.batch),
+        ]
+        .into_iter()
+        .find_map(|(field, differs)| differs.then_some(field))
     }
 }
 
@@ -160,6 +175,9 @@ pub enum LedgerError {
     BindingMismatch {
         /// What the existing ledger was recorded under.
         found: Box<CampaignBinding>,
+        /// The first binding field that differs
+        /// ([`CampaignBinding::mismatch`]).
+        field: &'static str,
     },
 }
 
@@ -170,9 +188,10 @@ impl fmt::Display for LedgerError {
             LedgerError::Format { line, msg } => {
                 write!(f, "ledger format error at line {line}: {msg}")
             }
-            LedgerError::BindingMismatch { found } => write!(
+            LedgerError::BindingMismatch { found, field } => write!(
                 f,
-                "ledger belongs to a different campaign (recorded plan: {:?})",
+                "ledger belongs to a different campaign: its {field} binding differs \
+                 (recorded plan: {:?})",
                 found.plan
             ),
         }
@@ -420,7 +439,7 @@ mod tests {
         drop(w);
 
         let rec = read_ledger(&path).unwrap();
-        assert!(rec.header.binding.matches(&header.binding));
+        assert_eq!(rec.header.binding.mismatch(&header.binding), None);
         assert_eq!(rec.experiments.len(), 3);
         assert_eq!(rec.experiments[2].key(), (1, 0));
         assert!(!rec.dropped_trailing);
@@ -543,11 +562,41 @@ mod tests {
     #[test]
     fn binding_match_is_sensitive_to_plan_and_config() {
         let a = binding("exhaustive");
-        assert!(a.matches(&binding("exhaustive")));
-        assert!(!a.matches(&binding("monte-carlo n=10 seed=1")));
+        assert_eq!(a.mismatch(&binding("exhaustive")), None);
+        assert!(a.mismatch(&binding("monte-carlo n=10 seed=1")).is_some());
         let mut c = binding("exhaustive");
         c.n_sites = 21;
-        assert!(!a.matches(&c));
+        assert!(a.mismatch(&c).is_some());
+    }
+
+    #[test]
+    fn mismatch_names_the_differing_field() {
+        let a = binding("exhaustive");
+        assert_eq!(a.mismatch(&a.clone()), None);
+        assert_eq!(
+            a.mismatch(&binding("monte-carlo n=10 seed=1")),
+            Some("plan")
+        );
+        let mut c = binding("exhaustive");
+        c.bits = 32;
+        assert_eq!(a.mismatch(&c), Some("sites/bits"));
+        // a ledger written from scratch, resumed under snapshot-resumed
+        // execution of the same plan: only the snapshot binding differs
+        let mut snap = binding("exhaustive");
+        snap.snapshot = Some(SnapshotBinding {
+            snapshots: 128,
+            digest: 7,
+        });
+        assert_eq!(a.mismatch(&snap), Some("snapshot"));
+        let e = LedgerError::BindingMismatch {
+            found: Box::new(a),
+            field: "snapshot",
+        };
+        assert_eq!(
+            e.to_string(),
+            "ledger belongs to a different campaign: its snapshot binding differs \
+             (recorded plan: \"exhaustive\")"
+        );
     }
 
     #[test]

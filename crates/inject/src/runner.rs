@@ -115,9 +115,10 @@ impl<'k> ChunkedCampaign<'k> {
     ) -> Result<Self, LedgerError> {
         if resume && path.exists() {
             let rec = read_ledger(path)?;
-            if !rec.header.binding.matches(&binding) {
+            if let Some(field) = rec.header.binding.mismatch(&binding) {
                 return Err(LedgerError::BindingMismatch {
                     found: Box::new(rec.header.binding),
+                    field,
                 });
             }
             if rec.experiments.len() > self.plan.len() {
@@ -476,8 +477,9 @@ mod tests {
 
         let other = binding(&inj, "monte-carlo n=5 seed=0");
         match ChunkedCampaign::new(&inj, plan, 64).with_ledger(&path, other, true) {
-            Err(LedgerError::BindingMismatch { found }) => {
+            Err(LedgerError::BindingMismatch { found, field }) => {
                 assert_eq!(found.plan, "exhaustive");
+                assert_eq!(field, "plan");
             }
             other => panic!("expected BindingMismatch, got {:?}", other.err()),
         }

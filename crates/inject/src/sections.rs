@@ -514,7 +514,7 @@ mod tests {
         drop(w);
 
         let rec = read_section_ledger(&path).unwrap();
-        assert!(rec.header.binding.matches(&b));
+        assert_eq!(rec.header.binding.mismatch(&b), None);
         assert_eq!(rec.sections, records);
         assert!(!rec.dropped_trailing);
 

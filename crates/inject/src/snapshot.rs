@@ -26,6 +26,12 @@
 //!    site has executed will replay the golden suffix exactly, so its
 //!    outcome is `(Masked, 0.0)` with no further execution. Callers test
 //!    this with [`SnapshotStore::state_matches`].
+//!
+//! A third invariant serves lane-batched execution: every array a
+//! batch-capable kernel marks read-only
+//! ([`ftb_kernels::Kernel::batch_laned_arrays`]) holds the same bits at
+//! every boundary, so the batch engine shares one copy across lanes and
+//! never compares it. Also asserted in [`SnapshotStore::capture`].
 
 use ftb_kernels::{Kernel, KernelState};
 use ftb_trace::{FaultSpec, Fnv1a, GoldenRun, Tracer};
@@ -191,6 +197,21 @@ impl SnapshotStore {
             }
             let mut it = keep.iter();
             snapshots.retain(|_| *it.next().unwrap());
+        }
+
+        // the batch engine shares one copy of each array the kernel
+        // marks read-only across its lanes, and never compares it at a
+        // boundary: that is sound only if the array is the same at every
+        // boundary, i.e. interned to one pool entry
+        if kernel.batch_capable() {
+            let laned = kernel.batch_laned_arrays();
+            assert!(
+                snapshots.iter().all(|s| laned.len() == s.arrays.len()
+                    && (laned.iter().zip(&s.arrays).zip(&snapshots[0].arrays))
+                        .all(|((&l, a), first)| l || a == first)),
+                "the laned-array mask must cover the kernel state, and every array it marks \
+                 read-only must be the same at every boundary"
+            );
         }
 
         // garbage-collect pool entries orphaned by thinning, remapping
@@ -397,6 +418,42 @@ mod tests {
         // every snapshot holds [x, b]; b never changes, so the pool has
         // one distinct x per boundary plus exactly one b
         assert_eq!(store.pool.len(), store.len() + 1);
+    }
+
+    /// Jacobi claiming its iterate `x` is read-only: the batch engine
+    /// would share one stale copy of it across lanes.
+    struct MislabelledJacobi(JacobiKernel);
+
+    impl Kernel for MislabelledJacobi {
+        fn name(&self) -> &'static str {
+            "mislabelled-jacobi"
+        }
+        fn precision(&self) -> ftb_trace::Precision {
+            self.0.precision()
+        }
+        fn registry(&self) -> ftb_trace::StaticRegistry {
+            self.0.registry()
+        }
+        fn run(&self, t: &mut Tracer) -> Vec<f64> {
+            self.0.run(t)
+        }
+        fn snapshot_capable(&self) -> bool {
+            true
+        }
+        fn batch_capable(&self) -> bool {
+            true
+        }
+        fn batch_laned_arrays(&self) -> &'static [bool] {
+            &[false, false]
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "read-only must be the same at every boundary")]
+    fn capture_refuses_a_read_only_array_that_changes() {
+        let k = MislabelledJacobi(kernel());
+        let g = k.golden();
+        SnapshotStore::capture(&k, &g, usize::MAX);
     }
 
     #[test]

@@ -17,8 +17,8 @@ use ftb_inject::{
 };
 use ftb_integration::reference_batch;
 use ftb_kernels::{
-    CgConfig, CgKernel, GemmConfig, GemmKernel, JacobiConfig, JacobiKernel, Kernel, KernelConfig,
-    KernelState, LuConfig, LuKernel, StubKernel, SweepTweak,
+    CgConfig, CgKernel, CgStorage, GemmConfig, GemmKernel, JacobiConfig, JacobiKernel, Kernel,
+    KernelConfig, KernelState, LuConfig, LuKernel, StencilConfig, StubKernel, SweepTweak,
 };
 use ftb_trace::{FaultSpec, Precision, RecordMode, RunTrace, StaticRegistry, Tracer};
 use std::path::PathBuf;
@@ -104,14 +104,14 @@ fn snapshot_resume_is_bit_identical_across_modes_and_threads() {
     }
 }
 
-/// Contraction-certificate early exits (`--certified` analyses) keep
+/// Contraction-certificate early exits keep
 /// the exhaustive outcome table cell-for-cell identical to from-scratch
 /// execution: a certificate may only fire where Masked is provable.
 #[test]
 fn certified_exits_keep_exhaustive_table_identical() {
     let k = kernel();
-    let scratch = Analysis::new(&k, Classifier::new(1e-6)).exhaustive();
-    let certified = Analysis::new(&k, Classifier::new(1e-6))
+    let scratch = Injector::new(&k, Classifier::new(1e-6)).exhaustive();
+    let certified = Injector::new(&k, Classifier::new(1e-6))
         .with_certified_exits()
         .with_snapshots(usize::MAX)
         .exhaustive();
@@ -525,15 +525,17 @@ fn cli(args: &[&str]) -> String {
     ftb_cli::commands::dispatch(&parsed).unwrap()
 }
 
-/// End-to-end: a `--snapshot` campaign crashed mid-run (torn tail) and
-/// resumed produces a report and ledger identical to the uninterrupted
-/// snapshot run — and to the plain from-scratch run of the same
-/// campaign, since snapshots must be invisible in every artefact.
+/// End-to-end: the CLI campaign, which resumes experiments from
+/// snapshots and runs them lane-batched on jacobi, records exactly the
+/// library's from-scratch experiments and estimate; crashed mid-run
+/// (torn tail) and resumed, it reproduces its report and ledger byte for
+/// byte.
 #[test]
 fn cli_snapshot_campaign_crash_resume_matches_uninterrupted() {
-    let snap_ledger = tmp("cli-snap-ledger.jsonl");
-    let _ = std::fs::remove_file(&snap_ledger);
-    let sl = snap_ledger.to_str().unwrap();
+    let ledger = tmp("cli-snap-ledger.jsonl");
+    let json = tmp("cli-snap-estimate.json");
+    let _ = std::fs::remove_file(&ledger);
+    let (lp, jp) = (ledger.to_str().unwrap(), json.to_str().unwrap());
 
     let base = [
         "campaign",
@@ -549,34 +551,211 @@ fn cli_snapshot_campaign_crash_resume_matches_uninterrupted() {
         "120",
         "--seed",
         "5",
+        "--checkpoint",
+        lp,
     ];
+    let mut first = base.to_vec();
+    first.extend(["--json", jp]);
+    let out = cli(&first);
 
-    // from-scratch reference report (no ledger, no snapshots)
-    let scratch_out = cli(&base);
-
-    // snapshot run with a ledger, crashed at 60 records with a torn tail
-    let mut snap = base.to_vec();
-    snap.extend(["--snapshot", "--snapshot-max", "4", "--checkpoint", sl]);
-    let snap_out = cli(&snap);
+    // from-scratch library reference of the same plan
+    let raw: Vec<String> = base.iter().map(|s| s.to_string()).collect();
+    let kernel = ftb_cli::parse(&raw).unwrap().kernel.build();
+    let scratch = Injector::new(kernel.as_ref(), Classifier::new(1e-4));
+    assert!(scratch.snapshot_store().is_none());
+    let plan = monte_carlo_plan(scratch.n_sites(), scratch.bits(), 120, 5);
+    let mut expected = scratch.run_many(&plan);
+    let estimate: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&json).unwrap()).unwrap();
     assert_eq!(
-        scratch_out, snap_out,
-        "snapshots must not change the report"
+        estimate,
+        serde_json::to_value(ftb_inject::monte_carlo::summarize(&expected, 0.95)).unwrap()
     );
-    let text = std::fs::read_to_string(&snap_ledger).unwrap();
+    // the ledger holds the plan in snapshot-major order, record for
+    // record the from-scratch experiments
+    let rec = read_ledger(&ledger).unwrap();
+    assert!(rec.header.binding.snapshot.is_some() && rec.header.binding.batch.is_some());
+    let mut recorded = rec.experiments;
+    recorded.sort_by_key(|e| e.key());
+    expected.sort_by_key(|e| e.key());
+    assert_eq!(recorded, expected);
+
+    // crash at 60 records with a torn tail
+    let text = std::fs::read_to_string(&ledger).unwrap();
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 121, "header + 120 records");
     let mut crashed = lines[..61].join("\n");
     crashed.push_str("\n{\"site\":4,\"bit\"");
     let full_bytes = text.clone().into_bytes();
-    std::fs::write(&snap_ledger, crashed).unwrap();
+    std::fs::write(&ledger, crashed).unwrap();
 
-    // resume under the same snapshot flags: identical report, and the
-    // healed ledger is byte-identical to the uninterrupted one
-    let mut resume = snap.to_vec();
+    // resume: identical report, and the healed ledger is byte-identical
+    // to the uninterrupted one
+    let mut resume = base.to_vec();
     resume.push("--resume");
-    let resumed_out = cli(&resume);
-    assert_eq!(snap_out, resumed_out);
-    assert_eq!(full_bytes, std::fs::read(&snap_ledger).unwrap());
+    assert_eq!(out, cli(&resume));
+    assert_eq!(full_bytes, std::fs::read(&ledger).unwrap());
 
-    let _ = std::fs::remove_file(&snap_ledger);
+    let _ = std::fs::remove_file(&ledger);
+    let _ = std::fs::remove_file(&json);
+}
+
+/// `Analysis::new` runs outcome experiments under the execution policy
+/// (snapshot resume and lane batching wherever the kernel supports
+/// them); its exhaustive table is the from-scratch injector's, cell for
+/// cell, on every snapshot-capable kernel and on one that is not.
+#[test]
+fn policy_exhaustive_matches_from_scratch_per_kernel() {
+    let cg = CgConfig {
+        grid: 4,
+        ..CgConfig::small()
+    };
+    // (config, tolerance, snapshot-capable, batch-capable)
+    let table: [(KernelConfig, f64, bool, bool); 6] = [
+        (KernelConfig::Jacobi(cfg()), 1e-4, true, true),
+        (
+            KernelConfig::Gemm(GemmConfig {
+                n: 6,
+                ..GemmConfig::small()
+            }),
+            1e-6,
+            true,
+            true,
+        ),
+        (
+            KernelConfig::Lu(LuConfig {
+                n: 8,
+                block: 4,
+                ..LuConfig::small()
+            }),
+            1e-6,
+            true,
+            true,
+        ),
+        (KernelConfig::Cg(cg.clone()), 1e-3, true, false),
+        (
+            KernelConfig::Cg(CgConfig {
+                storage: CgStorage::AssembledCsr,
+                ..cg
+            }),
+            1e-3,
+            false,
+            false,
+        ),
+        (
+            KernelConfig::Stencil(StencilConfig {
+                grid: 6,
+                sweeps: 4,
+                ..StencilConfig::small()
+            }),
+            1e-6,
+            false,
+            false,
+        ),
+    ];
+    for (config, tol, snapshots, batched) in table {
+        let kernel = config.build();
+        let analysis = Analysis::new(kernel.as_ref(), Classifier::new(tol));
+        let injector = analysis.injector();
+        assert_eq!(injector.snapshot_store().is_some(), snapshots, "{config:?}");
+        assert_eq!(injector.batch_binding().is_some(), batched, "{config:?}");
+        let scratch = Injector::new(kernel.as_ref(), Classifier::new(tol));
+        assert_eq!(analysis.exhaustive(), scratch.exhaustive(), "{config:?}");
+    }
+}
+
+/// Run a CLI command with `--json` and return the JSON it wrote, plus
+/// the arguments it parsed.
+fn cli_json(args: &[&str], name: &str) -> (serde_json::Value, ftb_cli::Args) {
+    let path = tmp(name);
+    let _ = std::fs::remove_file(&path);
+    let mut full = args.to_vec();
+    full.extend(["--json", path.to_str().unwrap()]);
+    cli(&full);
+    let json = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let raw: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+    (json, ftb_cli::parse(&raw).unwrap())
+}
+
+const POLICY_CLI_KERNELS: [&[&str]; 2] = [
+    &[
+        "--kernel",
+        "jacobi",
+        "--grid",
+        "4",
+        "--sweeps",
+        "10",
+        "--tolerance",
+        "1e-4",
+        "--seed",
+        "41",
+    ],
+    &["--kernel", "cg", "--grid", "4", "--tolerance", "1e-3"],
+];
+
+/// CLI `adaptive` (snapshot-resumed outcome runs) reproduces the
+/// library's from-scratch adaptive result exactly, on jacobi and
+/// matrix-free CG.
+#[test]
+fn cli_adaptive_matches_from_scratch_library() {
+    for kernel_args in POLICY_CLI_KERNELS {
+        let mut args = vec!["adaptive"];
+        args.extend_from_slice(kernel_args);
+        let (json, parsed) = cli_json(&args, "policy-adaptive.json");
+        let kernel = parsed.kernel.build();
+        let scratch = Injector::new(kernel.as_ref(), Classifier::new(parsed.tolerance));
+        let cfg = AdaptiveConfig {
+            seed: parsed.seed,
+            ..AdaptiveConfig::default()
+        };
+        let reference = adaptive_boundary(&scratch, &cfg);
+        assert_eq!(json, serde_json::to_value(&reference).unwrap(), "{args:?}");
+    }
+}
+
+/// CLI `analyze compose` (snapshot-resumed section campaigns and
+/// exhaustive scorecard) reproduces the library's from-scratch section
+/// summaries and composed-boundary scores, on jacobi and matrix-free CG.
+#[test]
+fn cli_compose_matches_from_scratch_library() {
+    for kernel_args in POLICY_CLI_KERNELS {
+        let mut args = vec!["analyze", "compose", "--rate", "0.5"];
+        args.extend_from_slice(kernel_args);
+        let (json, parsed) = cli_json(&args, "policy-compose.json");
+        let kernel = parsed.kernel.build();
+        let scratch = Injector::new(kernel.as_ref(), Classifier::new(parsed.tolerance));
+        let cfg = ComposeConfig {
+            rate: parsed.rate,
+            seed: parsed.seed,
+            ..ComposeConfig::new(parsed.tolerance)
+        };
+        let r = compose_analysis(kernel.as_ref(), &parsed.kernel, &scratch, &cfg, None).unwrap();
+        let field = |row: &serde_json::Value, key: &str| row.get(key).unwrap().as_f64();
+        assert_eq!(field(&json, "n_injections"), Some(r.n_experiments as f64));
+        let sections = json.get("sections").unwrap().as_array().unwrap();
+        assert_eq!(sections.len(), r.summaries.len(), "{args:?}");
+        for (row, (summary, &budget)) in sections.iter().zip(r.summaries.iter().zip(&r.budgets)) {
+            let injections = field(row, "injections");
+            assert_eq!(injections, Some(summary.n_experiments as f64), "{args:?}");
+            assert_eq!(field(row, "amp_in"), Some(summary.amp_in), "{args:?}");
+            assert_eq!(field(row, "budget"), Some(budget), "{args:?}");
+        }
+        let truth = scratch.exhaustive();
+        let golden = scratch.golden();
+        let eval = BoundaryEval::against_exhaustive(&Predictor::new(golden, &r.boundary), &truth);
+        let composed = &json.get("comparison").unwrap().as_array().unwrap()[0];
+        assert_eq!(composed.get("method").unwrap().as_str(), Some("composed"));
+        assert_eq!(
+            field(composed, "precision"),
+            Some(eval.precision),
+            "{args:?}"
+        );
+        assert_eq!(field(composed, "recall"), Some(eval.recall), "{args:?}");
+        assert_eq!(
+            field(composed, "coverage"),
+            Some(r.boundary.coverage()),
+            "{args:?}"
+        );
+    }
 }
