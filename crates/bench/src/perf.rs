@@ -240,19 +240,6 @@ pub struct ComposeStats {
     pub incremental: Option<ComposeIncrementalStats>,
 }
 
-/// Per-site smallest SDC-causing injected error under exhaustive truth.
-fn min_sdc_per_site(golden: &ftb_trace::GoldenRun, truth: &ExhaustiveResult) -> Vec<f64> {
-    (0..golden.n_sites())
-        .map(|site| {
-            let errs = golden.flip_errors(site);
-            (0..truth.bits)
-                .filter(|&bit| truth.outcome(site, bit).is_sdc())
-                .map(|bit| errs[bit as usize])
-                .fold(f64::INFINITY, f64::min)
-        })
-        .collect()
-}
-
 /// Run the compositional stanza: fresh sectioned analysis scored
 /// against exhaustive truth, then (if pinned) the incremental leg after
 /// the code edit, reusing the same section ledger.
@@ -275,11 +262,8 @@ pub fn run_compose(cw: &ComposeWorkload) -> Option<ComposeStats> {
     let truth = inj.exhaustive();
     let golden = inj.golden();
     let eval = BoundaryEval::against_exhaustive(&Predictor::new(golden, &r.boundary), &truth);
-    let min_sdc = min_sdc_per_site(golden, &truth);
-    let conservative_fraction = (0..golden.n_sites())
-        .filter(|&s| min_sdc[s].is_infinite() || r.boundary.threshold(s) < min_sdc[s])
-        .count() as f64
-        / golden.n_sites().max(1) as f64;
+    let conservative_fraction =
+        conservative_fraction(&r.boundary, &min_sdc_per_site(golden, &truth));
 
     let incremental = cw.edit.as_ref().and_then(|edited| {
         let kernel2 = edited.build();
@@ -410,37 +394,37 @@ pub fn run_bits(bw: &BitsWorkload) -> Option<BitsStats> {
     let kernel = bw.config.build();
     let t0 = Instant::now();
     let (golden, ddg) = kernel.golden_with_ddg();
-    let sb = static_bound(&ddg, &StaticBoundConfig::new(bw.tolerance)).ok()?;
-    let fw = forward_pass(&ddg, &golden, &ForwardConfig { widen: bw.widen }).ok()?;
-    let interval_masks = safe_bit_masks(&fw, &sb.boundary(), MaskSource::Static);
+    let sites: Vec<usize> = (0..golden.n_sites()).step_by(bw.site_stride).collect();
+    let certify = |domain| {
+        let cfg = CertifyConfig {
+            tolerance: bw.tolerance,
+            safety: 1.0,
+            widen: bw.widen,
+            domain,
+            targets: Some(&sites),
+        };
+        certify_bits(&golden, &ddg, &cfg).ok()
+    };
+    let interval_masks = certify(Domain::Interval)?.masks;
     let analysis_secs = t0.elapsed().as_secs_f64();
 
-    let sites: Vec<usize> = (0..golden.n_sites()).step_by(bw.site_stride).collect();
     let t0a = Instant::now();
-    let acfg = AffineConfig::default();
-    let ab = affine_bound(&ddg, bw.tolerance, 1.0, &acfg, Some(&sites)).ok()?;
-    let fwa = affine_forward(&ddg, &golden, &ForwardConfig { widen: bw.widen }, &acfg).ok()?;
-    let masks = safe_bit_masks(&fwa, &ab.boundary(), MaskSource::Affine);
+    let affine = certify(Domain::Affine {
+        budget: AffineConfig::default().budget,
+    })?;
+    let masks = affine.masks;
     let affine_analysis_secs = t0a.elapsed().as_secs_f64();
-    let n_dead_sites = ab.n_dead;
-    let n_tightened_sites = ab.n_tightened;
 
     let injector = Injector::with_golden(kernel.as_ref(), golden, Classifier::new(bw.tolerance));
     let bits = injector.bits();
-    let certified = masks.certified_masks();
-    let interval_certified = interval_masks.certified_masks();
-    let unpruned_plan: Vec<ftb_trace::FaultSpec> = sites
+    let certified = |m: &BitMasks, f: &ftb_trace::FaultSpec| {
+        m.class(f.site, f.bit) == BitClass::CertifiedMasked
+    };
+    let unpruned_plan = strided_plan(&injector, bw.site_stride);
+    let pruned_plan: Vec<_> = unpruned_plan
         .iter()
-        .flat_map(|&site| (0..bits).map(move |bit| ftb_trace::FaultSpec { site, bit }))
-        .collect();
-    let pruned_plan: Vec<ftb_trace::FaultSpec> = sites
-        .iter()
-        .flat_map(|&site| {
-            let mask = certified[site];
-            (0..bits)
-                .filter(move |&bit| mask & (1u64 << bit) == 0)
-                .map(move |bit| ftb_trace::FaultSpec { site, bit })
-        })
+        .filter(|f| !certified(&masks, f))
+        .copied()
         .collect();
 
     let t1 = Instant::now();
@@ -454,23 +438,17 @@ pub fn run_bits(bw: &BitsWorkload) -> Option<BitsStats> {
         .iter()
         .map(|e| (e.key(), e.outcome.code()))
         .collect();
-    let violations = unpruned
-        .iter()
-        .filter(|e| certified[e.site] & (1u64 << e.bit) != 0 && !e.outcome.is_masked())
-        .count() as u64;
+    let violations =
+        BitsScorecard::score(&masks, unpruned.iter().map(|e| (e.site, e.bit, e.outcome)))
+            .violations;
     let agree_non_certified = pruned
         .iter()
         .all(|e| truth.get(&e.key()) == Some(&e.outcome.code()));
 
-    let certified_measured: u64 = sites
-        .iter()
-        .map(|&s| u64::from(certified[s].count_ones()))
-        .sum();
-    let interval_certified_measured: u64 = sites
-        .iter()
-        .map(|&s| u64::from(interval_certified[s].count_ones()))
-        .sum();
-    let total_measured = (sites.len() * bits as usize) as u64;
+    let measured = |m: &BitMasks| unpruned_plan.iter().filter(|f| certified(m, f)).count() as u64;
+    let certified_measured = measured(&masks);
+    let interval_certified_measured = measured(&interval_masks);
+    let total_measured = unpruned_plan.len() as u64;
     Some(BitsStats {
         config: bw.config.clone(),
         tolerance: bw.tolerance,
@@ -484,8 +462,8 @@ pub fn run_bits(bw: &BitsWorkload) -> Option<BitsStats> {
         certified_measured,
         interval_certified_measured,
         affine_certified_measured: certified_measured,
-        n_dead_sites,
-        n_tightened_sites,
+        n_dead_sites: affine.n_dead,
+        n_tightened_sites: affine.n_tightened,
         total_measured,
         reduction_factor: if certified_measured == total_measured {
             f64::INFINITY
@@ -633,11 +611,10 @@ fn jacobi_compose_stanza() -> ComposeWorkload {
     }
 }
 
-/// Quick-tier stanza shared by the kernels the serial-vs-parallel
-/// characterization work wired into the campaign stack (lu, fft,
-/// stencil, matvec, spmv): a validation-sized config runs the full site
-/// set on every path, plus static-bound and bit-prune stanzas at the
-/// same pinned config and a 1-vs-8-thread TVD stanza.
+/// The validation-sized stanza every quick-tier workload starts from: a
+/// config small enough to run the full site set on every path, plus
+/// static-bound and bit-prune stanzas at the same pinned config and a
+/// 1-vs-8-thread TVD stanza.
 fn quick_stanza(name: &'static str, config: KernelConfig, tolerance: f64) -> PerfWorkload {
     PerfWorkload {
         name,
@@ -668,155 +645,58 @@ fn quick_stanza(name: &'static str, config: KernelConfig, tolerance: f64) -> Per
     }
 }
 
+/// CG at `grid`, matrix-free, F32 — the quick and full tiers' CG pin.
+fn cg_config(grid: usize, max_iters: usize) -> KernelConfig {
+    KernelConfig::Cg(CgConfig {
+        grid,
+        rtol: 1e-4,
+        max_iters,
+        precision: Precision::F32,
+        seed: 42,
+        storage: CgStorage::MatrixFree,
+    })
+}
+
 /// The pinned workloads. `quick` selects the tiny CI-smoke tier; the
 /// full tier is what the committed `BENCH_ppopp21.json` reports.
 pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
-    let adaptive_default = AdaptiveConfig {
-        seed: 7,
-        ..AdaptiveConfig::default()
-    };
     if quick {
+        // jacobi, gemm and cg time five repeats instead of three
+        let repeat5 = |w: PerfWorkload| PerfWorkload {
+            timing_repeats: 5,
+            ..w
+        };
+        let mut jacobi = quick_stanza(
+            "jacobi",
+            KernelConfig::Jacobi(JacobiConfig {
+                grid: 4,
+                sweeps: 10,
+                precision: Precision::F64,
+                seed: 42,
+                fine_grained: true,
+                residual_every: 1,
+                tweak: None,
+            }),
+            1e-6,
+        );
+        jacobi.compose = Some(jacobi_compose_stanza());
+        if let Some(bits) = &mut jacobi.bits {
+            bits.min_reduction = 2.0;
+        }
         vec![
-            PerfWorkload {
-                name: "jacobi",
-                snapshot_min_speedup: 0.0,
-                snapshot_min_eps: 0.0,
-                min_streamed_speedup: 0.0,
-                batch_lanes: 8,
-                batch_min_speedup: 0.0,
-                batch_min_eps: 0.0,
-                timing_repeats: 5,
-                config: KernelConfig::Jacobi(JacobiConfig {
-                    grid: 4,
-                    sweeps: 10,
-                    precision: Precision::F64,
-                    seed: 42,
-                    fine_grained: true,
-                    residual_every: 1,
-                    tweak: None,
-                }),
-                tolerance: 1e-6,
-                site_stride: 1,
-                adaptive: adaptive_default.clone(),
-                staticbound: Some((
-                    KernelConfig::Jacobi(JacobiConfig {
-                        grid: 4,
-                        sweeps: 10,
-                        precision: Precision::F64,
-                        seed: 42,
-                        fine_grained: true,
-                        residual_every: 1,
-                        tweak: None,
-                    }),
-                    1e-6,
-                )),
-                compose: Some(jacobi_compose_stanza()),
-                bits: Some(BitsWorkload {
-                    config: KernelConfig::Jacobi(JacobiConfig {
-                        grid: 4,
-                        sweeps: 10,
-                        precision: Precision::F64,
-                        seed: 42,
-                        fine_grained: true,
-                        residual_every: 1,
-                        tweak: None,
-                    }),
-                    tolerance: 1e-6,
-                    widen: 0.0,
-                    site_stride: 1,
-                    min_reduction: 2.0,
-                }),
-                // the committed serial-vs-parallel baseline: jacobi's
-                // 1-vs-8-thread per-site TVD delta, expected exactly zero
-                tvd_threads: Some(vec![1, 8]),
-            },
-            PerfWorkload {
-                name: "gemm",
-                snapshot_min_speedup: 0.0,
-                snapshot_min_eps: 0.0,
-                min_streamed_speedup: 0.0,
-                batch_lanes: 8,
-                batch_min_speedup: 0.0,
-                batch_min_eps: 0.0,
-                timing_repeats: 5,
-                config: KernelConfig::Gemm(GemmConfig {
+            // jacobi's 1-vs-8-thread per-site TVD delta is the committed
+            // serial-vs-parallel baseline, expected exactly zero
+            repeat5(jacobi),
+            repeat5(quick_stanza(
+                "gemm",
+                KernelConfig::Gemm(GemmConfig {
                     n: 5,
                     precision: Precision::F64,
                     seed: 42,
                 }),
-                tolerance: 1e-6,
-                site_stride: 1,
-                adaptive: adaptive_default.clone(),
-                staticbound: Some((
-                    KernelConfig::Gemm(GemmConfig {
-                        n: 5,
-                        precision: Precision::F64,
-                        seed: 42,
-                    }),
-                    1e-6,
-                )),
-                compose: None,
-                bits: Some(BitsWorkload {
-                    config: KernelConfig::Gemm(GemmConfig {
-                        n: 5,
-                        precision: Precision::F64,
-                        seed: 42,
-                    }),
-                    tolerance: 1e-6,
-                    widen: 0.0,
-                    site_stride: 1,
-                    min_reduction: 1.0,
-                }),
-                tvd_threads: Some(vec![1, 8]),
-            },
-            PerfWorkload {
-                name: "cg",
-                snapshot_min_speedup: 0.0,
-                snapshot_min_eps: 0.0,
-                min_streamed_speedup: 0.0,
-                batch_lanes: 8,
-                batch_min_speedup: 0.0,
-                batch_min_eps: 0.0,
-                timing_repeats: 5,
-                config: KernelConfig::Cg(CgConfig {
-                    grid: 4,
-                    rtol: 1e-4,
-                    max_iters: 50,
-                    precision: Precision::F32,
-                    seed: 42,
-                    storage: CgStorage::MatrixFree,
-                }),
-                tolerance: 1e-1,
-                site_stride: 1,
-                adaptive: adaptive_default,
-                staticbound: Some((
-                    KernelConfig::Cg(CgConfig {
-                        grid: 4,
-                        rtol: 1e-4,
-                        max_iters: 50,
-                        precision: Precision::F32,
-                        seed: 42,
-                        storage: CgStorage::MatrixFree,
-                    }),
-                    1e-1,
-                )),
-                compose: None,
-                bits: Some(BitsWorkload {
-                    config: KernelConfig::Cg(CgConfig {
-                        grid: 4,
-                        rtol: 1e-4,
-                        max_iters: 50,
-                        precision: Precision::F32,
-                        seed: 42,
-                        storage: CgStorage::MatrixFree,
-                    }),
-                    tolerance: 1e-1,
-                    widen: 0.0,
-                    site_stride: 1,
-                    min_reduction: 1.0,
-                }),
-                tvd_threads: Some(vec![1, 8]),
-            },
+                1e-6,
+            )),
+            repeat5(quick_stanza("cg", cg_config(4, 50), 1e-1)),
             quick_stanza(
                 "lu",
                 KernelConfig::Lu(LuConfig {
@@ -862,6 +742,26 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
             ),
         ]
     } else {
+        let paper_jacobi = KernelConfig::Jacobi(JacobiConfig {
+            grid: 128,
+            sweeps: 600,
+            precision: Precision::F32,
+            seed: 42,
+            fine_grained: false,
+            residual_every: 8,
+            tweak: None,
+        });
+        let paper_gemm = KernelConfig::Gemm(GemmConfig {
+            n: 192,
+            precision: Precision::F64,
+            seed: 42,
+        });
+        let paper_lu = KernelConfig::Lu(LuConfig {
+            n: 256,
+            block: 32,
+            precision: Precision::F64,
+            seed: 42,
+        });
         vec![
             // The headline workload: ~9.9M dynamic instructions per
             // execution, the paper's scale. The buffered extractor's
@@ -883,15 +783,7 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 batch_min_speedup: 1.5,
                 batch_min_eps: 120.0,
                 timing_repeats: 1,
-                config: KernelConfig::Jacobi(JacobiConfig {
-                    grid: 128,
-                    sweeps: 600,
-                    precision: Precision::F32,
-                    seed: 42,
-                    fine_grained: false,
-                    residual_every: 8,
-                    tweak: None,
-                }),
+                config: paper_jacobi.clone(),
                 tolerance: 1e-3,
                 // 17 sites × 32 bits = 544 experiments per path
                 site_stride: 614_000,
@@ -933,15 +825,7 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 // reduction the affine domain lifted the interval
                 // pass's 2.09× to.
                 bits: Some(BitsWorkload {
-                    config: KernelConfig::Jacobi(JacobiConfig {
-                        grid: 128,
-                        sweeps: 600,
-                        precision: Precision::F32,
-                        seed: 42,
-                        fine_grained: false,
-                        residual_every: 8,
-                        tweak: None,
-                    }),
+                    config: paper_jacobi,
                     tolerance: 1e-3,
                     widen: 0.0,
                     site_stride: 614_000,
@@ -969,11 +853,7 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 batch_min_speedup: 1.8,
                 batch_min_eps: 130.0,
                 timing_repeats: 1,
-                config: KernelConfig::Gemm(GemmConfig {
-                    n: 192,
-                    precision: Precision::F64,
-                    seed: 42,
-                }),
+                config: paper_gemm.clone(),
                 tolerance: 1e-6,
                 // 18 sites × 64 bits = 1152 experiments per path
                 site_stride: 6_144,
@@ -998,11 +878,7 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 )),
                 compose: None,
                 bits: Some(BitsWorkload {
-                    config: KernelConfig::Gemm(GemmConfig {
-                        n: 192,
-                        precision: Precision::F64,
-                        seed: 42,
-                    }),
+                    config: paper_gemm,
                     tolerance: 1e-6,
                     widen: 0.0,
                     site_stride: 6_144,
@@ -1028,12 +904,7 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 batch_min_speedup: 1.1,
                 batch_min_eps: 150.0,
                 timing_repeats: 1,
-                config: KernelConfig::Lu(LuConfig {
-                    n: 256,
-                    block: 32,
-                    precision: Precision::F64,
-                    seed: 42,
-                }),
+                config: paper_lu.clone(),
                 tolerance: 3e-5,
                 // 19 sites × 64 bits = 1216 experiments per path
                 site_stride: 67_000,
@@ -1060,12 +931,7 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 )),
                 compose: None,
                 bits: Some(BitsWorkload {
-                    config: KernelConfig::Lu(LuConfig {
-                        n: 256,
-                        block: 32,
-                        precision: Precision::F64,
-                        seed: 42,
-                    }),
+                    config: paper_lu,
                     tolerance: 3e-5,
                     widen: 0.0,
                     site_stride: 67_000,
@@ -1076,52 +942,9 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
                 tvd_threads: None,
             },
             PerfWorkload {
-                name: "cg",
-                snapshot_min_speedup: 0.0,
-                snapshot_min_eps: 0.0,
-                min_streamed_speedup: 0.0,
-                batch_lanes: 8,
-                batch_min_speedup: 0.0,
-                batch_min_eps: 0.0,
                 timing_repeats: 1,
-                config: KernelConfig::Cg(CgConfig {
-                    grid: 6,
-                    rtol: 1e-4,
-                    max_iters: 100,
-                    precision: Precision::F32,
-                    seed: 42,
-                    storage: CgStorage::MatrixFree,
-                }),
-                tolerance: 1e-1,
-                site_stride: 1,
-                adaptive: adaptive_default,
-                staticbound: Some((
-                    KernelConfig::Cg(CgConfig {
-                        grid: 6,
-                        rtol: 1e-4,
-                        max_iters: 100,
-                        precision: Precision::F32,
-                        seed: 42,
-                        storage: CgStorage::MatrixFree,
-                    }),
-                    1e-1,
-                )),
-                compose: None,
-                bits: Some(BitsWorkload {
-                    config: KernelConfig::Cg(CgConfig {
-                        grid: 6,
-                        rtol: 1e-4,
-                        max_iters: 100,
-                        precision: Precision::F32,
-                        seed: 42,
-                        storage: CgStorage::MatrixFree,
-                    }),
-                    tolerance: 1e-1,
-                    widen: 0.0,
-                    site_stride: 1,
-                    min_reduction: 1.0,
-                }),
                 tvd_threads: None,
+                ..quick_stanza("cg", cg_config(6, 100), 1e-1)
             },
         ]
     }
@@ -1231,17 +1054,7 @@ fn run_snapshot_leg(
     let store_len = injector.snapshot_store()?.len();
     let store_mb = injector.snapshot_store()?.store_bytes() as f64 / (1024.0 * 1024.0);
 
-    let bits = kernel.precision().bits();
-    let mut table = None;
-    let mut exhaustive_secs = f64::INFINITY;
-    for _ in 0..w.timing_repeats.max(1) {
-        let t1 = Instant::now();
-        let t = strided_outcome_table(&injector, w.site_stride);
-        exhaustive_secs = exhaustive_secs.min(t1.elapsed().as_secs_f64());
-        table.get_or_insert(t);
-    }
-    let table = table.expect("at least one timing repeat");
-    let experiments = (injector.n_sites().div_ceil(w.site_stride) * bits as usize) as u64;
+    let (table, experiments, exhaustive_secs) = timed_outcome_table(&injector, w);
     let eps = experiments as f64 / exhaustive_secs.max(1e-9);
     Some(SnapshotStats {
         min_speedup: w.snapshot_min_speedup,
@@ -1314,17 +1127,7 @@ fn run_batch_leg(
         "batch leg configured but batching did not engage"
     );
 
-    let bits = kernel.precision().bits();
-    let mut table = None;
-    let mut exhaustive_secs = f64::INFINITY;
-    for _ in 0..w.timing_repeats.max(1) {
-        let t1 = Instant::now();
-        let t = strided_outcome_table(&injector, w.site_stride);
-        exhaustive_secs = exhaustive_secs.min(t1.elapsed().as_secs_f64());
-        table.get_or_insert(t);
-    }
-    let table = table.expect("at least one timing repeat");
-    let experiments = (injector.n_sites().div_ceil(w.site_stride) * bits as usize) as u64;
+    let (table, experiments, exhaustive_secs) = timed_outcome_table(&injector, w);
     let eps = experiments as f64 / exhaustive_secs.max(1e-9);
     Some(BatchStats {
         min_speedup: w.batch_min_speedup,
@@ -1499,13 +1302,23 @@ fn strided_plan(injector: &Injector<'_>, stride: usize) -> Vec<ftb_trace::FaultS
 }
 
 /// The strided table via the outcome-only path (`run_many`): no
-/// propagation extraction, just classification — the snapshot leg's
-/// execution model, where the campaign's product is the outcome table.
-fn strided_outcome_table(injector: &Injector<'_>, stride: usize) -> ExhaustiveResult {
-    strided_table(
-        injector,
-        &injector.run_many(&strided_plan(injector, stride)),
-    )
+/// propagation extraction, just classification — the snapshot and batch
+/// legs' execution model, where the campaign's product is the outcome
+/// table. Returns the table, the experiments one run executes, and the
+/// best wall seconds over `w.timing_repeats` runs.
+fn timed_outcome_table(injector: &Injector<'_>, w: &PerfWorkload) -> (ExhaustiveResult, u64, f64) {
+    let mut table = None;
+    let mut secs = f64::INFINITY;
+    for _ in 0..w.timing_repeats.max(1) {
+        let t0 = Instant::now();
+        let plan = strided_plan(injector, w.site_stride);
+        let t = strided_table(injector, &injector.run_many(&plan));
+        secs = secs.min(t0.elapsed().as_secs_f64());
+        table.get_or_insert(t);
+    }
+    let experiments = injector.n_sites().div_ceil(w.site_stride) * injector.bits() as usize;
+    let table = table.expect("at least one timing repeat");
+    (table, experiments as u64, secs)
 }
 
 /// Run one workload through streamed extraction and the buffered
@@ -1714,15 +1527,11 @@ mod tests {
             .find(|w| w.name == name)
             .expect("full tier has the probed workload");
         let kernel = w.config.build();
-        let experiments = kernel.golden().values.len().div_ceil(w.site_stride)
-            * kernel.precision().bits() as usize;
 
         let scalar = Injector::new(kernel.as_ref(), Classifier::new(w.tolerance))
             .with_certified_exits()
             .with_snapshots(DEFAULT_MAX_SNAPSHOTS);
-        let t = Instant::now();
-        let scalar_table = strided_outcome_table(&scalar, w.site_stride);
-        let scalar_secs = t.elapsed().as_secs_f64();
+        let (scalar_table, experiments, scalar_secs) = timed_outcome_table(&scalar, &w);
 
         let lanes = std::env::var("FTB_PROBE_LANES")
             .ok()
@@ -1733,9 +1542,7 @@ mod tests {
             .with_snapshots(DEFAULT_MAX_SNAPSHOTS)
             .with_batch_lanes(lanes);
         assert!(batched.batch_binding().is_some());
-        let t = Instant::now();
-        let batched_table = strided_outcome_table(&batched, w.site_stride);
-        let batched_secs = t.elapsed().as_secs_f64();
+        let (batched_table, _, batched_secs) = timed_outcome_table(&batched, &w);
 
         eprintln!(
             "scalar snapshot {:.1} eps ({scalar_secs:.2}s), batched {:.1} eps ({batched_secs:.2}s), {:.2}x, identical {}",

@@ -2,6 +2,7 @@
 //! dependency set has no argument-parsing crate, and the surface is
 //! small enough not to need one).
 
+use ftb_core::{Domain, FilterMode};
 use ftb_kernels::{
     CgConfig, CgStorage, FftConfig, GemmConfig, JacobiConfig, KernelConfig, LuConfig, MatvecConfig,
     SpmvConfig, StencilConfig, SweepTweak,
@@ -130,8 +131,8 @@ pub struct Args {
     pub rate: f64,
     /// Experiment count for `campaign`.
     pub samples: u64,
-    /// Filter mode string (validated in the command layer).
-    pub filter: String,
+    /// The §3.5 filter mode.
+    pub filter: FilterMode,
     /// Seed.
     pub seed: u64,
     /// Optional JSON output path.
@@ -159,11 +160,9 @@ pub struct Args {
     pub bit_prune: bool,
     /// `analyze bits`: relative input widening for the forward pass.
     pub widen: f64,
-    /// Abstract domain for zero-injection certification: `"interval"`
-    /// or `"affine"`.
-    pub domain: String,
-    /// Affine domain: per-node noise-symbol budget.
-    pub budget: usize,
+    /// Abstract domain for zero-injection certification (the affine
+    /// domain carries `--budget`).
+    pub domain: Domain,
     /// `analyze characterize`: worker pool sizes to compare.
     pub threads: Vec<usize>,
 }
@@ -424,10 +423,10 @@ pub fn parse(raw: &[String]) -> Result<Args, CliError> {
             r
         },
         samples: get_usize("samples", 1000)? as u64,
-        filter: flags
-            .get("filter")
-            .cloned()
-            .unwrap_or_else(|| "per-site".into()),
+        filter: match flags.get("filter") {
+            None => FilterMode::PerSite,
+            Some(name) => name.parse().map_err(err)?,
+        },
         seed,
         json: flags.get("json").cloned(),
         checkpoint: flags.get("checkpoint").cloned(),
@@ -466,23 +465,24 @@ pub fn parse(raw: &[String]) -> Result<Args, CliError> {
             w
         },
         domain: {
-            let d = flags
-                .get("domain")
-                .cloned()
-                .unwrap_or_else(|| "interval".into());
-            if d != "interval" && d != "affine" {
-                return Err(err(format!(
-                    "--domain: unknown domain '{d}' (expected interval | affine)"
-                )));
-            }
-            d
-        },
-        budget: {
-            let b = get_usize("budget", 32)?;
-            if b == 0 {
+            let affine = match flags.get("domain").map_or("interval", String::as_str) {
+                "interval" => false,
+                "affine" => true,
+                d => {
+                    return Err(err(format!(
+                        "--domain: unknown domain '{d}' (expected interval | affine)"
+                    )))
+                }
+            };
+            let budget = get_usize("budget", 32)?;
+            if budget == 0 {
                 return Err(err("--budget must be at least 1"));
             }
-            b
+            if affine {
+                Domain::Affine { budget }
+            } else {
+                Domain::Interval
+            }
         },
         threads: match flags.get("threads") {
             None => vec![1, 4, 8],
@@ -515,7 +515,21 @@ mod tests {
         assert_eq!(a.command, "analyze");
         assert!(matches!(a.kernel, KernelConfig::Cg(_)));
         assert_eq!(a.rate, 0.01);
-        assert_eq!(a.filter, "per-site");
+        assert_eq!(a.filter, FilterMode::PerSite);
+    }
+
+    #[test]
+    fn filter_is_parsed_once_and_bogus_modes_are_refused() {
+        for (name, mode) in [
+            ("off", FilterMode::Off),
+            ("per-site", FilterMode::PerSite),
+            ("global", FilterMode::Global),
+        ] {
+            let a = parse(&v(&["analyze", "--kernel", "cg", "--filter", name])).unwrap();
+            assert_eq!(a.filter, mode);
+        }
+        let e = parse(&v(&["analyze", "--kernel", "cg", "--filter", "bogus"])).unwrap_err();
+        assert_eq!(e.0, "unknown filter mode 'bogus'");
     }
 
     #[test]
@@ -629,15 +643,18 @@ mod tests {
     #[test]
     fn parses_domain_axis() {
         let a = parse(&v(&["analyze", "bits", "--kernel", "jacobi"])).unwrap();
-        assert_eq!(a.domain, "interval");
-        assert_eq!(a.budget, 32);
+        assert_eq!(a.domain, Domain::Interval);
+        let a = parse(&v(&[
+            "analyze", "bits", "--kernel", "jacobi", "--domain", "affine",
+        ]))
+        .unwrap();
+        assert_eq!(a.domain, Domain::Affine { budget: 32 });
 
         let a = parse(&v(&[
             "analyze", "bits", "--kernel", "jacobi", "--domain", "affine", "--budget", "8",
         ]))
         .unwrap();
-        assert_eq!(a.domain, "affine");
-        assert_eq!(a.budget, 8);
+        assert_eq!(a.domain, Domain::Affine { budget: 8 });
 
         let e = parse(&v(&[
             "analyze", "bits", "--kernel", "jacobi", "--domain", "octagon",

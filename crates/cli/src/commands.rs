@@ -9,24 +9,16 @@ use ftb_inject::{
     BitPruneBinding, CampaignBinding, CampaignMetrics, ChunkedCampaign, ExhaustiveResult,
     MetricsSnapshot,
 };
+use ftb_kernels::Kernel;
 use ftb_report::{
     bits_vuln_table, boundary_comparison, sections_table, BitsVulnRow, BoundaryMethodRow,
     SectionRow, Table,
 };
-use ftb_trace::FaultSpec;
+use ftb_trace::{Ddg, FaultSpec, GoldenRun};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
-
-fn filter_mode(name: &str) -> Result<FilterMode, CliError> {
-    match name {
-        "off" => Ok(FilterMode::Off),
-        "per-site" => Ok(FilterMode::PerSite),
-        "global" => Ok(FilterMode::Global),
-        other => Err(CliError(format!("unknown filter mode '{other}'"))),
-    }
-}
 
 fn maybe_write_json<T: serde::Serialize>(args: &Args, value: &T) -> Result<(), CliError> {
     if let Some(path) = &args.json {
@@ -174,32 +166,42 @@ fn campaign(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Forward-interval safe-bit masks for `--bit-prune` and `analyze bits`:
-/// static backward boundary × forward value envelopes, both derived from
-/// the golden run's provenance DDG with zero injections.
-fn static_bit_masks(args: &Args, kernel: &dyn ftb_kernels::Kernel) -> Result<BitMasks, CliError> {
-    let (golden, ddg) = kernel.golden_with_ddg();
-    if args.domain == "affine" {
-        let acfg = AffineConfig {
-            budget: args.budget,
-        };
-        let ab = affine_bound(&ddg, args.tolerance, args.safety, &acfg, None)
-            .map_err(|e| CliError(format!("bit masks: {e}")))?;
-        let fw = affine_forward(&ddg, &golden, &ForwardConfig { widen: args.widen }, &acfg)
-            .map_err(|e| CliError(format!("forward pass: {e}")))?;
-        return Ok(safe_bit_masks(&fw, &ab.boundary(), MaskSource::Affine));
+/// Zero-injection certification of `golden`'s bits in `domain`, at the
+/// tolerance, safety and widening the flags select.
+fn certify(
+    args: &Args,
+    golden: &GoldenRun,
+    ddg: &Ddg,
+    domain: Domain,
+) -> Result<Certification, CliError> {
+    let cfg = CertifyConfig {
+        tolerance: args.tolerance,
+        safety: args.safety,
+        widen: args.widen,
+        domain,
+        targets: None,
+    };
+    certify_bits(golden, ddg, &cfg).map_err(|e| CliError(e.to_string()))
+}
+
+/// The certified masks `--bit-prune` skips (exhaustive) or deprioritises
+/// (adaptive), in the `--domain` the flags select; `None` without
+/// `--bit-prune`.
+fn bit_prune_masks(args: &Args, kernel: &dyn Kernel) -> Result<Option<BitMasks>, CliError> {
+    if !args.bit_prune {
+        return Ok(None);
     }
-    let sb = static_bound(
-        &ddg,
-        &ftb_core::StaticBoundConfig {
-            tolerance: args.tolerance,
-            safety: args.safety,
-        },
-    )
-    .map_err(|e| CliError(format!("bit masks: {e}")))?;
-    let fw = forward_pass(&ddg, &golden, &ForwardConfig { widen: args.widen })
-        .map_err(|e| CliError(format!("forward pass: {e}")))?;
-    Ok(safe_bit_masks(&fw, &sb.boundary(), MaskSource::Static))
+    let (golden, ddg) = kernel.golden_with_ddg();
+    Ok(Some(certify(args, &golden, &ddg, args.domain)?.masks))
+}
+
+/// What a pruned campaign's ledger binds to, so a resume provably
+/// prunes the same bits.
+fn bit_prune_binding(masks: &BitMasks) -> BitPruneBinding {
+    BitPruneBinding {
+        certified: masks.certified_total(),
+        digest: masks.digest(),
+    }
 }
 
 fn exhaustive(args: &Args) -> Result<String, CliError> {
@@ -207,19 +209,12 @@ fn exhaustive(args: &Args) -> Result<String, CliError> {
     let analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance));
     let injector = analysis.injector();
 
-    let masks = if args.bit_prune {
-        Some(static_bit_masks(args, kernel.as_ref())?)
-    } else {
-        None
-    };
+    let masks = bit_prune_masks(args, kernel.as_ref())?;
     let (ex, skipped) = match &masks {
         Some(masks) => {
             let certified = masks.certified_masks();
             let plan = pruned_exhaustive_plan(injector.n_sites(), injector.bits(), &certified);
-            let binding = BitPruneBinding {
-                certified: masks.certified_total(),
-                digest: masks.digest(),
-            };
+            let binding = bit_prune_binding(masks);
             let cc = run_chunked(args, injector, "exhaustive bit-prune", plan, Some(binding))?;
             (
                 cc.into_exhaustive_with_certified(&certified),
@@ -257,11 +252,10 @@ fn exhaustive(args: &Args) -> Result<String, CliError> {
 }
 
 fn analyze(args: &Args) -> Result<String, CliError> {
-    let filter = filter_mode(&args.filter)?;
     let kernel = args.kernel.build();
     let analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance));
     let samples = analysis.sample_uniform(args.rate, args.seed);
-    let inference = analysis.infer(&samples, filter);
+    let inference = analysis.infer(&samples, args.filter);
     let predictor = analysis.predictor(&inference.boundary);
     let uncertainty = analysis.uncertainty(&inference.boundary, &samples);
     let overall = predictor.overall_sdc_ratio(Some(&samples));
@@ -311,7 +305,6 @@ struct StaticAnalysisReport {
 }
 
 fn analyze_static(args: &Args) -> Result<String, CliError> {
-    let filter = filter_mode(&args.filter)?;
     let kernel = args.kernel.build();
 
     let t0 = Instant::now();
@@ -381,41 +374,22 @@ fn analyze_static(args: &Args) -> Result<String, CliError> {
         &sb.thresholds,
     );
 
-    let inference = infer_boundary(&injector, &samples, filter);
-    let inferred_pred = Predictor::new(injector.golden(), &inference.boundary);
-    let inferred_eval = BoundaryEval::against_exhaustive(&inferred_pred, &truth);
-    let inferred_unc = BoundaryEval::uncertainty(&inferred_pred, &samples).precision;
-
+    let inference = infer_boundary(&injector, &samples, args.filter);
     let gb = golden_boundary(injector.golden(), &truth);
-    let golden_eval =
-        BoundaryEval::against_exhaustive(&Predictor::new(injector.golden(), &gb), &truth);
-
-    report.comparison = vec![
-        BoundaryMethodRow {
-            method: "static".into(),
-            injections: 0,
-            coverage: boundary.coverage(),
-            precision: v.eval.precision,
-            recall: v.eval.recall,
-            uncertainty: Some(v.uncertainty),
-        },
-        BoundaryMethodRow {
-            method: "inferred".into(),
-            injections: samples.len() as u64,
-            coverage: inference.boundary.coverage(),
-            precision: inferred_eval.precision,
-            recall: inferred_eval.recall,
-            uncertainty: Some(inferred_unc),
-        },
-        BoundaryMethodRow {
-            method: "golden (exhaustive)".into(),
-            injections: truth.n_experiments(),
-            coverage: gb.coverage(),
-            precision: golden_eval.precision,
-            recall: golden_eval.recall,
-            uncertainty: None,
-        },
-    ];
+    report.comparison = comparison_rows(
+        injector.golden(),
+        &truth,
+        &[
+            ("static", 0, &boundary, Some(&samples)),
+            (
+                "inferred",
+                samples.len() as u64,
+                &inference.boundary,
+                Some(&samples),
+            ),
+            ("golden (exhaustive)", truth.n_experiments(), &gb, None),
+        ],
+    );
     report.validation = Some(v);
 
     let _ = writeln!(
@@ -449,15 +423,29 @@ struct ComposeReport {
     comparison: Vec<BoundaryMethodRow>,
 }
 
-/// Per-site smallest SDC-causing injected error, from exhaustive truth.
-fn min_sdc_per_site(golden: &ftb_trace::GoldenRun, truth: &ExhaustiveResult) -> Vec<f64> {
-    (0..golden.n_sites())
-        .map(|site| {
-            let errs = golden.flip_errors(site);
-            (0..truth.bits)
-                .filter(|&bit| truth.outcome(site, bit).is_sdc())
-                .map(|bit| errs[bit as usize])
-                .fold(f64::INFINITY, f64::min)
+/// One method of a boundary comparison table: its name, the injections
+/// it spent, its boundary, and the samples its §3.6 uncertainty column
+/// is computed over (`None` leaves the column empty).
+type MethodRow<'a> = (&'a str, u64, &'a Boundary, Option<&'a SampleSet>);
+
+/// Score each method's boundary against exhaustive truth.
+fn comparison_rows(
+    golden: &GoldenRun,
+    truth: &ExhaustiveResult,
+    rows: &[MethodRow<'_>],
+) -> Vec<BoundaryMethodRow> {
+    rows.iter()
+        .map(|&(method, injections, boundary, samples)| {
+            let predictor = Predictor::new(golden, boundary);
+            let eval = BoundaryEval::against_exhaustive(&predictor, truth);
+            BoundaryMethodRow {
+                method: method.into(),
+                injections,
+                coverage: boundary.coverage(),
+                precision: eval.precision,
+                recall: eval.recall,
+                uncertainty: samples.map(|s| BoundaryEval::uncertainty(&predictor, s).precision),
+            }
         })
         .collect()
 }
@@ -537,42 +525,14 @@ fn analyze_compose(args: &Args) -> Result<String, CliError> {
     // four-way scorecard: composed vs inferred vs static vs exhaustive
     let truth = injector.exhaustive();
     let golden = injector.golden();
-    let composed_eval =
-        BoundaryEval::against_exhaustive(&Predictor::new(golden, &r.boundary), &truth);
-    let min_sdc = min_sdc_per_site(golden, &truth);
-    let conservative = (0..golden.n_sites())
-        .filter(|&s| r.boundary.threshold(s) < min_sdc[s] || min_sdc[s].is_infinite())
-        .count() as f64
-        / golden.n_sites().max(1) as f64;
+    let conservative = conservative_fraction(&r.boundary, &min_sdc_per_site(golden, &truth));
     report.conservative_fraction = Some(conservative);
 
     let n_val_sites = ((args.rate * injector.n_sites() as f64).ceil() as usize).max(4);
     let samples = SampleSet::sample_sites(&injector, n_val_sites, args.seed);
     let inference = infer_boundary(&injector, &samples, FilterMode::PerSite);
-    let inferred_eval =
-        BoundaryEval::against_exhaustive(&Predictor::new(golden, &inference.boundary), &truth);
-
     let gb = golden_boundary(golden, &truth);
-    let golden_eval = BoundaryEval::against_exhaustive(&Predictor::new(golden, &gb), &truth);
 
-    report.comparison = vec![
-        BoundaryMethodRow {
-            method: "composed".into(),
-            injections: r.n_experiments,
-            coverage: r.boundary.coverage(),
-            precision: composed_eval.precision,
-            recall: composed_eval.recall,
-            uncertainty: None,
-        },
-        BoundaryMethodRow {
-            method: "inferred".into(),
-            injections: samples.len() as u64,
-            coverage: inference.boundary.coverage(),
-            precision: inferred_eval.precision,
-            recall: inferred_eval.recall,
-            uncertainty: None,
-        },
-    ];
     // the static row needs provenance instrumentation; skip it (with a
     // note) for kernels that lack it rather than failing the command
     let (_, ddg) = kernel.golden_with_ddg();
@@ -580,32 +540,22 @@ fn analyze_compose(args: &Args) -> Result<String, CliError> {
         tolerance: args.tolerance,
         safety: args.safety,
     };
-    match static_bound(&ddg, &static_cfg) {
-        Ok(sb) => {
-            let sb_boundary = sb.boundary();
-            let static_eval =
-                BoundaryEval::against_exhaustive(&Predictor::new(golden, &sb_boundary), &truth);
-            report.comparison.push(BoundaryMethodRow {
-                method: "static".into(),
-                injections: 0,
-                coverage: sb_boundary.coverage(),
-                precision: static_eval.precision,
-                recall: static_eval.recall,
-                uncertainty: None,
-            });
-        }
+    let static_boundary = match static_bound(&ddg, &static_cfg) {
+        Ok(sb) => Some(sb.boundary()),
         Err(e) => {
             let _ = writeln!(out, "\n(static row skipped: {e})");
+            None
         }
+    };
+    let mut rows: Vec<MethodRow<'_>> = vec![
+        ("composed", r.n_experiments, &r.boundary, None),
+        ("inferred", samples.len() as u64, &inference.boundary, None),
+    ];
+    if let Some(b) = &static_boundary {
+        rows.push(("static", 0, b, None));
     }
-    report.comparison.push(BoundaryMethodRow {
-        method: "golden (exhaustive)".into(),
-        injections: truth.n_experiments(),
-        coverage: gb.coverage(),
-        precision: golden_eval.precision,
-        recall: golden_eval.recall,
-        uncertainty: None,
-    });
+    rows.push(("golden (exhaustive)", truth.n_experiments(), &gb, None));
+    report.comparison = comparison_rows(golden, &truth, &rows);
 
     let _ = writeln!(
         out,
@@ -620,23 +570,6 @@ fn analyze_compose(args: &Args) -> Result<String, CliError> {
     let _ = write!(out, "{}", boundary_comparison(&report.comparison));
     maybe_write_json(args, &report)?;
     Ok(out)
-}
-
-/// Conservatism scorecard of the masks against exhaustive ground truth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct BitsScorecard {
-    /// Certified bits whose true outcome is SDC or Crash. Soundness
-    /// demands zero.
-    violations: u64,
-    /// Bits that really are masked in the exhaustive table.
-    truly_masked: u64,
-    /// Fraction of truly-masked bits the analysis certified without an
-    /// injection (the map's recall; 1 - this is the conservatism cost).
-    certified_recall: f64,
-    /// Crash-likely bits whose true outcome really is a crash.
-    crash_likely_hits: u64,
-    /// Injections the validation spent.
-    n_injections: u64,
 }
 
 /// Machine-readable result of `ftb analyze bits`.
@@ -698,37 +631,16 @@ fn analyze_bits(args: &Args) -> Result<String, CliError> {
     let kernel = args.kernel.build();
     let (golden, ddg) = kernel.golden_with_ddg();
     let t0 = Instant::now();
-    let sb = static_bound(
-        &ddg,
-        &ftb_core::StaticBoundConfig {
-            tolerance: args.tolerance,
-            safety: args.safety,
-        },
-    )
-    .map_err(|e| CliError(format!("bit masks: {e}")))?;
-    let fw_interval = forward_pass(&ddg, &golden, &ForwardConfig { widen: args.widen })
-        .map_err(|e| CliError(format!("forward pass: {e}")))?;
-    let interval_masks = safe_bit_masks(&fw_interval, &sb.boundary(), MaskSource::Static);
-    // Under `--domain affine` the interval pass above becomes the
-    // comparison baseline and the affine pass is the primary artifact.
-    let affine = if args.domain == "affine" {
-        let acfg = AffineConfig {
-            budget: args.budget,
-        };
-        let ab = affine_bound(&ddg, args.tolerance, args.safety, &acfg, None)
-            .map_err(|e| CliError(format!("bit masks: {e}")))?;
-        let fwa = affine_forward(&ddg, &golden, &ForwardConfig { widen: args.widen }, &acfg)
-            .map_err(|e| CliError(format!("forward pass: {e}")))?;
-        let masks = safe_bit_masks(&fwa, &ab.boundary(), MaskSource::Affine);
-        Some((ab, fwa, masks))
-    } else {
-        None
+    // Under `--domain affine` the interval certification becomes the
+    // comparison baseline and the affine one is the primary artifact.
+    let interval = certify(args, &golden, &ddg, Domain::Interval)?;
+    let affine = match args.domain {
+        Domain::Interval => None,
+        Domain::Affine { budget } => Some((budget, certify(args, &golden, &ddg, args.domain)?)),
     };
     let analysis_seconds = t0.elapsed().as_secs_f64();
-    let (masks, fw) = match &affine {
-        Some((_, fwa, masks)) => (masks, fwa),
-        None => (&interval_masks, &fw_interval),
-    };
+    let c = affine.as_ref().map_or(&interval, |(_, a)| a);
+    let masks = &c.masks;
     let n = masks.n_sites();
     let bits = masks.bits;
 
@@ -761,7 +673,7 @@ fn analyze_bits(args: &Args) -> Result<String, CliError> {
     let _ = writeln!(
         out,
         "forward envelopes:  {} unbounded of {n} sites (widen {:e})",
-        fw.n_unbounded, args.widen
+        c.n_unbounded, args.widen
     );
     let _ = writeln!(
         out,
@@ -784,9 +696,11 @@ fn analyze_bits(args: &Args) -> Result<String, CliError> {
         out,
         "wall time:          {:.1} ms (certification source: {}, 0 injections)",
         analysis_seconds * 1e3,
-        if affine.is_some() { "affine" } else { "static" }
+        args.domain
     );
-    if let Some((ab, _, amasks)) = &affine {
+    let interval_masks = &interval.masks;
+    if let Some((budget, a)) = &affine {
+        let amasks = &a.masks;
         let gained = amasks
             .certified_total()
             .saturating_sub(interval_masks.certified_total());
@@ -806,12 +720,12 @@ fn analyze_bits(args: &Args) -> Result<String, CliError> {
         let _ = writeln!(
             out,
             "  influence slice:    {} dead-cone sites certified outright",
-            ab.n_dead
+            a.n_dead
         );
         let _ = writeln!(
             out,
-            "  affine sweep:       {} of {} swept sites tightened (budget {})",
-            ab.n_tightened, ab.n_swept, args.budget
+            "  affine sweep:       {} of {} swept sites tightened (budget {budget})",
+            a.n_tightened, a.n_swept
         );
     }
     let _ = writeln!(out, "\nper-instruction vulnerability map:\n");
@@ -822,10 +736,10 @@ fn analyze_bits(args: &Args) -> Result<String, CliError> {
         tolerance: args.tolerance,
         safety: args.safety,
         widen: args.widen,
-        source: if affine.is_some() { "affine" } else { "static" }.into(),
+        source: args.domain.to_string(),
         n_sites: n,
         bits,
-        n_unbounded: fw.n_unbounded,
+        n_unbounded: c.n_unbounded,
         certified_total: masks.certified_total(),
         crash_likely_total: masks.crash_likely_total(),
         total_bits: masks.total_bits(),
@@ -835,15 +749,15 @@ fn analyze_bits(args: &Args) -> Result<String, CliError> {
         per_site_safe_fraction: (0..n).map(|s| masks.safe_fraction(s)).collect(),
         crash_bands: (0..n).map(|s| masks.crash_band(s)).collect(),
         scorecard: None,
-        domain_scorecard: affine.as_ref().map(|(ab, _, amasks)| DomainScorecard {
-            budget: args.budget,
+        domain_scorecard: affine.as_ref().map(|&(budget, ref a)| DomainScorecard {
+            budget,
             interval_certified_total: interval_masks.certified_total(),
-            affine_certified_total: amasks.certified_total(),
+            affine_certified_total: a.masks.certified_total(),
             interval_reduction_factor: interval_masks.reduction_factor(),
-            affine_reduction_factor: amasks.reduction_factor(),
-            n_dead: ab.n_dead,
-            n_tightened: ab.n_tightened,
-            n_swept: ab.n_swept,
+            affine_reduction_factor: a.masks.reduction_factor(),
+            n_dead: a.n_dead,
+            n_tightened: a.n_tightened,
+            n_swept: a.n_swept,
         }),
     };
 
@@ -855,36 +769,7 @@ fn analyze_bits(args: &Args) -> Result<String, CliError> {
     // conservatism scorecard: every certified bit must really be masked
     let injector = Injector::with_golden(kernel.as_ref(), golden, Classifier::new(args.tolerance))
         .with_execution_policy();
-    let truth = injector.exhaustive();
-    let (mut violations, mut truly_masked, mut certified_ok, mut crash_hits) =
-        (0u64, 0u64, 0u64, 0u64);
-    for site in 0..n {
-        for bit in 0..bits {
-            let o = truth.outcome(site, bit);
-            let masked = matches!(o, Outcome::Masked);
-            truly_masked += u64::from(masked);
-            match masks.class(site, bit) {
-                BitClass::CertifiedMasked => {
-                    if masked {
-                        certified_ok += 1;
-                    } else {
-                        violations += 1;
-                    }
-                }
-                BitClass::CrashLikely => {
-                    crash_hits += u64::from(matches!(o, Outcome::Crash(_)));
-                }
-                BitClass::Unknown => {}
-            }
-        }
-    }
-    let scorecard = BitsScorecard {
-        violations,
-        truly_masked,
-        certified_recall: certified_ok as f64 / truly_masked.max(1) as f64,
-        crash_likely_hits: crash_hits,
-        n_injections: truth.n_experiments(),
-    };
+    let scorecard = BitsScorecard::score(masks, injector.exhaustive().iter());
     let _ = writeln!(
         out,
         "\nconservatism vs exhaustive ({} injections):",
@@ -1037,12 +922,11 @@ fn load_adaptive_checkpoint(
 }
 
 fn adaptive(args: &Args) -> Result<String, CliError> {
-    let filter = filter_mode(&args.filter)?;
     let kernel = args.kernel.build();
     let analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance));
     let injector = analysis.injector();
     let cfg = AdaptiveConfig {
-        filter,
+        filter: args.filter,
         seed: args.seed,
         ..AdaptiveConfig::default()
     };
@@ -1050,16 +934,9 @@ fn adaptive(args: &Args) -> Result<String, CliError> {
         "adaptive seed={} filter={} static-prior={}",
         args.seed, args.filter, args.static_prior
     );
-    let masks = if args.bit_prune {
-        Some(static_bit_masks(args, kernel.as_ref())?)
-    } else {
-        None
-    };
+    let masks = bit_prune_masks(args, kernel.as_ref())?;
     let mut binding = campaign_binding(args, injector, &plan_desc);
-    binding.bit_prune = masks.as_ref().map(|m| BitPruneBinding {
-        certified: m.certified_total(),
-        digest: m.digest(),
-    });
+    binding.bit_prune = masks.as_ref().map(bit_prune_binding);
 
     let mut state = match &args.checkpoint {
         Some(path) if args.resume && Path::new(path).exists() => {
@@ -1151,11 +1028,10 @@ fn adaptive(args: &Args) -> Result<String, CliError> {
 }
 
 fn report(args: &Args) -> Result<String, CliError> {
-    let filter = filter_mode(&args.filter)?;
     let kernel = args.kernel.build();
     let analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance));
     let samples = analysis.sample_uniform(args.rate, args.seed);
-    let inference = analysis.infer(&samples, filter);
+    let inference = analysis.infer(&samples, args.filter);
     let predictor = analysis.predictor(&inference.boundary);
     let per_site = predictor.sdc_ratio_per_site(Some(&samples));
 
@@ -1196,11 +1072,10 @@ fn report(args: &Args) -> Result<String, CliError> {
 }
 
 fn protect(args: &Args) -> Result<String, CliError> {
-    let filter = filter_mode(&args.filter)?;
     let kernel = args.kernel.build();
     let analysis = Analysis::new(kernel.as_ref(), Classifier::new(args.tolerance));
     let samples = analysis.sample_uniform(args.rate, args.seed);
-    let inference = analysis.infer(&samples, filter);
+    let inference = analysis.infer(&samples, args.filter);
     let predictor = analysis.predictor(&inference.boundary);
 
     let mut out = String::new();
@@ -1805,6 +1680,86 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// Interval and affine certification of jacobi and gemm, with the
+    /// CLI flags that select each.
+    fn certify_cases() -> Vec<(Vec<&'static str>, Domain)> {
+        let kernels: [&[&str]; 2] = [
+            &[
+                "--kernel",
+                "jacobi",
+                "--grid",
+                "4",
+                "--sweeps",
+                "10",
+                "--tolerance",
+                "1e-4",
+            ],
+            &["--kernel", "gemm", "--n", "5", "--tolerance", "1e-6"],
+        ];
+        let mut cases = Vec::new();
+        for k in kernels {
+            cases.push((k.to_vec(), Domain::Interval));
+            let mut affine = k.to_vec();
+            affine.extend(["--domain", "affine", "--budget", "8"]);
+            cases.push((affine, Domain::Affine { budget: 8 }));
+        }
+        cases
+    }
+
+    fn certify_directly(args: &Args, domain: Domain) -> Certification {
+        assert_eq!(args.domain, domain);
+        let (golden, ddg) = args.kernel.build().golden_with_ddg();
+        let cfg = CertifyConfig {
+            tolerance: args.tolerance,
+            safety: 1.0,
+            widen: 0.0,
+            domain,
+            targets: None,
+        };
+        certify_bits(&golden, &ddg, &cfg).unwrap()
+    }
+
+    #[test]
+    fn analyze_bits_json_digest_is_the_certify_bits_digest() {
+        let path = std::env::temp_dir().join("ftb_cli_bits_digest.json");
+        for (flags, domain) in certify_cases() {
+            let _ = std::fs::remove_file(&path);
+            let mut raw = vec!["analyze", "bits", "--no-validate", "--json"];
+            raw.push(path.to_str().unwrap());
+            raw.extend(&flags);
+            let args = parse(&v(&raw)).unwrap();
+            dispatch(&args).unwrap();
+            let r: BitsAnalysisReport =
+                serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            let c = certify_directly(&args, domain);
+            assert_eq!(r.digest, c.masks.digest(), "{flags:?}");
+            assert_eq!(r.certified_total, c.masks.certified_total(), "{flags:?}");
+            assert_eq!(r.source, domain.to_string(), "{flags:?}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn exhaustive_bit_prune_ledger_binds_the_certify_bits_masks() {
+        let path = std::env::temp_dir().join("ftb_cli_bit_prune_binding.jsonl");
+        for (flags, domain) in certify_cases() {
+            let _ = std::fs::remove_file(&path);
+            let mut raw = vec!["exhaustive", "--bit-prune", "--checkpoint"];
+            raw.push(path.to_str().unwrap());
+            raw.extend(&flags);
+            let args = parse(&v(&raw)).unwrap();
+            dispatch(&args).unwrap();
+            let ledger = ftb_inject::read_ledger(&path).unwrap();
+            let masks = certify_directly(&args, domain).masks;
+            let expected = BitPruneBinding {
+                certified: masks.certified_total(),
+                digest: masks.digest(),
+            };
+            assert_eq!(ledger.header.binding.bit_prune, Some(expected), "{flags:?}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn adaptive_accepts_static_prior() {
         let args = parse(&v(&[
@@ -1833,11 +1788,11 @@ mod tests {
 
     #[test]
     fn bad_filter_rejected() {
-        let args = parse(&v(&[
+        let e = parse(&v(&[
             "analyze", "--kernel", "matvec", "--n", "4", "--filter", "sideways",
         ]))
-        .unwrap();
-        assert!(dispatch(&args).is_err());
+        .unwrap_err();
+        assert!(e.0.contains("unknown filter mode 'sideways'"), "{}", e.0);
     }
 
     #[test]

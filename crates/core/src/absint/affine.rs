@@ -22,14 +22,17 @@
 //! only their rounding residue lands in `k`.
 //!
 //! Graceful degradation: an edge with no recorded derivative sign moves
-//! its whole mass `|c| + k` into `k` (exactly the interval transfer),
+//! its whole mass `|c| + k` into `k` (the interval transfer's mass),
 //! and the value-envelope sweep condenses the oldest noise symbols into
 //! an interval remainder `rem` whenever a node holds more than
-//! [`AffineConfig::budget`] of them. With every edge sign-unknown the
-//! domain *is* the interval domain; with the budget at one it degrades
-//! the same way. The final artifacts are additionally clamped against
-//! their interval counterparts (`max` on thresholds, `min` on radii),
-//! so the affine results are never looser by construction.
+//! [`AffineConfig::budget`] of them. With every edge sign-unknown, or
+//! with the budget at one, the domain carries the interval domain's
+//! masses but is not identical to it: `transfer`, `mass` and
+//! `accumulate` add outward rounding pads (`up`, `comp`) the interval
+//! pass does not, so the raw affine results can be a few ulps looser.
+//! What makes the affine results never looser is the final clamp
+//! against their interval counterparts (`max` on thresholds, `min` on
+//! radii).
 //!
 //! Cost: the [`super::slice`] prepass certifies empty-cone sites
 //! outright and confines the sweep to the live subgraph; threshold mode
@@ -945,8 +948,9 @@ mod tests {
 
     #[test]
     fn unknown_sign_edges_degrade_to_the_interval_transfer() {
-        // Linear has no recorded derivative sign: the affine radii must
-        // equal the interval radii exactly on a Linear-only graph
+        // Linear has no recorded derivative sign: on a Linear-only graph
+        // the affine sweep carries the interval transfer's mass, so its
+        // radii agree with the interval radii up to rounding pads
         let mut t = Tracer::golden(Precision::F64).with_ddg();
         t.value(SID, 1.0);
         t.dep(0, OpKind::Linear);
@@ -963,6 +967,16 @@ mod tests {
             assert!(a <= b, "site {i}");
             // within a few ulps: same mass, slightly different rounding
             assert!(*a >= b * (1.0 - 1e-12), "site {i}: {a} vs {b}");
+        }
+        // Unclamped, the sweep is not the interval pass bit for bit: the
+        // outward pads of `mass` and `accumulate` (`up`, `comp`) leave it
+        // a few ulps wider at every site here, and the final `min`
+        // against `forward_pass` is what hands back the interval radii.
+        let raw = value_sweep(&ddg, &golden, fcfg.widen, CFG.budget);
+        for (i, (r, b)) in raw.iter().zip(&iv.radii).enumerate() {
+            assert!(r > b, "site {i}: unclamped {r:e} vs interval {b:e}");
+            assert!(*r <= b * (1.0 + 1e-12), "site {i}: {r:e} vs {b:e}");
+            assert_eq!(af.radii[i], *b, "site {i}: the clamp keeps the interval");
         }
     }
 

@@ -24,7 +24,10 @@
 //! 4. [`mask`] — [`safe_bit_masks`] crosses the exponent ranges with a
 //!    boundary (static, affine or inferred) and classifies every
 //!    single-bit flip as `CertifiedMasked`, `CrashLikely`, or
-//!    `Unknown`.
+//!    `Unknown`;
+//! 5. [`certify`] — [`certify_bits`] runs steps 2–4 in one chosen
+//!    [`Domain`], pairing that domain's backward bound with its forward
+//!    envelope; the CLI and the bench certify through it.
 //!
 //! The masks convert the zero-injection static artifact into campaign
 //! work savings: exhaustive and adaptive campaigns skip certified bits
@@ -32,12 +35,14 @@
 //! conservatism scorecard against exhaustive ground truth.
 
 pub mod affine;
+pub mod certify;
 pub mod forward;
 pub mod interval;
 pub mod mask;
 pub mod slice;
 
 pub use affine::{affine_bound, affine_forward, affine_section_amp, AffineBound, AffineConfig};
+pub use certify::{certify_bits, Certification, CertifyConfig, CertifyError, Domain};
 pub use forward::{forward_pass, AbsIntError, ForwardConfig, ForwardIntervals};
 pub use interval::Interval;
 pub use mask::{safe_bit_masks, BitClass, BitMasks, MaskSource, SiteMask};

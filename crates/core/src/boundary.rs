@@ -1,5 +1,6 @@
 //! The fault tolerance boundary data structure.
 
+use crate::metrics::min_sdc_per_site;
 use ftb_inject::ExhaustiveResult;
 use ftb_trace::GoldenRun;
 use serde::{Deserialize, Serialize};
@@ -195,23 +196,14 @@ pub fn golden_boundary(golden: &GoldenRun, exhaustive: &ExhaustiveResult) -> Bou
         exhaustive.n_sites,
         "golden/exhaustive mismatch"
     );
-    let bits = exhaustive.bits;
     let mut b = Boundary::zero(golden.n_sites());
-    for site in 0..golden.n_sites() {
+    for (site, min_sdc) in min_sdc_per_site(golden, exhaustive).into_iter().enumerate() {
         let errs = golden.flip_errors(site);
-        let mut min_sdc = f64::INFINITY;
-        for bit in 0..bits {
-            if exhaustive.outcome(site, bit).is_sdc() {
-                min_sdc = min_sdc.min(errs[bit as usize]);
-            }
-        }
-        let mut best = 0.0f64;
-        for bit in 0..bits {
-            let e = errs[bit as usize];
-            if exhaustive.outcome(site, bit).is_masked() && e < min_sdc && e.is_finite() {
-                best = best.max(e);
-            }
-        }
+        let best = (0..exhaustive.bits)
+            .filter(|&bit| exhaustive.outcome(site, bit).is_masked())
+            .map(|bit| errs[bit as usize])
+            .filter(|&e| e < min_sdc && e.is_finite())
+            .fold(0.0, f64::max);
         if best > 0.0 {
             b.observe(site, best);
         }

@@ -12,7 +12,7 @@
 //! cost re-runs, never wrong reuse (assuming `code_version` honours its
 //! contract).
 
-use ftb_inject::SectionRecord;
+use ftb_inject::{LedgerError, SectionRecord};
 
 /// The reuse/re-run split for one incremental pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,22 +36,46 @@ impl IncrementalPlan {
 /// Split the current sections into reusable and dirty against a prior
 /// ledger's records. `current` gives, per current section index, the
 /// `(lo, hi, signature)` triple it would campaign under today.
+///
+/// # Errors
+/// [`LedgerError::Format`] if a matching record's dense per-site vectors
+/// (`local_max`, `min_sdc`, `site_amp`) are not `hi − lo` long: the
+/// composition indexes them per site, so such a record is damage, not a
+/// stale cache.
 pub fn plan_incremental(
     prior: &[SectionRecord],
     current: &[(usize, usize, u64)],
-) -> IncrementalPlan {
+) -> Result<IncrementalPlan, LedgerError> {
     let mut reused = Vec::new();
     let mut dirty = Vec::new();
     for (t, &(lo, hi, sig)) in current.iter().enumerate() {
-        let hit = prior.iter().find(|r| {
+        let hit = prior.iter().position(|r| {
             r.summary.index == t && r.summary.lo == lo && r.summary.hi == hi && r.signature == sig
         });
-        match hit {
-            Some(r) => reused.push((t, r.clone())),
-            None => dirty.push(t),
+        let Some(i) = hit else {
+            dirty.push(t);
+            continue;
+        };
+        let s = &prior[i].summary;
+        for (name, len) in [
+            ("local_max", s.local_max.len()),
+            ("min_sdc", s.min_sdc.len()),
+            ("site_amp", s.site_amp.len()),
+        ] {
+            if len != hi - lo {
+                return Err(LedgerError::Format {
+                    // line 1 is the header
+                    line: i + 2,
+                    msg: format!(
+                        "section {t} record has {len} {name} entries for {} sites",
+                        hi - lo
+                    ),
+                });
+            }
         }
+        reused.push((t, prior[i].clone()));
     }
-    IncrementalPlan { reused, dirty }
+    Ok(IncrementalPlan { reused, dirty })
 }
 
 #[cfg(test)]
@@ -82,7 +106,7 @@ mod tests {
     #[test]
     fn matching_signatures_reuse_everything() {
         let prior = vec![record(0, 0, 4, 11), record(1, 4, 8, 22)];
-        let plan = plan_incremental(&prior, &[(0, 4, 11), (4, 8, 22)]);
+        let plan = plan_incremental(&prior, &[(0, 4, 11), (4, 8, 22)]).unwrap();
         assert!(plan.dirty.is_empty());
         assert_eq!(plan.reused.len(), 2);
     }
@@ -90,7 +114,7 @@ mod tests {
     #[test]
     fn signature_mismatch_dirties_exactly_that_section() {
         let prior = vec![record(0, 0, 4, 11), record(1, 4, 8, 22)];
-        let plan = plan_incremental(&prior, &[(0, 4, 11), (4, 8, 99)]);
+        let plan = plan_incremental(&prior, &[(0, 4, 11), (4, 8, 99)]).unwrap();
         assert_eq!(plan.dirty, vec![1]);
         assert_eq!(plan.reused.len(), 1);
         assert_eq!(plan.reused[0].0, 0);
@@ -99,7 +123,7 @@ mod tests {
     #[test]
     fn extent_mismatch_is_stale_even_with_equal_signature() {
         let prior = vec![record(0, 0, 4, 11)];
-        let plan = plan_incremental(&prior, &[(0, 5, 11)]);
+        let plan = plan_incremental(&prior, &[(0, 5, 11)]).unwrap();
         assert_eq!(plan.dirty, vec![0]);
     }
 
@@ -107,8 +131,29 @@ mod tests {
     fn missing_records_are_dirty() {
         // ledger died after section 0: section 1 never persisted
         let prior = vec![record(0, 0, 4, 11)];
-        let plan = plan_incremental(&prior, &[(0, 4, 11), (4, 8, 22)]);
+        let plan = plan_incremental(&prior, &[(0, 4, 11), (4, 8, 22)]).unwrap();
         assert_eq!(plan.dirty, vec![1]);
+    }
+
+    #[test]
+    fn truncated_dense_vector_in_a_matching_record_is_refused() {
+        let mut short = record(1, 4, 8, 22);
+        short.summary.site_amp.pop();
+        let prior = vec![record(0, 0, 4, 11), short];
+        let e = plan_incremental(&prior, &[(0, 4, 11), (4, 8, 22)]).unwrap_err();
+        let LedgerError::Format { line, msg } = e else {
+            panic!("expected a format error, got {e:?}")
+        };
+        assert_eq!(line, 3);
+        assert!(msg.contains("3 site_amp entries for 4 sites"), "{msg}");
+        // a damaged record nothing matches is simply not reused
+        assert_eq!(
+            plan_incremental(&prior, &[(0, 4, 11)])
+                .unwrap()
+                .reused
+                .len(),
+            1
+        );
     }
 
     #[test]

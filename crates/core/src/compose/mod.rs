@@ -301,7 +301,7 @@ pub fn compose_analysis(
                 && b.bits == binding.bits
                 && b.plan == binding.plan;
             if compatible {
-                plan_incremental(&prior.sections, &current)
+                plan_incremental(&prior.sections, &current)?
             } else {
                 IncrementalPlan::all_dirty(m)
             }

@@ -53,6 +53,31 @@ pub enum FilterMode {
     Global,
 }
 
+impl std::fmt::Display for FilterMode {
+    /// The `--filter` flag's spelling (also bound into adaptive
+    /// checkpoint plans).
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            FilterMode::Off => "off",
+            FilterMode::PerSite => "per-site",
+            FilterMode::Global => "global",
+        })
+    }
+}
+
+impl std::str::FromStr for FilterMode {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, String> {
+        match name {
+            "off" => Ok(FilterMode::Off),
+            "per-site" => Ok(FilterMode::PerSite),
+            "global" => Ok(FilterMode::Global),
+            other => Err(format!("unknown filter mode '{other}'")),
+        }
+    }
+}
+
 /// Result of boundary inference: the boundary plus the per-site
 /// information accounting used by Figure 4 (row 2) and the adaptive
 /// sampler.
@@ -163,6 +188,16 @@ mod tests {
 
     fn stencil_injector(k: &StencilKernel) -> Injector<'_> {
         Injector::new(k, Classifier::new(1e-6))
+    }
+
+    #[test]
+    fn filter_mode_round_trips_its_flag_spelling() {
+        for mode in [FilterMode::Off, FilterMode::PerSite, FilterMode::Global] {
+            assert_eq!(mode.to_string().parse::<FilterMode>(), Ok(mode));
+        }
+        assert_eq!(FilterMode::PerSite.to_string(), "per-site");
+        let e = "sideways".parse::<FilterMode>().unwrap_err();
+        assert_eq!(e, "unknown filter mode 'sideways'");
     }
 
     #[test]

@@ -68,9 +68,9 @@ pub mod sample;
 pub mod staticbound;
 
 pub use absint::{
-    affine_bound, affine_forward, forward_pass, influence_slice, safe_bit_masks, AbsIntError,
-    AffineBound, AffineConfig, BitClass, BitMasks, ForwardConfig, ForwardIntervals, InfluenceSlice,
-    Interval, MaskSource,
+    affine_bound, affine_forward, certify_bits, forward_pass, influence_slice, safe_bit_masks,
+    AbsIntError, AffineBound, AffineConfig, BitClass, BitMasks, Certification, CertifyConfig,
+    CertifyError, Domain, ForwardConfig, ForwardIntervals, InfluenceSlice, Interval, MaskSource,
 };
 pub use adaptive::{
     adaptive_boundary, adaptive_boundary_with_prior, AdaptiveConfig, AdaptiveResult, AdaptiveState,
@@ -83,7 +83,9 @@ pub use compose::{
     ComposeParams, ComposeResult, Composed, IncrementalPlan, SectionDag,
 };
 pub use infer::{infer_boundary, FilterMode, Inference};
-pub use metrics::{delta_sdc, BoundaryEval, SdcProfile};
+pub use metrics::{
+    conservative_fraction, delta_sdc, min_sdc_per_site, BitsScorecard, BoundaryEval, SdcProfile,
+};
 pub use pilot::{pilot_estimate, PilotConfig, PilotEstimate};
 pub use predict::{crash_known_set, PredictedOutcome, Predictor};
 pub use protection::ProtectionPlan;
@@ -97,8 +99,9 @@ pub use staticbound::{
 /// Convenient single-import surface.
 pub mod prelude {
     pub use crate::absint::{
-        affine_bound, affine_forward, forward_pass, safe_bit_masks, AffineBound, AffineConfig,
-        BitClass, BitMasks, ForwardConfig, ForwardIntervals, Interval, MaskSource,
+        affine_bound, affine_forward, certify_bits, forward_pass, safe_bit_masks, AffineBound,
+        AffineConfig, BitClass, BitMasks, Certification, CertifyConfig, Domain, ForwardConfig,
+        ForwardIntervals, Interval, MaskSource,
     };
     pub use crate::adaptive::{
         adaptive_boundary, adaptive_boundary_with_prior, AdaptiveConfig, AdaptiveResult,
@@ -111,7 +114,9 @@ pub mod prelude {
         ComposeResult, SectionDag,
     };
     pub use crate::infer::{infer_boundary, FilterMode, Inference};
-    pub use crate::metrics::{delta_sdc, BoundaryEval, SdcProfile};
+    pub use crate::metrics::{
+        conservative_fraction, delta_sdc, min_sdc_per_site, BitsScorecard, BoundaryEval, SdcProfile,
+    };
     pub use crate::pilot::{pilot_estimate, PilotConfig, PilotEstimate};
     pub use crate::predict::{crash_known_set, PredictedOutcome, Predictor};
     pub use crate::protection::ProtectionPlan;

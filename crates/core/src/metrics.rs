@@ -13,10 +13,18 @@
 //!   the samples already run, it lets an application programmer verify
 //!   the boundary without an exhaustive campaign; §4.3 shows it tracks
 //!   the true precision closely.
+//!
+//! Every boundary is scored against exhaustive truth through this module:
+//! [`BoundaryEval`] for threshold boundaries, [`min_sdc_per_site`] and
+//! [`conservative_fraction`] for per-site conservatism, and
+//! [`BitsScorecard`] for certified bit masks.
 
+use crate::absint::{BitClass, BitMasks};
+use crate::boundary::Boundary;
 use crate::predict::Predictor;
 use crate::sample::SampleSet;
 use ftb_inject::{ExhaustiveResult, Outcome};
+use ftb_trace::GoldenRun;
 use serde::{Deserialize, Serialize};
 
 /// Classifier-style evaluation of a boundary.
@@ -91,6 +99,80 @@ impl BoundaryEval {
                 .iter()
                 .map(|e| (e.site, e.bit, e.outcome)),
         )
+    }
+}
+
+/// Per-site smallest SDC-causing injected error under exhaustive truth
+/// (`+∞` where no bit of the site is SDC).
+pub fn min_sdc_per_site(golden: &GoldenRun, truth: &ExhaustiveResult) -> Vec<f64> {
+    (0..golden.n_sites())
+        .map(|site| {
+            let errs = golden.flip_errors(site);
+            (0..truth.bits)
+                .filter(|&bit| truth.outcome(site, bit).is_sdc())
+                .map(|bit| errs[bit as usize])
+                .fold(f64::INFINITY, f64::min)
+        })
+        .collect()
+}
+
+/// Fraction of all sites whose `boundary` threshold sits strictly below
+/// their smallest SDC-causing error (`min_sdc`, from
+/// [`min_sdc_per_site`]); sites with no SDC count as conservative.
+pub fn conservative_fraction(boundary: &Boundary, min_sdc: &[f64]) -> f64 {
+    min_sdc
+        .iter()
+        .enumerate()
+        .filter(|&(s, &m)| boundary.threshold(s) < m || m.is_infinite())
+        .count() as f64
+        / min_sdc.len().max(1) as f64
+}
+
+/// How certified bit masks score against ground-truth outcomes.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct BitsScorecard {
+    /// Certified bits whose true outcome is SDC or Crash. Soundness
+    /// demands zero.
+    pub violations: u64,
+    /// Bits that really are masked in the truth set.
+    pub truly_masked: u64,
+    /// Fraction of truly-masked bits the analysis certified without an
+    /// injection (the map's recall; 1 - this is the conservatism cost).
+    pub certified_recall: f64,
+    /// Crash-likely bits whose true outcome really is a crash.
+    pub crash_likely_hits: u64,
+    /// Truth outcomes scored: the injections the validation spent.
+    pub n_injections: u64,
+}
+
+impl BitsScorecard {
+    /// Score `masks` against `(site, bit, outcome)` truth triples.
+    pub fn score<I>(masks: &BitMasks, truth: I) -> Self
+    where
+        I: IntoIterator<Item = (usize, u8, Outcome)>,
+    {
+        let (mut violations, mut truly_masked, mut certified_ok, mut crash_hits, mut n) =
+            (0u64, 0u64, 0u64, 0u64, 0u64);
+        for (site, bit, o) in truth {
+            n += 1;
+            let masked = o.is_masked();
+            truly_masked += u64::from(masked);
+            match masks.class(site, bit) {
+                BitClass::CertifiedMasked => {
+                    certified_ok += u64::from(masked);
+                    violations += u64::from(!masked);
+                }
+                BitClass::CrashLikely => crash_hits += u64::from(matches!(o, Outcome::Crash(_))),
+                BitClass::Unknown => {}
+            }
+        }
+        BitsScorecard {
+            violations,
+            truly_masked,
+            certified_recall: certified_ok as f64 / truly_masked.max(1) as f64,
+            crash_likely_hits: crash_hits,
+            n_injections: n,
+        }
     }
 }
 
@@ -230,6 +312,65 @@ mod tests {
         let eval = BoundaryEval::against_exhaustive(&p, &ex);
         let unc = BoundaryEval::uncertainty(&p, &all);
         assert!((eval.precision - unc.precision).abs() < 1e-12);
+    }
+
+    #[test]
+    fn min_sdc_bounds_the_golden_boundary_from_above() {
+        let k = MatvecKernel::new(MatvecConfig {
+            n: 4,
+            ..MatvecConfig::small()
+        });
+        let inj = Injector::new(&k, Classifier::new(1e-6));
+        let ex = inj.exhaustive();
+        let min_sdc = min_sdc_per_site(inj.golden(), &ex);
+        assert_eq!(min_sdc.len(), inj.n_sites());
+        for (site, &m) in min_sdc.iter().enumerate() {
+            let errs = inj.golden().flip_errors(site);
+            for bit in 0..ex.bits {
+                if ex.outcome(site, bit).is_sdc() {
+                    assert!(m <= errs[bit as usize], "site {site} bit {bit}");
+                }
+            }
+        }
+        assert!(min_sdc.iter().any(|m| m.is_finite()), "no SDC at all");
+        // the golden boundary sits strictly below every first SDC error
+        let gb = golden_boundary(inj.golden(), &ex);
+        assert_eq!(conservative_fraction(&gb, &min_sdc), 1.0);
+        // an everything-masked boundary is conservative only where no
+        // bit is SDC
+        let all = Boundary::from_static(&vec![f64::MAX; inj.n_sites()]);
+        let sdc_free = min_sdc.iter().filter(|m| m.is_infinite()).count();
+        assert_eq!(
+            conservative_fraction(&all, &min_sdc),
+            sdc_free as f64 / min_sdc.len() as f64
+        );
+    }
+
+    #[test]
+    fn bits_scorecard_counts_each_class() {
+        use crate::absint::{MaskSource, SiteMask};
+        let masks = BitMasks {
+            bits: 64,
+            source: MaskSource::Static,
+            sites: vec![SiteMask {
+                certified: 0b0011,
+                crash_likely: 0b1100,
+            }],
+        };
+        let crash = Outcome::Crash(ftb_inject::CrashKind::NonFinite);
+        let truth = [
+            (0, 0, Outcome::Masked), // certified, right
+            (0, 1, Outcome::Sdc),    // certified, wrong
+            (0, 2, crash),           // crash-likely, right
+            (0, 3, Outcome::Masked), // crash-likely, wrong
+            (0, 4, Outcome::Masked), // unknown
+        ];
+        let sc = BitsScorecard::score(&masks, truth);
+        assert_eq!(sc.violations, 1);
+        assert_eq!(sc.truly_masked, 3);
+        assert!((sc.certified_recall - 1.0 / 3.0).abs() < 1e-15);
+        assert_eq!(sc.crash_likely_hits, 1);
+        assert_eq!(sc.n_injections, 5);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::boundary::Boundary;
 use crate::sample::SampleSet;
-use ftb_inject::{ExhaustiveResult, Outcome};
+use ftb_inject::ExhaustiveResult;
 use ftb_trace::bits::injected_error;
 use ftb_trace::GoldenRun;
 use serde::{Deserialize, Serialize};
@@ -132,18 +132,6 @@ impl<'a> Predictor<'a> {
             return 0.0;
         }
         per.iter().sum::<f64>() / per.len() as f64
-    }
-
-    /// Predict the entire space against an exhaustive ground truth,
-    /// returning `(true_outcome, predicted)` pairs — the raw stream the
-    /// metrics are computed from.
-    pub fn against_truth<'e>(
-        &'e self,
-        truth: &'e ExhaustiveResult,
-    ) -> impl Iterator<Item = (usize, u8, Outcome, PredictedOutcome)> + 'e {
-        truth
-            .iter()
-            .map(move |(site, bit, o)| (site, bit, o, self.predict(site, bit)))
     }
 }
 

@@ -8,7 +8,7 @@
 //! to a pinned-seed sample — is what a user can compute without an
 //! exhaustive campaign, exactly as for the inferred boundary.
 
-use crate::metrics::BoundaryEval;
+use crate::metrics::{min_sdc_per_site, BoundaryEval};
 use crate::predict::Predictor;
 use crate::sample::SampleSet;
 use ftb_inject::ExhaustiveResult;
@@ -54,12 +54,10 @@ pub fn validate_static(
     let mut conservative = 0usize;
     let mut constrained = 0usize;
     let mut slacks: Vec<f64> = Vec::new();
-    for (site, &s) in static_thresholds.iter().enumerate().take(truth.n_sites) {
-        let errs = golden.flip_errors(site);
-        let min_sdc = (0..truth.bits)
-            .filter(|&bit| truth.outcome(site, bit).is_sdc())
-            .map(|bit| errs[bit as usize])
-            .fold(f64::INFINITY, f64::min);
+    for (&s, &min_sdc) in static_thresholds
+        .iter()
+        .zip(&min_sdc_per_site(golden, truth))
+    {
         if !min_sdc.is_finite() {
             continue; // no SDC observed: nothing to violate
         }

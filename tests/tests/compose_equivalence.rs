@@ -26,20 +26,6 @@ fn cfg(tol: f64) -> ComposeConfig {
     }
 }
 
-/// Per-site smallest SDC-causing injected error from exhaustive truth.
-fn min_sdc_per_site(inj: &Injector<'_>, truth: &ftb_inject::ExhaustiveResult) -> Vec<f64> {
-    let golden = inj.golden();
-    (0..golden.n_sites())
-        .map(|site| {
-            let errs = golden.flip_errors(site);
-            (0..truth.bits)
-                .filter(|&bit| truth.outcome(site, bit).is_sdc())
-                .map(|bit| errs[bit as usize])
-                .fold(f64::INFINITY, f64::min)
-        })
-        .collect()
-}
-
 #[test]
 fn composed_is_precise_and_conservative_vs_exhaustive() {
     for (config, tol) in compose_suite() {
@@ -64,7 +50,7 @@ fn composed_is_precise_and_conservative_vs_exhaustive() {
         // sampled — the same limitation the monolithic inferred
         // boundary has. Composition itself must add no unsoundness, so
         // extrapolated sites are held to zero violations everywhere.
-        let min_sdc = min_sdc_per_site(&inj, &truth);
+        let min_sdc = min_sdc_per_site(inj.golden(), &truth);
         let violating: Vec<usize> = (0..inj.n_sites())
             .filter(|&s| min_sdc[s].is_finite() && r.boundary.threshold(s) >= min_sdc[s])
             .collect();

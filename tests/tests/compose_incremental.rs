@@ -4,7 +4,7 @@
 
 use ftb_core::prelude::*;
 use ftb_core::{compose_analysis, ComposeConfig, ComposeError};
-use ftb_inject::{read_section_ledger, Classifier, Injector};
+use ftb_inject::{read_section_ledger, Classifier, Injector, LedgerError, SectionRecord};
 use ftb_kernels::{CgConfig, CgStorage, JacobiConfig, Kernel, KernelConfig, SweepTweak};
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -158,6 +158,34 @@ fn corrupt_ledger_header_is_a_typed_error() {
     let err = compose_analysis(kernel.as_ref(), &config, &inj, &cfg(), Some(&ledger)).unwrap_err();
     assert!(matches!(err, ComposeError::Ledger(_)), "got {err:?}");
     assert!(err.to_string().contains("ledger"), "unhelpful: {err}");
+}
+
+#[test]
+fn truncated_record_vector_is_a_typed_error_not_a_panic() {
+    let ledger = tmp("truncated.ftbl");
+    let config = jacobi_config(None);
+    let kernel = config.build();
+    let inj = Injector::new(kernel.as_ref(), Classifier::new(TOL));
+    compose_analysis(kernel.as_ref(), &config, &inj, &cfg(), Some(&ledger)).unwrap();
+
+    // every line stays well-formed JSON; only the first record's
+    // `site_amp` loses its last entry
+    let text = std::fs::read_to_string(&ledger).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let mut rec: SectionRecord = serde_json::from_str(&lines[1]).unwrap();
+    rec.summary.site_amp.pop().expect("non-empty section");
+    lines[1] = serde_json::to_string(&rec).unwrap();
+    std::fs::write(&ledger, lines.join("\n") + "\n").unwrap();
+
+    let err = compose_analysis(kernel.as_ref(), &config, &inj, &cfg(), Some(&ledger)).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ComposeError::Ledger(LedgerError::Format { line: 2, .. })
+        ),
+        "got {err:?}"
+    );
+    assert!(err.to_string().contains("site_amp"), "unhelpful: {err}");
 }
 
 #[test]
