@@ -55,7 +55,7 @@ fn benches(c: &mut Criterion) {
         let injector = Injector::new(&kernel, Classifier::new(1e-6));
         b.iter(|| {
             let mut n = 0usize;
-            injector.extract_propagation(150, 30, |_, _| n += 1);
+            injector.extract_propagation(150, 30, injector.n_sites(), |_, _| n += 1);
             n
         });
     });

@@ -83,7 +83,7 @@ fn main() {
 
         let t0 = Instant::now();
         let mut streamed: Vec<(usize, f64)> = Vec::new();
-        let _ = injector.extract_propagation(fault.site, fault.bit, |s, d| {
+        let _ = injector.extract_propagation(fault.site, fault.bit, injector.n_sites(), |s, d| {
             streamed.push((s, d));
         });
         let streamed_time = t0.elapsed().as_secs_f64();

@@ -1245,8 +1245,9 @@ fn run_path(
             plan.par_iter()
                 .map(|f| {
                     injector
-                        .extract_propagation(f.site, f.bit, |_, _| {})
+                        .extract_propagation(f.site, f.bit, injector.n_sites(), |_, _| {})
                         .experiment
+                        .expect("a whole-program run is classified")
                 })
                 .collect()
         };

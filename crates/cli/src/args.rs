@@ -52,6 +52,9 @@ Outcome experiments resume from golden-run snapshots on jacobi, gemm, lu
 and matrix-free cg, and run as lane-batched sweeps on jacobi, gemm and
 lu. Results are bit-identical to from-scratch execution.
 
+Each command accepts the kernel options plus the options it reads;
+any other option is refused.
+
 KERNEL OPTIONS (defaults in parentheses):
     --kernel NAME          kernel to analyse (required)
     --grid N               cg/stencil/spmv/jacobi grid dimension (8 / 12 / 10 / 6)
@@ -115,7 +118,8 @@ CHECKPOINT / OBSERVABILITY OPTIONS (campaign, exhaustive, adaptive):
                            only the experiments it does not already hold
     --metrics-out PATH     write a machine-readable metrics summary JSON
                            (counts, throughput, chunk timings)
-    --chunk N              experiments per ledger chunk (256)
+    --chunk N              campaign/exhaustive: experiments per ledger
+                           chunk (256)
 ";
 
 /// Parsed command line.
@@ -229,6 +233,146 @@ const VALUE_FLAGS: [&str; 28] = [
     "threads",
 ];
 
+/// Flags every command takes: they configure the kernel.
+const KERNEL_FLAGS: [&str; 17] = [
+    "kernel",
+    "grid",
+    "csr",
+    "rtol",
+    "max-iters",
+    "n",
+    "block",
+    "n1",
+    "n2",
+    "sweeps",
+    "fine",
+    "resid-every",
+    "tweak-sweep",
+    "tweak-omega",
+    "f32",
+    "f64",
+    "seed",
+];
+
+/// Flags that configure `--bit-prune`'s certification, on the commands
+/// where pruning is optional.
+const BIT_PRUNE_FLAGS: [&str; 4] = ["domain", "budget", "safety", "widen"];
+
+/// The flags `command` reads besides [`KERNEL_FLAGS`]. Any other flag is
+/// refused, so a misplaced option fails loudly instead of running
+/// without effect.
+fn command_flags(command: &str) -> &'static [&'static str] {
+    match command {
+        "campaign" => &[
+            "tolerance",
+            "samples",
+            "json",
+            "checkpoint",
+            "resume",
+            "metrics-out",
+            "chunk",
+        ],
+        "exhaustive" => &[
+            "tolerance",
+            "json",
+            "checkpoint",
+            "resume",
+            "metrics-out",
+            "chunk",
+            "bit-prune",
+            "domain",
+            "budget",
+            "safety",
+            "widen",
+        ],
+        "analyze" | "report" | "protect" => &["tolerance", "rate", "filter", "json"],
+        "analyze-static" => &[
+            "tolerance",
+            "rate",
+            "filter",
+            "safety",
+            "no-validate",
+            "json",
+        ],
+        // USAGE pairs the sectioned ledger with --resume, though its
+        // matching records are reused either way
+        "analyze-compose" => &[
+            "tolerance",
+            "rate",
+            "safety",
+            "no-validate",
+            "max-sections",
+            "secant",
+            "checkpoint",
+            "resume",
+            "json",
+        ],
+        "analyze-bits" => &[
+            "tolerance",
+            "safety",
+            "widen",
+            "domain",
+            "budget",
+            "no-validate",
+            "json",
+        ],
+        "analyze-characterize" => &["tolerance", "threads", "json"],
+        "adaptive" => &[
+            "tolerance",
+            "filter",
+            "static-prior",
+            "checkpoint",
+            "resume",
+            "metrics-out",
+            "json",
+            "bit-prune",
+            "domain",
+            "budget",
+            "safety",
+            "widen",
+        ],
+        // golden: the kernel flags only
+        _ => &[],
+    }
+}
+
+/// Refuse every flag `command` would ignore: one it never reads, or one
+/// that only qualifies another flag that is absent.
+fn refuse_inapplicable(command: &str, flags: &HashMap<String, String>) -> Result<(), CliError> {
+    let shown = command.replace('-', " ");
+    let prune_optional = matches!(command, "exhaustive" | "adaptive");
+    // (flag, the flag it qualifies, whether that one is present)
+    let qualifiers = [
+        ("resume", "--checkpoint", flags.contains_key("checkpoint")),
+        (
+            "budget",
+            "--domain affine",
+            flags.get("domain").map(String::as_str) == Some("affine"),
+        ),
+    ];
+    let mut given: Vec<&str> = flags.keys().map(String::as_str).collect();
+    given.sort_unstable();
+    for key in given {
+        if !KERNEL_FLAGS.contains(&key) && !command_flags(command).contains(&key) {
+            return Err(err(format!("--{key} does not apply to '{shown}'")));
+        }
+        if let Some((_, needed, _)) = qualifiers
+            .iter()
+            .find(|&&(flag, _, present)| flag == key && !present)
+        {
+            return Err(err(format!(
+                "--{key} does not apply to '{shown}' without {needed}"
+            )));
+        }
+        if prune_optional && BIT_PRUNE_FLAGS.contains(&key) && !flags.contains_key("bit-prune") {
+            return Err(err(format!(
+                "--{key} does not apply to '{shown}' without --bit-prune"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Parse raw arguments (excluding the program name).
 pub fn parse(raw: &[String]) -> Result<Args, CliError> {
     let command = raw
@@ -292,6 +436,7 @@ pub fn parse(raw: &[String]) -> Result<Args, CliError> {
             return Err(err(format!("unknown flag --{key}")));
         }
     }
+    refuse_inapplicable(&command, &flags)?;
 
     let get_usize = |k: &str, default: usize| -> Result<usize, CliError> {
         match flags.get(k) {
@@ -950,6 +1095,99 @@ mod tests {
         }
         assert_eq!(rate("1").unwrap().rate, 1.0);
         assert_eq!(rate("0.35").unwrap().rate, 0.35);
+    }
+
+    /// Split a command line into arguments.
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn flags_a_command_would_ignore_are_refused() {
+        let cases = [
+            (
+                "analyze bits --kernel jacobi --filter global",
+                "--filter does not apply to 'analyze bits'",
+            ),
+            (
+                "exhaustive --kernel jacobi --filter off",
+                "--filter does not apply to 'exhaustive'",
+            ),
+            (
+                "analyze static --kernel jacobi --domain affine --budget 8",
+                "--budget does not apply to 'analyze static'",
+            ),
+            (
+                "golden --kernel cg --tolerance 0.1",
+                "--tolerance does not apply to 'golden'",
+            ),
+            (
+                "adaptive --kernel matvec --chunk 64",
+                "--chunk does not apply to 'adaptive'",
+            ),
+            (
+                "analyze bits --kernel jacobi --budget 8",
+                "--budget does not apply to 'analyze bits' without --domain affine",
+            ),
+            (
+                "exhaustive --kernel jacobi --domain affine",
+                "--domain does not apply to 'exhaustive' without --bit-prune",
+            ),
+            (
+                "campaign --kernel matvec --resume",
+                "--resume does not apply to 'campaign' without --checkpoint",
+            ),
+        ];
+        for (line, msg) in cases {
+            assert_eq!(parse(&words(line)).unwrap_err().0, msg, "{line}");
+            // a parse error: exit 2, before anything runs
+            assert_eq!(crate::run(&words(line)), 2, "{line}");
+        }
+    }
+
+    #[test]
+    fn documented_combinations_parse() {
+        // every option USAGE documents, on the commands it names, plus
+        // the README and crate-doc examples
+        let lines = [
+            "golden --kernel cg --grid 8 --csr --f64 --seed 3",
+            "golden --kernel cg --rtol 1e-6 --max-iters 50",
+            "golden --kernel jacobi --fine 1 --resid-every 4",
+            "campaign --kernel lu --n 16 --samples 2000",
+            "campaign --kernel matvec --tolerance 1e-3 --json c.json --checkpoint c.jsonl \
+             --resume --metrics-out m.json --chunk 64",
+            "exhaustive --kernel fft --n1 8 --n2 8",
+            "exhaustive --kernel lu --n 16 --checkpoint l.jsonl --resume",
+            "exhaustive --kernel jacobi --grid 4 --sweeps 10 --tolerance 1e-4 --bit-prune \
+             --domain affine --budget 8 --safety 2 --widen 0.1",
+            "analyze --kernel cg --rate 0.01 --filter global --json a.json",
+            "analyze static --kernel jacobi --grid 4 --safety 2 --no-validate --filter off \
+             --rate 0.1 --json s.json",
+            "analyze compose --kernel jacobi --grid 4 --sweeps 10 --tolerance 1e-4 --rate 0.5 \
+             --seed 41 --checkpoint s.jsonl --resume --tweak-sweep 5 --tweak-omega 0.5 \
+             --max-sections 8 --safety 2 --no-validate --json c.json",
+            "analyze compose --kernel lu --secant",
+            "analyze bits --kernel jacobi --grid 4 --sweeps 10 --tolerance 1e-4 \
+             --domain affine --json out.json",
+            "analyze bits --kernel lu --domain affine --budget 8 --widen 0.01 --safety 2 \
+             --no-validate",
+            "analyze bits --kernel gemm --domain interval",
+            "analyze characterize --kernel lu --n 8 --block 4 --tolerance 3e-5 \
+             --threads 1,4,8 --json out.json",
+            "adaptive --kernel fft --n1 16 --n2 16",
+            "adaptive --kernel matvec --n 8 --seed 5 --filter off",
+            "adaptive --kernel jacobi --grid 4 --sweeps 10 --tolerance 1e-4 --bit-prune \
+             --domain affine --budget 4",
+            "adaptive --kernel cg --static-prior --checkpoint s.json --resume \
+             --metrics-out m.json --json r.json",
+            "report --kernel stencil --rate 0.05 --filter global",
+            "protect --kernel spmv --rate 0.05 --json p.json",
+        ];
+        for line in lines {
+            if let Err(e) = parse(&words(line)) {
+                panic!("{line}: {e}");
+            }
+        }
     }
 
     #[test]

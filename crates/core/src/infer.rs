@@ -132,7 +132,7 @@ pub fn infer_boundary(
         .fold(
             || (Boundary::zero(n_sites), vec![0u32; n_sites]),
             |(mut b, mut hits), e| {
-                injector.extract_propagation(e.site, e.bit, |site, err| {
+                injector.extract_propagation(e.site, e.bit, n_sites, |site, err| {
                     // strictly below: a perturbation equal to an error
                     // already known to cause SDC must not certify masked
                     let passes = match &min_sdc {

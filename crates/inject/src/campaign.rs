@@ -64,8 +64,8 @@ pub struct Injector<'k> {
     /// it, since their outcome is then decided.
     budget: usize,
     /// Golden-run boundary snapshots; when present, outcome experiments
-    /// resume from the latest snapshot preceding their fault site
-    /// instead of re-executing from `t = 0`.
+    /// and propagation extraction resume from the latest snapshot
+    /// preceding their fault site instead of re-executing from `t = 0`.
     snapshots: Option<SnapshotStore>,
     /// Allow contraction-certificate early exits
     /// ([`Kernel::masked_exit_bound`]) on snapshot-resumed runs. Off by
@@ -412,11 +412,22 @@ impl<'k> Injector<'k> {
         )
     }
 
-    /// Run one experiment from scratch and fold its propagation window
-    /// (`(site, Δx)` pairs, zero deltas skipped) through streamed
-    /// extraction: the faulty run is compared against the shared compact
-    /// golden while it executes. The folds, experiment and window
-    /// summary are bit-identical to those of [`Injector::run_one_traced`].
+    /// Run one experiment and fold its propagation window (`(site, Δx)`
+    /// pairs, zero deltas skipped) over the execution prefix `0 .. stop`
+    /// through streamed extraction: the faulty run is compared against
+    /// the shared compact golden while it executes. With a snapshot store
+    /// the run resumes from the latest snapshot at or before `site`,
+    /// since the skipped prefix is golden state.
+    ///
+    /// `stop ≥ n_sites` folds the whole program, and the folds,
+    /// experiment and window summary are bit-identical to those of
+    /// [`Injector::run_one_traced`]. A smaller `stop` ends the comparison
+    /// there and the run at the kernel's next
+    /// [`should_stop`](Tracer::should_stop) poll past it
+    /// ([`Tracer::with_stop`]): the folds are exactly the whole-program
+    /// folds at sites `< stop`, the window is the whole-program window
+    /// cut at `stop`, and the summary carries no experiment, since the
+    /// run never computed the program's output.
     ///
     /// When the golden trace is branch-free (no possible late
     /// divergence), the fold runs *online* through a delta sink with
@@ -426,32 +437,38 @@ impl<'k> Injector<'k> {
         &self,
         site: usize,
         bit: u8,
+        stop: usize,
         mut fold: impl FnMut(usize, f64),
     ) -> ExtractionSummary {
         let fault = FaultSpec { site, bit };
+        let stopped = stop < self.n_sites();
+        let online = self.compact.n_branches() == 0;
         SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
-            let (run, window) = if self.compact.n_branches() == 0 {
-                let mut batched = |block: &[(usize, f64)]| {
-                    for &(site, d) in block {
-                        fold(site, d);
-                    }
-                };
-                let mut t = Tracer::comparing(fault, &self.compact, &mut scratch)
-                    .with_delta_sink(&mut batched);
-                let out = self.kernel.run(&mut t);
-                t.finish_compare(out)
-            } else {
-                let mut t = Tracer::comparing(fault, &self.compact, &mut scratch);
-                let out = self.kernel.run(&mut t);
-                let finished = t.finish_compare(out);
+            let mut batched = |block: &[(usize, f64)]| {
+                for &(site, d) in block {
+                    fold(site, d);
+                }
+            };
+            let mut t = Tracer::comparing(fault, &self.compact, &mut scratch);
+            if online {
+                t = t.with_delta_sink(&mut batched);
+            }
+            if stopped {
+                t = t.with_stop(stop);
+            }
+            if let Some((store, snap)) = self.resume_for(fault) {
+                t = t.resume_at(snap.cursor, snap.branch_count, store.state(snap));
+            }
+            let out = self.kernel.run(&mut t);
+            let (run, window) = t.finish_compare(out);
+            if !online {
                 for &(site, d) in scratch.deltas() {
                     fold(site, d);
                 }
-                finished
-            };
+            }
             ExtractionSummary {
-                experiment: self.classified(fault, &run, None),
+                experiment: (!stopped).then(|| self.classified(fault, &run, None)),
                 compare_len: window.compare_len,
                 diverged: window.diverged,
                 max_err: window.max_err,
@@ -508,15 +525,19 @@ impl<'k> Injector<'k> {
 }
 
 /// Summary of one propagation-extracting experiment
-/// ([`Injector::extract_propagation`]), identical to the one the
-/// [`Injector::run_one_traced`] reference yields.
+/// ([`Injector::extract_propagation`]); for a whole-program run,
+/// identical to the one the [`Injector::run_one_traced`] reference
+/// yields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExtractionSummary {
-    /// The classified experiment.
-    pub experiment: Experiment,
-    /// Dynamic instructions `0 .. compare_len` were comparable.
+    /// The classified experiment; `None` when the run stopped before
+    /// the end of the program, whose outcome it never computed.
+    pub experiment: Option<Experiment>,
+    /// Dynamic instructions `0 .. compare_len` were comparable (never
+    /// past the stop).
     pub compare_len: usize,
-    /// Whether control flow diverged from the golden run.
+    /// Whether control flow diverged from the golden run (before the
+    /// stop).
     pub diverged: bool,
     /// Largest perturbation inside the window (`0.0` if none).
     pub max_err: f64,
@@ -725,7 +746,7 @@ mod tests {
         let k = tiny_kernel();
         let inj = injector(&k);
         let mut streamed = Vec::new();
-        let summary = inj.extract_propagation(3, 30, |s, d| streamed.push((s, d)));
+        let summary = inj.extract_propagation(3, 30, inj.n_sites(), |s, d| streamed.push((s, d)));
         let (experiment, prop) = inj.run_one_traced(3, 30);
         let buffered: Vec<(usize, f64)> = prop.iter().filter(|&(_, d)| d > 0.0).collect();
         assert!(summary.max_err > 0.0);
@@ -733,7 +754,7 @@ mod tests {
         assert_eq!(
             summary,
             ExtractionSummary {
-                experiment,
+                experiment: Some(experiment),
                 compare_len: prop.compare_len,
                 diverged: prop.diverged,
                 max_err: buffered.iter().fold(0.0, |m, &(_, d)| d.max(m)),

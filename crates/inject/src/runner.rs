@@ -512,6 +512,42 @@ mod tests {
     }
 
     #[test]
+    fn resume_refuses_a_record_outside_the_site_space() {
+        let k = tiny_kernel();
+        let inj = Injector::new(&k, Classifier::new(1e-6));
+        let path = tmp("site-out-of-range.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let plan = exhaustive_plan(inj.n_sites(), inj.bits());
+        let mut cc = ChunkedCampaign::new(&inj, plan.clone(), 64)
+            .with_ledger(&path, binding(&inj, "exhaustive"), false)
+            .unwrap();
+        cc.step().unwrap();
+        drop(cc);
+
+        // corrupt the first record's site to one past the last site: a
+        // well-formed line the resumed campaign must refuse, not execute
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let mut record: Experiment = serde_json::from_str(&lines[1]).unwrap();
+        record.site = inj.n_sites();
+        lines[1] = serde_json::to_string(&record).unwrap();
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        assert_eq!(
+            read_ledger(&path).unwrap().experiments[0].site,
+            inj.n_sites()
+        );
+
+        match ChunkedCampaign::new(&inj, plan, 64).with_ledger(
+            &path,
+            binding(&inj, "exhaustive"),
+            true,
+        ) {
+            Err(LedgerError::Format { line: 2, .. }) => {}
+            other => panic!("expected a Format error at line 2, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
     fn resume_without_existing_file_starts_fresh() {
         let k = tiny_kernel();
         let inj = Injector::new(&k, Classifier::new(1e-6));

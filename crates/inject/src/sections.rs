@@ -21,9 +21,13 @@
 //!
 //! Amplifications are *secant* estimates — finite-difference quotients
 //! `Δout/Δin` at observed perturbation magnitudes, the same notion of
-//! bound the static analyzer's derivative table uses — fitted from whole-
-//! program runs, so every recorded outcome is ground truth, never a
-//! model prediction.
+//! bound the static analyzer's derivative table uses. Outcomes come from
+//! whole-program runs, so every recorded outcome is ground truth, never
+//! a model prediction. The propagation folds read only the section's
+//! sites, so the masked runs that feed them execute only the part of the
+//! program that reaches the section's end: from the snapshot preceding
+//! the fault (when the injector has a store) to the first
+//! [`should_stop`](ftb_trace::Tracer::should_stop) poll past `hi`.
 //!
 //! The sectioned ledger (`ftb-sections-v1`) persists one completed
 //! [`SectionRecord`] per line after a binding header, with the same
@@ -168,9 +172,12 @@ struct MaskedFold {
 
 /// Run the campaign for section `t` of `map`: classify injections at a
 /// sampled subset of the section's own sites (all bits each) plus probes
-/// at the previous section's output frontier, then re-run the masked
-/// ones through streamed extraction to fold their propagation.
-/// Deterministic for a fixed `(config, t)` regardless of thread count.
+/// at the previous section's output frontier with whole-program runs,
+/// then fold the propagation of the masked ones through streamed
+/// extraction that stops at the section's end (`hi`) and, with a
+/// snapshot store, resumes at the snapshot preceding the fault.
+/// Deterministic for a fixed `(config, t)` regardless of thread count
+/// and execution policy.
 pub fn run_section_campaign(
     injector: &Injector<'_>,
     registry: &StaticRegistry,
@@ -237,18 +244,24 @@ pub fn run_section_campaign(
         }
     }
 
-    // phase 2: re-run masked experiments with propagation extraction,
-    // folding only this section's sites. A fold truncated to `< hi`
-    // depends only on the execution prefix the section covers.
-    let extract = |faults: &[FaultSpec]| -> Vec<MaskedFold> {
-        faults
+    // phase 2: fold the propagation of phase 1's masked experiments
+    // (those that perturbed anything) over this section's sites. The
+    // fold reads nothing at or past `hi`, so each run stops at the
+    // section's end (and resumes from the snapshot preceding its fault
+    // when the injector has a store).
+    let extract = |experiments: &[Experiment]| -> Vec<MaskedFold> {
+        let masked: Vec<&Experiment> = experiments
+            .iter()
+            .filter(|e| e.outcome == Outcome::Masked && e.injected_err > 0.0)
+            .collect();
+        masked
             .par_iter()
-            .flat_map_iter(|f| {
+            .map(|e| {
                 let mut deltas = Vec::new();
                 let mut frontier_max = 0.0f64;
                 let mut slots: Vec<(u32, f64)> = Vec::new();
-                let summary = injector.extract_propagation(f.site, f.bit, |s, d| {
-                    if s < lo || s >= hi {
+                injector.extract_propagation(e.site, e.bit, hi, |s, d| {
+                    if s < lo {
                         return;
                     }
                     let li = s - lo;
@@ -262,36 +275,18 @@ pub fn run_section_campaign(
                         }
                     }
                 });
-                (summary.experiment.outcome == Outcome::Masked
-                    && summary.experiment.injected_err > 0.0)
-                    .then_some(MaskedFold {
-                        site: f.site,
-                        injected_err: summary.experiment.injected_err,
-                        deltas,
-                        frontier_max,
-                        slot_max: slots,
-                    })
+                MaskedFold {
+                    site: e.site,
+                    injected_err: e.injected_err,
+                    deltas,
+                    frontier_max,
+                    slot_max: slots,
+                }
             })
             .collect()
     };
-    let masked_local: Vec<FaultSpec> = local_experiments
-        .iter()
-        .filter(|e| e.outcome == Outcome::Masked)
-        .map(|e| FaultSpec {
-            site: e.site,
-            bit: e.bit,
-        })
-        .collect();
-    let masked_inlet: Vec<FaultSpec> = inlet_experiments
-        .iter()
-        .filter(|e| e.outcome == Outcome::Masked)
-        .map(|e| FaultSpec {
-            site: e.site,
-            bit: e.bit,
-        })
-        .collect();
-    let local_folds = extract(&masked_local);
-    let inlet_folds = extract(&masked_inlet);
+    let local_folds = extract(&local_experiments);
+    let inlet_folds = extract(&inlet_experiments);
 
     // sequential merge (max-folds are order-independent anyway)
     let mut local_max = vec![0.0f64; len];

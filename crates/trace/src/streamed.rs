@@ -195,6 +195,55 @@ mod tests {
         assert_eq!(last.unwrap(), b);
     }
 
+    /// [`capped_sum`] with a [`Tracer::should_stop`] poll per step, so a
+    /// stopped tracer ends the run.
+    fn polled_sum(t: &mut Tracer, cap: f64) -> Vec<f64> {
+        let mut acc = 0.0;
+        for i in 1..=6 {
+            if t.should_stop() {
+                break;
+            }
+            acc = t.value(SID, acc + i as f64);
+            if t.branch(acc > cap) {
+                break;
+            }
+        }
+        vec![acc]
+    }
+
+    #[test]
+    fn stopped_window_is_the_whole_window_cut_at_stop() {
+        // cap 10: the sign flip at site 1 delays the early exit, so the
+        // branch streams split at cursor 4
+        for (cap, fault) in [
+            (100.0, FaultSpec { site: 1, bit: 30 }),
+            (10.0, FaultSpec { site: 1, bit: 63 }),
+        ] {
+            let golden = compact(cap);
+            let mut scratch = CompareScratch::new();
+            let mut t = Tracer::comparing(fault, &golden, &mut scratch);
+            let out = polled_sum(&mut t, cap);
+            let (_, whole) = t.finish_compare(out);
+            let whole_deltas = scratch.deltas().to_vec();
+            assert_eq!(whole.diverged, cap == 10.0);
+            for stop in fault.site..=whole.compare_len + 1 {
+                let mut t = Tracer::comparing(fault, &golden, &mut scratch).with_stop(stop);
+                let out = polled_sum(&mut t, cap);
+                let (run, window) = t.finish_compare(out);
+                let cut: Vec<_> = whole_deltas
+                    .iter()
+                    .copied()
+                    .filter(|&(s, _)| s < stop)
+                    .collect();
+                assert_eq!(scratch.deltas(), &cut[..], "cap {cap} stop {stop}");
+                assert_eq!(window.compare_len, whole.compare_len.min(stop));
+                assert_eq!(window.diverged, whole.diverged && stop > whole.compare_len);
+                // the run ended at the first poll past the stop
+                assert!(run.n_dynamic <= stop + 1, "cap {cap} stop {stop}");
+            }
+        }
+    }
+
     #[test]
     fn window_max_err_matches_propagation() {
         let golden = compact(100.0);

@@ -114,6 +114,9 @@ struct CompareState<'g> {
     div_cursor: Option<usize>,
     /// Sites at or beyond this cursor are outside the comparable window.
     limit: usize,
+    /// Where the comparison ends ([`Tracer::with_stop`]; `usize::MAX` =
+    /// the whole run): nothing at or past it is compared or reported.
+    stop: usize,
     /// Cursor of `block[0]` (meaningful while `block_len > 0`).
     block_start: usize,
     /// Number of pending values in `block`.
@@ -391,6 +394,7 @@ impl<'g> Tracer<'g> {
         let mut t = Self::with_flags(precision, Some(fault), false, false, false);
         t.compare = Some(CompareState {
             limit: golden.n_sites(),
+            stop: usize::MAX,
             gvalues: golden.values_view(),
             gbranches: golden.branches_view(),
             scratch,
@@ -433,6 +437,30 @@ impl<'g> Tracer<'g> {
             "online delta folding requires a branch-free golden trace"
         );
         cs.route = DeltaRoute::Sink(sink);
+        self
+    }
+
+    /// End a comparing-mode run at dynamic instruction `stop`: the
+    /// comparable window is capped at `stop`, and the run's budget
+    /// ([`Tracer::with_budget`]) is lowered to it, so a kernel polling
+    /// [`Tracer::should_stop`] ends the run at its first poll past
+    /// `stop` instead of executing to the end. The sealed window then
+    /// describes only the prefix `0 .. stop`: its deltas, `compare_len`
+    /// (never above `stop`) and divergence flag (set only by a
+    /// divergence before `stop`) are exactly those of the complete run
+    /// cut at `stop`. The run's output need not be the program's, so
+    /// its record must not be classified.
+    ///
+    /// # Panics
+    /// Panics if the tracer is not in comparing mode.
+    pub fn with_stop(mut self, stop: usize) -> Self {
+        let cs = self
+            .compare
+            .as_mut()
+            .expect("with_stop requires a Tracer::comparing tracer");
+        cs.limit = cs.limit.min(stop);
+        cs.stop = stop;
+        self.budget = self.budget.min(stop);
         self
     }
 
@@ -789,11 +817,13 @@ impl<'g> Tracer<'g> {
             // divergence at the cursor of the first unmatched golden event
             div = Some((cs.gbranches[cs.branch_idx] >> 1) as usize);
         }
+        // a stopped run reports nothing at or past its stop
+        let div = div.filter(|&d| d < cs.stop);
         let n_golden_sites = match cs.gvalues {
             GoldenValues::F32(v) => v.len(),
             GoldenValues::F64(v) => v.len(),
         };
-        let mut compare_len = n_golden_sites.min(self.cursor);
+        let mut compare_len = n_golden_sites.min(self.cursor).min(cs.stop);
         if let Some(d) = div {
             compare_len = compare_len.min(d);
         }

@@ -136,7 +136,7 @@ pub fn reference_extraction(
         max_err = max_err.max(d);
     }
     ExtractionSummary {
-        experiment,
+        experiment: Some(experiment),
         compare_len: prop.compare_len,
         diverged: prop.diverged,
         max_err,

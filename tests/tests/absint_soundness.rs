@@ -148,7 +148,7 @@ fn forward_envelope_contains_golden_across_threads_and_modes() {
         // extraction concerns faulty-run comparison; the golden
         // provenance pass the envelope is built from must be blind to it
         let inj = Injector::new(kernel.as_ref(), Classifier::new(tolerance));
-        let _ = inj.extract_propagation(0, 1, |_, _| {});
+        let _ = inj.extract_propagation(0, 1, inj.n_sites(), |_, _| {});
         let _ = inj.run_one_traced(0, 1);
         let (g, f) = envelope(kernel.as_ref(), 0.0);
         assert!(

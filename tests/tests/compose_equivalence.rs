@@ -155,8 +155,9 @@ fn composed_is_identical_across_extraction_paths() {
         for site in 0..probe.n_sites() {
             for bit in [mid - 8, mid] {
                 let (mut streamed, mut reference) = (Vec::new(), Vec::new());
-                let s =
-                    probe.extract_propagation(site, bit, |j, d| streamed.push((j, d.to_bits())));
+                let s = probe.extract_propagation(site, bit, probe.n_sites(), |j, d| {
+                    streamed.push((j, d.to_bits()))
+                });
                 let r = reference_extraction(&probe, site, bit, |j, d| {
                     reference.push((j, d.to_bits()))
                 });
@@ -222,5 +223,56 @@ fn composed_is_identical_across_thread_counts() {
             .unwrap();
         let got = pool.install(run);
         assert_eq!(got, reference, "{threads} threads diverged");
+    }
+}
+
+/// FNV-1a digest of the section summaries' JSON: the exact bytes a
+/// section ledger persists.
+fn summaries_digest(summaries: &[ftb_inject::SectionSummary]) -> u64 {
+    let mut h = ftb_trace::Fnv1a::new();
+    h.write(serde_json::to_string(summaries).unwrap().as_bytes());
+    h.finish()
+}
+
+#[test]
+fn section_summaries_match_pinned_digests() {
+    // Digests of summaries folded from whole-program extraction runs: a
+    // phase 2 that stops at the section's end or resumes from a snapshot
+    // must fold exactly the same values.
+    let mut cases: Vec<(&str, KernelConfig, ComposeConfig, u64)> = Vec::new();
+    for (config, tol) in compose_suite() {
+        let pinned = match config.name() {
+            "jacobi" => 0x3444_9c25_b3c0_e914,
+            "gemm" => 0x34e7_034f_9172_fc7e,
+            "cg" => 0xc89d_7aae_a0f3_eb0e,
+            other => unreachable!("{other} is not in the compose suite"),
+        };
+        cases.push(("tiny", config, cfg(tol), pinned));
+    }
+    let grid = 8;
+    cases.push((
+        "grid 8",
+        KernelConfig::Cg(ftb_kernels::CgConfig {
+            grid,
+            max_iters: 4 * grid * grid,
+            ..ftb_kernels::CgConfig::small()
+        }),
+        ComposeConfig {
+            seed: 41,
+            ..ComposeConfig::new(0.1)
+        },
+        0x4bb9_d01d_768c_763f,
+    ));
+    for (size, config, ccfg, pinned) in cases {
+        let kernel = config.build();
+        let scratch = Injector::new(kernel.as_ref(), Classifier::new(ccfg.tolerance));
+        let policy =
+            Injector::new(kernel.as_ref(), Classifier::new(ccfg.tolerance)).with_execution_policy();
+        for (path, inj) in [("from scratch", &scratch), ("execution policy", &policy)] {
+            let r = compose_analysis(kernel.as_ref(), &config, inj, &ccfg, None).unwrap();
+            let got = summaries_digest(&r.summaries);
+            let name = config.name();
+            assert_eq!(got, pinned, "{size} {name} ({path}): summaries moved");
+        }
     }
 }

@@ -48,13 +48,16 @@ fn extract(kernel: &dyn Kernel, tol: f64, reference: bool, site: usize, bit: u8)
     let summary: ExtractionSummary = if reference {
         reference_extraction(&inj, site, bit, fold)
     } else {
-        inj.extract_propagation(site, bit, fold)
+        inj.extract_propagation(site, bit, inj.n_sites(), fold)
     };
+    let experiment = summary
+        .experiment
+        .expect("a whole-program run is classified");
     Extraction {
         folded,
-        injected_err: summary.experiment.injected_err.to_bits(),
-        output_err: summary.experiment.output_err.to_bits(),
-        outcome: summary.experiment.outcome.code(),
+        injected_err: experiment.injected_err.to_bits(),
+        output_err: experiment.output_err.to_bits(),
+        outcome: experiment.outcome.code(),
         compare_len: summary.compare_len,
         diverged: summary.diverged,
         max_err: summary.max_err.to_bits(),
@@ -136,6 +139,144 @@ fn all_paths_agree_under_control_flow_divergence() {
         diverging > 0,
         "no diverging fault found to exercise the test"
     );
+}
+
+/// One extraction's fold (errors as raw bit patterns) and summary.
+fn fold_of(
+    inj: &Injector<'_>,
+    site: usize,
+    bit: u8,
+    stop: usize,
+) -> (Vec<(usize, u64)>, ExtractionSummary) {
+    let mut folded = Vec::new();
+    let summary = inj.extract_propagation(site, bit, stop, |s, d| folded.push((s, d.to_bits())));
+    (folded, summary)
+}
+
+/// The stop contract of `extract_propagation`, from scratch and resumed
+/// from a policy injector's snapshot store: a run stopped at `stop`
+/// folds exactly the whole-program reference fold at sites `< stop`,
+/// its window is the reference window cut at `stop`, it reports a
+/// divergence only where the reference diverged before `stop`, and it
+/// carries an experiment exactly when it ran the whole program.
+fn assert_stop_cuts_the_whole_fold(
+    scratch: &Injector<'_>,
+    policy: &Injector<'_>,
+    site: usize,
+    bit: u8,
+    stop: usize,
+) {
+    let mut whole_fold = Vec::new();
+    let whole = reference_extraction(scratch, site, bit, |s, d| whole_fold.push((s, d.to_bits())));
+    let want: Vec<(usize, u64)> = whole_fold.into_iter().filter(|&(s, _)| s < stop).collect();
+    let want_max = want
+        .iter()
+        .fold(0.0f64, |m, &(_, d)| m.max(f64::from_bits(d)));
+    let n_sites = scratch.n_sites();
+    let name = scratch.kernel().name();
+    for (path, inj) in [("from scratch", scratch), ("resumed", policy)] {
+        let ctx = format!("{name} {path}: site {site} bit {bit} stop {stop}");
+        let (folded, got) = fold_of(inj, site, bit, stop);
+        assert_eq!(folded, want, "{ctx}: fold");
+        assert!(got.compare_len <= stop, "{ctx}: compare_len past stop");
+        assert_eq!(got.compare_len, whole.compare_len.min(stop), "{ctx}");
+        assert_eq!(got.max_err.to_bits(), want_max.to_bits(), "{ctx}: max_err");
+        if stop >= n_sites {
+            assert_eq!(got, whole, "{ctx}: whole-program summary");
+        } else {
+            assert_eq!(got.experiment, None, "{ctx}: a stopped run was classified");
+            assert!(
+                !got.diverged || whole.diverged,
+                "{ctx}: invented divergence"
+            );
+            if stop <= whole.compare_len {
+                assert!(!got.diverged, "{ctx}: divergence past stop reported");
+            }
+        }
+    }
+}
+
+/// A from-scratch and an execution-policy injector over `kernel`.
+fn injector_pair(kernel: &dyn Kernel, tol: f64) -> (Injector<'_>, Injector<'_>) {
+    (
+        Injector::new(kernel, Classifier::new(tol)),
+        Injector::new(kernel, Classifier::new(tol)).with_execution_policy(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Stopping is a cut: for any kernel, site, bit and `stop ≥ site`,
+    /// the stopped extraction is the whole-program one restricted to
+    /// `< stop`, from scratch and snapshot-resumed.
+    #[test]
+    fn stopped_extraction_is_the_whole_extraction_cut_at_stop(
+        kernel_idx in 0usize..8,
+        site_raw in any::<usize>(),
+        bit_raw in any::<u8>(),
+        stop_raw in any::<usize>(),
+    ) {
+        let (config, tol) = &tiny_suite()[kernel_idx];
+        let kernel = config.build();
+        let (scratch, policy) = injector_pair(kernel.as_ref(), *tol);
+        let n_sites = scratch.n_sites();
+        let site = site_raw % n_sites;
+        let bit = bit_raw % scratch.bits();
+        let stop = site + stop_raw % (n_sites - site + 1);
+        assert_stop_cuts_the_whole_fold(&scratch, &policy, site, bit, stop);
+    }
+}
+
+/// The stop on the two extraction routes, with snapshot-served faults:
+/// CG's golden trace has branches (the scratch route, sealed at finish),
+/// jacobi's has none (the online delta-sink route). On CG the faults
+/// include ones whose control flow diverges, stopped both before and
+/// after the divergence.
+#[test]
+fn stopped_extraction_cuts_both_routes_and_divergence() {
+    let suite = tiny_suite();
+    for (config, tol) in [&suite[0], &suite[7]] {
+        // cg, jacobi
+        let kernel = config.build();
+        let (scratch, policy) = injector_pair(kernel.as_ref(), *tol);
+        let store = policy.snapshot_store().expect("snapshot-capable kernel");
+        let n_sites = scratch.n_sites();
+        let branchy = scratch.compact_golden().n_branches() > 0;
+        assert_eq!(
+            branchy,
+            config.name() == "cg",
+            "{config:?}: extraction route"
+        );
+        let mut served = 0;
+        let mut diverging = 0;
+        for i in 0..12 {
+            let site = i * (n_sites - 1) / 11;
+            served += usize::from(store.for_site(site).is_some());
+            for bit in [scratch.bits() / 2, scratch.bits() - 2] {
+                let whole = reference_extraction(&scratch, site, bit, |_, _| {});
+                let mut stops = vec![site, site + 1, (site + n_sites) / 2, n_sites - 1, n_sites];
+                if whole.diverged {
+                    diverging += 1;
+                    // the divergence cuts the window: stop on both sides
+                    stops.extend([whole.compare_len, whole.compare_len + 1]);
+                }
+                for stop in stops {
+                    assert_stop_cuts_the_whole_fold(
+                        &scratch,
+                        &policy,
+                        site,
+                        bit,
+                        stop.min(n_sites),
+                    );
+                }
+            }
+        }
+        assert!(served >= 6, "{config:?}: only {served} sites resumed");
+        if branchy {
+            assert!(diverging > 0, "cg: no diverging fault exercised the stop");
+        }
+    }
 }
 
 /// The site-never-reached edge case, at the trace level: a fault site

@@ -193,7 +193,7 @@ fn ddg_is_deterministic_across_thread_counts_and_extraction_modes() {
         // extracts: extraction concerns faulty-run comparison, never the
         // golden provenance pass
         let inj = Injector::new(k.as_ref(), Classifier::new(1e-4));
-        let _ = inj.extract_propagation(0, 1, |_, _| {});
+        let _ = inj.extract_propagation(0, 1, inj.n_sites(), |_, _| {});
         let _ = inj.run_one_traced(0, 1);
         let got = ddg_of(k.as_ref());
         assert_eq!(got, reference, "{}: DDG differs after extraction", k.name());
