@@ -1,25 +1,28 @@
-//! Perf-ratchet gate: compare a freshly measured extraction-suite tier
-//! against the committed `BENCH_ppopp21.json` and fail on regressions.
+//! Bench-report gate: evaluate the gate table on the committed
+//! `BENCH_ppopp21.json` and on freshly measured reports, then compare
+//! the fresh extraction-suite tier against the committed one and fail on
+//! throughput regressions.
 //!
 //! Usage:
 //!   `cargo run --release -p ftb-bench --bin bench_ratchet -- \
 //!      --baseline BENCH_ppopp21.json --fresh bench-smoke.json \
 //!      [--fresh bench-smoke-2.json ...] [--tier quick] [--tolerance 0.2]`
 //!
-//! Exits nonzero if any throughput metric in the committed baseline's
-//! tier fell more than the tolerance band below its committed value in
-//! the fresh run. `--fresh` may repeat: each metric's fresh value is the
-//! per-metric **max** across the given runs, so a regression means even
-//! the best of N fresh runs could not reach the band — one slow sample
-//! on a noisy shared runner is not a regression, N in a row is. Metrics
-//! the baseline lacks are skipped — the ratchet only tightens after a
-//! number is committed. The delta table goes to stdout and, when
-//! `$GITHUB_STEP_SUMMARY` is set, to the job summary. Unknown flags and
-//! a malformed `--tolerance` exit 2; `--help` prints usage.
+//! Exits nonzero, naming each failed row, if any row of the gate table
+//! (`ftb_bench::gates`) fails on any tier of the baseline or on the
+//! compared tier of any fresh report, or if any throughput metric of the
+//! baseline's tier fell more than the tolerance band below its committed
+//! value. `--fresh` may repeat: each metric's fresh value is the
+//! per-metric **max** across the runs, so one slow sample on a noisy
+//! runner is not a regression, N in a row is. Metrics the baseline lacks
+//! are skipped. The delta table goes to stdout and, when
+//! `$GITHUB_STEP_SUMMARY` is set, to the job summary. Unknown flags, an
+//! unreadable or foreign-schema report and a malformed `--tolerance`
+//! exit 2; `--help` prints usage.
 
 use ftb_bench::flags::flags_or_exit;
 use ftb_bench::ratchet::{compare, extract_metrics, markdown_table};
-use serde_json::Value;
+use ftb_bench::{failures, BenchDoc, PerfReport};
 
 const USAGE: &str =
     "usage: bench_ratchet [--baseline PATH] [--fresh PATH ...] [--tier NAME] [--tolerance F]
@@ -29,28 +32,23 @@ const USAGE: &str =
   --tier NAME       tier to compare (quick)
   --tolerance F     allowed fractional drop, in [0, 1) (0.2)";
 
-fn load_tier(path: &str, tier: &str) -> Option<Value> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| {
-            eprintln!("bench_ratchet: cannot read {path}: {e}");
-            std::process::exit(2);
-        })
-        .unwrap();
-    let doc: Value = serde_json::from_str(&text)
-        .map_err(|e| {
-            eprintln!("bench_ratchet: {path} is not valid JSON: {e}");
-            std::process::exit(2);
-        })
-        .unwrap();
-    if doc.get("schema").and_then(Value::as_str) != Some(ftb_bench::BENCH_SCHEMA) {
-        eprintln!(
-            "bench_ratchet: {path} has schema {:?}, expected {:?}",
-            doc.get("schema"),
-            ftb_bench::BENCH_SCHEMA
-        );
+fn load(path: &str) -> BenchDoc {
+    let doc = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| BenchDoc::parse(&text));
+    doc.unwrap_or_else(|e| {
+        eprintln!("bench_ratchet: {path}: {e}");
         std::process::exit(2);
+    })
+}
+
+/// Print every row `report` fails; whether it failed any.
+fn gate(path: &str, tier: &str, report: &PerfReport) -> bool {
+    let failed = failures(report);
+    for f in &failed {
+        eprintln!("FAIL: {path} {tier} tier: {f}");
     }
-    doc.get("tiers").and_then(|t| t.get(tier)).cloned()
+    !failed.is_empty()
 }
 
 fn main() {
@@ -74,18 +72,22 @@ fn main() {
         }
     };
 
-    let Some(base_tier) = load_tier(baseline_path, tier) else {
-        // no committed numbers for this tier yet: nothing to ratchet
-        println!("bench_ratchet: {baseline_path} has no '{tier}' tier; nothing to compare");
-        return;
-    };
+    let baseline = load(baseline_path);
+    let mut gate_failed = false;
+    for name in ["full", "quick"] {
+        if let Some(report) = baseline.tier(name) {
+            gate_failed |= gate(baseline_path, name, report);
+        }
+    }
     let mut fresh: Vec<(String, f64)> = Vec::new();
     for path in &fresh_paths {
-        let Some(fresh_tier) = load_tier(path, tier) else {
+        let doc = load(path);
+        let Some(fresh_tier) = doc.tier(tier) else {
             eprintln!("bench_ratchet: {path} has no '{tier}' tier");
             std::process::exit(2);
         };
-        for (name, v) in extract_metrics(&fresh_tier) {
+        gate_failed |= gate(path, tier, fresh_tier);
+        for (name, v) in extract_metrics(fresh_tier) {
             match fresh.iter_mut().find(|(n, _)| *n == name) {
                 Some(e) => e.1 = e.1.max(v),
                 None => fresh.push((name, v)),
@@ -93,24 +95,29 @@ fn main() {
         }
     }
 
-    let deltas = compare(&extract_metrics(&base_tier), &fresh, tolerance);
-    let table = markdown_table(&deltas, tolerance);
-    print!("{table}");
-    if let Ok(summary) = std::env::var("GITHUB_STEP_SUMMARY") {
-        use std::io::Write;
-        if let Ok(mut f) = std::fs::OpenOptions::new().append(true).open(&summary) {
-            let _ = f.write_all(table.as_bytes());
+    let mut regressed = false;
+    if let Some(base_tier) = baseline.tier(tier) {
+        let deltas = compare(&extract_metrics(base_tier), &fresh, tolerance);
+        let table = markdown_table(&deltas, tolerance);
+        print!("{table}");
+        if let Ok(summary) = std::env::var("GITHUB_STEP_SUMMARY") {
+            use std::io::Write;
+            if let Ok(mut f) = std::fs::OpenOptions::new().append(true).open(&summary) {
+                let _ = f.write_all(table.as_bytes());
+            }
         }
-    }
-
-    let regressed: Vec<_> = deltas.iter().filter(|d| d.regressed).collect();
-    if !regressed.is_empty() {
-        for d in &regressed {
+        for d in deltas.iter().filter(|d| d.regressed) {
+            regressed = true;
             eprintln!(
                 "FAIL: {} regressed to {:.2}x of committed baseline ({:.3} -> {:.3})",
                 d.name, d.ratio, d.baseline, d.fresh
             );
         }
+    } else {
+        // no committed numbers for this tier yet: nothing to ratchet
+        println!("bench_ratchet: {baseline_path} has no '{tier}' tier; nothing to compare");
+    }
+    if gate_failed || regressed {
         std::process::exit(1);
     }
 }

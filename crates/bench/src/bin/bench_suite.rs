@@ -8,14 +8,15 @@
 //!   `cargo run --release -p ftb-bench --bin bench_suite [-- --quick] [-- --out PATH]`
 //!
 //! `--quick` runs the tiny CI-smoke tier; the default full tier is what
-//! the committed `BENCH_ppopp21.json` reports. Exits nonzero if the
-//! streamed path disagrees with the reference on any outcome table — a
-//! throughput number from a path that produces different results is
-//! meaningless. Unknown flags exit 2 and `--help` prints usage, both
-//! without running anything.
+//! the committed `BENCH_ppopp21.json` reports. Exits nonzero, naming
+//! each failed row, if the tier fails any row of the gate table
+//! (`ftb_bench::gates`) — e.g. when the streamed path disagrees with the
+//! reference on an outcome table: a throughput number from a path that
+//! produces different results is meaningless. Unknown flags exit 2 and
+//! `--help` prints usage, both without running anything.
 
 use ftb_bench::flags::flags_or_exit;
-use ftb_bench::perf::{merge_tier, run_suite};
+use ftb_bench::{failures, run_suite, BenchDoc};
 
 const USAGE: &str = "usage: bench_suite [--quick] [--out PATH]
 
@@ -165,57 +166,23 @@ fn main() {
         println!();
     }
 
+    let failed = failures(&report);
     // merge this tier into the existing document so a quick run never
     // clobbers committed paper-scale numbers (and vice versa)
-    let prev = std::fs::read_to_string(&out)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok());
-    let doc = merge_tier(prev, &report);
+    let prev = std::fs::read_to_string(&out).ok().and_then(|text| {
+        BenchDoc::parse(&text)
+            .map_err(|e| eprintln!("note: {out} {e}; writing a new document"))
+            .ok()
+    });
+    let doc = BenchDoc::merge(prev, report);
     let json = serde_json::to_string_pretty(&doc).unwrap();
     std::fs::write(&out, json + "\n").unwrap();
     println!("wrote {out} ({tier} tier)");
 
-    if !report.all_paths_agree {
-        eprintln!("FAIL: streamed extraction disagrees with the buffered reference on at least one outcome table");
-        std::process::exit(1);
+    for f in &failed {
+        eprintln!("FAIL: {tier} tier: {f}");
     }
-    if !report.compose_ok {
-        eprintln!("FAIL: a compositional-analysis stanza missed its quality gate");
-        std::process::exit(1);
-    }
-    if !report.bits_ok {
-        eprintln!(
-            "FAIL: a bit-prune stanza missed its gate (certified-bit violation, \
-             pruned/unpruned divergence, or reduction below floor)"
-        );
-        std::process::exit(1);
-    }
-    if !report.snapshot_ok {
-        eprintln!(
-            "FAIL: a snapshot leg missed its gate (resumed outcome table diverged \
-             from the from-t=0 table, speedup below the workload's floor, or \
-             absolute exp/s below the workload's eps floor)"
-        );
-        std::process::exit(1);
-    }
-    if !report.batch_ok {
-        eprintln!(
-            "FAIL: a batched-execution leg missed its gate (batched outcome table \
-             diverged from the from-t=0 table, speedup over the scalar snapshot \
-             leg below the workload's floor, or absolute exp/s below the \
-             workload's eps floor)"
-        );
-        std::process::exit(1);
-    }
-    if !report.streamed_ok {
-        eprintln!("FAIL: streamed-vs-buffered speedup fell below a workload's pinned floor");
-        std::process::exit(1);
-    }
-    if !report.tvd_ok {
-        eprintln!(
-            "FAIL: a serial-vs-parallel characterization found a nonzero \
-             total-variation distance between pool sizes"
-        );
+    if !failed.is_empty() {
         std::process::exit(1);
     }
 }

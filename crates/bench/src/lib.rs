@@ -17,7 +17,7 @@
 //! | Figure 2  | `figure2`           | one masked experiment's propagation curve |
 //! | §5        | `monotonicity`      | stencil/matvec error-growth linearity |
 //! | §5        | `bench_suite`       | extraction-path throughput (`BENCH_ppopp21.json`) |
-//! | CI        | `bench_ratchet`     | fresh-vs-committed perf delta gate |
+//! | CI        | `bench_ratchet`     | gate table on every report + fresh-vs-committed perf delta |
 //! |           | `calibrate`         | tolerance/size calibration helper |
 
 #![warn(missing_docs)]
@@ -25,11 +25,13 @@
 
 pub mod cache;
 pub mod flags;
+pub mod gates;
 pub mod perf;
 pub mod ratchet;
 pub mod suite;
 
 pub use cache::{exhaustive_cached, sampled_truth_cached};
-pub use perf::{merge_tier, perf_suite, run_suite, PerfReport, BENCH_SCHEMA};
+pub use gates::{failures, Failure, Gate, GATES};
+pub use perf::{perf_suite, run_suite, BenchDoc, PerfReport, BENCH_SCHEMA};
 pub use ratchet::{compare, extract_metrics, markdown_table, MetricDelta};
 pub use suite::{paper_suite, Benchmark, Scale};

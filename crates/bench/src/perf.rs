@@ -44,7 +44,7 @@ use ftb_kernels::{
 };
 use ftb_trace::{CompactGolden, Precision};
 use rayon::prelude::*;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Schema tag of the committed benchmark file. The v5 format is a
@@ -53,59 +53,83 @@ use std::time::Instant;
 /// without clobbering each other's numbers. v6 extends the quick tier
 /// to every provenance-instrumented kernel (lu, fft, spmv, stencil,
 /// matvec join jacobi, gemm, cg) and adds the serial-vs-parallel
-/// `tvd` stanza with its `tvd_ok` reproducibility gate. v7 adds the
-/// lane-batched execution `batch` stanza (lanes, exp/s, speedup over
-/// the scalar snapshot leg) with its `batch_ok` gate, and the blocked
+/// `tvd` stanza. v7 adds the lane-batched execution `batch` stanza
+/// (lanes, exp/s, speedup over the scalar snapshot leg) and the blocked
 /// LU snapshot leg. v8 makes the `bits` stanza dual-domain — the
 /// affine (zonotope) pass drives the pruned campaign while the
 /// interval pass rides along as the tightness baseline
-/// (`interval_certified_measured` / `affine_certified_measured`, with
-/// `bits_ok` requiring affine ≥ interval) — and adds the paper-scale
-/// gemm and lu workloads with pinned batch-leg floors.
+/// (`interval_certified_measured` / `affine_certified_measured`) — and
+/// adds the paper-scale gemm and lu workloads with pinned batch-leg
+/// floors. The checks a report must pass are the rows of
+/// [`crate::gates::GATES`], evaluated on read, never stored.
 pub const BENCH_SCHEMA: &str = "ftb-bench/extraction-v8";
 
-/// Merge one tier's report into the committed benchmark document,
-/// preserving whatever the other tier last recorded. `prev` is the
-/// parsed existing file, if any; documents with a different schema tag
-/// are discarded rather than migrated.
-pub fn merge_tier(prev: Option<serde_json::Value>, report: &PerfReport) -> serde_json::Value {
-    use serde_json::Value;
-    let mut doc = prev
-        .filter(|v| v.get("schema").and_then(Value::as_str) == Some(BENCH_SCHEMA))
-        .unwrap_or_else(|| {
-            Value::Object(vec![
-                ("schema".into(), Value::String(BENCH_SCHEMA.into())),
-                ("tiers".into(), Value::Object(Vec::new())),
-            ])
+/// The benchmark document (`BENCH_ppopp21.json`): one report per tier.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct BenchDoc {
+    /// Always [`BENCH_SCHEMA`] for a parsed document.
+    pub schema: String,
+    /// The tiers the document holds.
+    pub tiers: Tiers,
+}
+
+/// The two tiers of a [`BenchDoc`]; either may be absent.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct Tiers {
+    /// The paper-scale tier.
+    #[serde(default)]
+    pub full: Option<PerfReport>,
+    /// The CI-smoke tier.
+    #[serde(default)]
+    pub quick: Option<PerfReport>,
+}
+
+impl BenchDoc {
+    /// Parse a document, refusing one of another schema: older documents
+    /// are discarded rather than migrated.
+    pub fn parse(text: &str) -> Result<Self, String> {
+        #[derive(Deserialize)]
+        struct Tag {
+            schema: String,
+        }
+        let Tag { schema } =
+            serde_json::from_str(text).map_err(|e| format!("not a report: {e}"))?;
+        if schema != BENCH_SCHEMA {
+            return Err(format!("has schema {schema:?}, expected {BENCH_SCHEMA:?}"));
+        }
+        serde_json::from_str(text).map_err(|e| format!("malformed report: {e}"))
+    }
+
+    /// The named tier (`quick` or `full`), if the document holds it.
+    pub fn tier(&self, name: &str) -> Option<&PerfReport> {
+        match name {
+            "quick" => self.tiers.quick.as_ref(),
+            "full" => self.tiers.full.as_ref(),
+            _ => None,
+        }
+    }
+
+    /// Merge one tier's report into `prev` (a new document when `None`),
+    /// preserving whatever the other tier last recorded.
+    pub fn merge(prev: Option<Self>, report: PerfReport) -> Self {
+        let mut doc = prev.unwrap_or(BenchDoc {
+            schema: BENCH_SCHEMA.to_string(),
+            tiers: Tiers::default(),
         });
-    let tier = if report.quick { "quick" } else { "full" };
-    let rendered = serde_json::to_value(report).expect("report serialises");
-    let obj = doc
-        .as_object_mut()
-        .expect("schema-tagged document is an object");
-    if !obj.iter().any(|(k, _)| k == "tiers") {
-        obj.push(("tiers".into(), Value::Object(Vec::new())));
+        if report.quick {
+            doc.tiers.quick = Some(report);
+        } else {
+            doc.tiers.full = Some(report);
+        }
+        doc
     }
-    let tiers = obj
-        .iter_mut()
-        .find(|(k, _)| k == "tiers")
-        .map(|(_, v)| v)
-        .expect("just ensured");
-    match tiers.as_object_mut() {
-        Some(entries) => match entries.iter_mut().find(|(k, _)| k == tier) {
-            Some(e) => e.1 = rendered,
-            None => entries.push((tier.to_string(), rendered)),
-        },
-        None => *tiers = Value::Object(vec![(tier.to_string(), rendered)]),
-    }
-    doc
 }
 
 /// Zero-injection static-analysis numbers for one workload: wall time of
 /// the two analysis stages plus agreement with injection ground truth
 /// (the §3.6 metrics over an exhaustive campaign at the stanza's own
 /// pinned config).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StaticBoundStats {
     /// Config the static stanza ran at. May be smaller than the perf
     /// config: validation needs exhaustive ground truth, which is
@@ -193,7 +217,7 @@ pub struct ComposeWorkload {
 }
 
 /// Incremental-re-analysis numbers after a localized code edit.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ComposeIncrementalStats {
     /// Sections whose campaigns re-ran after the edit.
     pub dirty_sections: usize,
@@ -210,7 +234,7 @@ pub struct ComposeIncrementalStats {
 }
 
 /// Compositional-analysis numbers for one workload.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ComposeStats {
     /// Config the stanza ran at.
     pub config: KernelConfig,
@@ -321,7 +345,7 @@ pub struct BitsWorkload {
 }
 
 /// Bit-level vulnerability-map numbers for one workload.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BitsStats {
     /// Config the stanza ran at.
     pub config: KernelConfig,
@@ -349,8 +373,8 @@ pub struct BitsStats {
     /// interval baseline (PR 5's domain).
     pub interval_certified_measured: u64,
     /// Certified-masked bits over the measured sites under the affine
-    /// domain — the `bits_ok` gate requires this to be at least the
-    /// interval count.
+    /// domain — the `bits_affine_ge_interval` gate requires this to be
+    /// at least the interval count.
     pub affine_certified_measured: u64,
     /// Sites whose influence cone is empty (certified outright by the
     /// slice; counted over the whole run).
@@ -361,7 +385,9 @@ pub struct BitsStats {
     /// All bits over the measured sites.
     pub total_measured: u64,
     /// `total / (total - certified)` over the measured sites — the
-    /// campaign work factor `--bit-prune` saves.
+    /// campaign work factor `--bit-prune` saves (`inf` when every
+    /// measured bit is certified).
+    #[serde(with = "ftb_trace::serde_float")]
     pub reduction_factor: f64,
     /// Experiments and wall time of the unpruned campaign.
     pub unpruned_experiments: u64,
@@ -487,7 +513,7 @@ pub fn run_bits(bw: &BitsWorkload) -> Option<BitsStats> {
 /// distance (see `ftb_inject::characterize`). Campaign outcomes are a
 /// pure function of the fault, so reproducibility demands exactly zero
 /// distance — any nonzero TVD is a scheduling-dependence bug.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TvdStats {
     /// Pool sizes exercised.
     pub thread_counts: Vec<usize>,
@@ -890,7 +916,7 @@ pub fn perf_suite(quick: bool) -> Vec<PerfWorkload> {
             },
             // Paper-scale blocked LU: 256×256 in 32×32 blocks, ~1.2M
             // dynamic sites — the third batch-capable kernel joins the
-            // full tier so `batch_ok` covers jacobi, gemm and lu.
+            // full tier so the batch rows cover jacobi, gemm and lu.
             PerfWorkload {
                 name: "lu",
                 snapshot_min_speedup: 0.0,
@@ -959,7 +985,7 @@ pub fn peak_rss_kb() -> Option<u64> {
 }
 
 /// Outcome histogram of an exhaustive table (masked, sdc, crash).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OutcomeCounts {
     /// Faults absorbed within tolerance.
     pub masked: u64,
@@ -972,11 +998,7 @@ pub struct OutcomeCounts {
 impl OutcomeCounts {
     /// Histogram over every `(site, bit)` cell, optionally site-strided.
     pub fn of(table: &ExhaustiveResult, stride: usize) -> Self {
-        let mut c = OutcomeCounts {
-            masked: 0,
-            sdc: 0,
-            crash: 0,
-        };
+        let mut c = OutcomeCounts::default();
         for site in (0..table.n_sites).step_by(stride) {
             for bit in 0..table.bits {
                 let o = table.outcome(site, bit);
@@ -998,15 +1020,11 @@ impl OutcomeCounts {
 /// every experiment starting from the boundary snapshot preceding its fault
 /// site instead of from t=0 (and early-exits on bitwise reconvergence
 /// with the captured golden state).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SnapshotStats {
-    /// CI floor on `speedup_vs_streamed` (from the pinned workload;
-    /// 0.0 disables the floor).
+    /// Floor on `speedup_vs_streamed` (`PerfWorkload::snapshot_min_speedup`).
     pub min_speedup: f64,
-    /// CI floor on `experiments_per_sec` (from the pinned workload;
-    /// 0.0 disables the floor). Anchors the paper-scale leg to the
-    /// fixed pre-snapshot baseline (3.33 eps → 33.0 floor = ≥10×)
-    /// independently of how fast the fresh streamed denominator is.
+    /// Floor on `experiments_per_sec` (`PerfWorkload::snapshot_min_eps`).
     pub min_eps: f64,
     /// Boundary snapshots captured (after thinning).
     pub snapshots: usize,
@@ -1075,14 +1093,11 @@ fn run_snapshot_leg(
 /// sweeps of `lanes` perturbed states per shared section snapshot,
 /// with per-lane early retirement (trap, bitwise reconvergence,
 /// contraction certificate).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BatchStats {
-    /// CI floor on `speedup_vs_snapshot` (from the pinned workload;
-    /// 0.0 disables the floor).
+    /// Floor on `speedup_vs_snapshot` (`PerfWorkload::batch_min_speedup`).
     pub min_speedup: f64,
-    /// CI floor on `experiments_per_sec` (from the pinned workload;
-    /// 0.0 disables). Anchors the paper-scale leg to the fixed scalar
-    /// snapshot baseline (39.97 eps → 120.0 floor = ≥3×).
+    /// Floor on `experiments_per_sec` (`PerfWorkload::batch_min_eps`).
     pub min_eps: f64,
     /// Lane width of the batched sweeps.
     pub lanes: usize,
@@ -1143,7 +1158,7 @@ fn run_batch_leg(
 }
 
 /// Measured numbers for one extraction path on one workload.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PathStats {
     /// Extraction path name.
     pub path: String,
@@ -1169,7 +1184,7 @@ pub struct PathStats {
 
 /// Report for one workload: streamed against the buffered reference,
 /// plus the snapshot and batched legs.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkloadReport {
     /// Workload name.
     pub name: String,
@@ -1191,16 +1206,14 @@ pub struct WorkloadReport {
     pub paths: Vec<PathStats>,
     /// Streamed over buffered exhaustive throughput.
     pub speedup_streamed_vs_buffered: f64,
-    /// CI floor on `speedup_streamed_vs_buffered` (from the pinned
-    /// workload; 0.0 disables).
+    /// Floor on `speedup_streamed_vs_buffered` (from the workload pin).
     pub min_streamed_speedup: f64,
     /// Snapshot-resume leg (`None` for non-snapshot-capable kernels).
     pub snapshot: Option<SnapshotStats>,
     /// Lane-batched execution leg (`None` for non-batch-capable
     /// kernels or when the workload pins no lane width).
     pub batch: Option<BatchStats>,
-    /// Whether the streamed outcome table equals the buffered
-    /// reference's.
+    /// Whether the streamed outcome table equals the buffered reference's.
     pub paths_agree: bool,
     /// Zero-injection static-bound stanza (`None` when the workload
     /// disables it or the kernel is not provenance-instrumented).
@@ -1377,9 +1390,10 @@ pub fn run_workload(w: &PerfWorkload) -> WorkloadReport {
 }
 
 /// One tier's report, stored under `tiers.quick` / `tiers.full` of the
-/// committed `BENCH_ppopp21.json` (see [`BENCH_SCHEMA`] and
-/// [`merge_tier`]).
-#[derive(Debug, Clone, Serialize)]
+/// committed `BENCH_ppopp21.json` (see [`BenchDoc`]). It records
+/// measurements and the floors they answer to; the verdicts are the
+/// rows of [`crate::gates::GATES`].
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PerfReport {
     /// Whether the quick (CI smoke) tier ran.
     pub quick: bool,
@@ -1387,124 +1401,14 @@ pub struct PerfReport {
     pub threads: usize,
     /// Per-workload results.
     pub workloads: Vec<WorkloadReport>,
-    /// Conjunction of every workload's `paths_agree`.
-    pub all_paths_agree: bool,
-    /// Conjunction of every compose stanza's quality gate (precision at
-    /// least 0.95, fully conservative, and — when an edit is pinned —
-    /// exactly one dirty section at recall at least 0.9). `true` when
-    /// no stanza ran.
-    pub compose_ok: bool,
-    /// Conjunction of every bits stanza's gate: zero certification
-    /// violations, pruned/unpruned agreement on every non-certified
-    /// cell, and the workload's pinned reduction floor met. `true` when
-    /// no stanza ran.
-    pub bits_ok: bool,
-    /// Conjunction of every snapshot leg's gate: the snapshot-resumed
-    /// outcome table identical to the from-t=0 table, the workload's
-    /// pinned speedup floor met, and its absolute experiments/second
-    /// floor met. `true` when no leg ran.
-    pub snapshot_ok: bool,
-    /// Conjunction of every batched leg's gate: the batched outcome
-    /// table identical to the from-t=0 table, the workload's pinned
-    /// speedup-over-snapshot floor met, and its absolute
-    /// experiments/second floor met. `true` when no leg ran.
-    pub batch_ok: bool,
-    /// Conjunction of every workload's streamed-speedup floor (the
-    /// guard against re-introducing the streamed-path regression the
-    /// `DeltaRoute` split fixed).
-    pub streamed_ok: bool,
-    /// Conjunction of every TVD stanza's reproducibility gate: per-site
-    /// outcome distributions identical (distance exactly zero) across
-    /// every pinned pool size. `true` when no stanza ran.
-    pub tvd_ok: bool,
-}
-
-/// The compose stanza's CI gate (see [`PerfReport::compose_ok`]).
-pub fn compose_gate(c: &ComposeStats) -> bool {
-    let fresh_ok = c.precision >= 0.95 && c.conservative_fraction >= 1.0 && c.recall >= 0.9;
-    let incr_ok = c.incremental.as_ref().is_none_or(|i| {
-        i.dirty_sections == 1 && i.recall_after_edit >= 0.9 && i.precision_after_edit >= 0.95
-    });
-    fresh_ok && incr_ok
-}
-
-/// The bits stanza's CI gate (see [`PerfReport::bits_ok`]): the map must
-/// be sound (no certified bit observed as SDC/crash), the pruned
-/// campaign must reproduce the unpruned outcome on every cell it still
-/// runs, the work saving must meet the workload's pinned floor, and the
-/// affine domain must certify at least as many measured bits as the
-/// interval baseline (the v8 never-looser ratchet).
-pub fn bits_gate(b: &BitsStats) -> bool {
-    b.violations == 0
-        && b.agree_non_certified
-        && b.reduction_factor >= b.min_reduction
-        && b.affine_certified_measured >= b.interval_certified_measured
-}
-
-/// The snapshot leg's CI gate (see [`PerfReport::snapshot_ok`]):
-/// resume must be bit-exact, and paper-scale workloads additionally
-/// pin a speedup floor over the plain streamed path and an absolute
-/// experiments/second floor against the historical baseline.
-pub fn snapshot_gate(s: &SnapshotStats) -> bool {
-    s.identical && s.speedup_vs_streamed >= s.min_speedup && s.experiments_per_sec >= s.min_eps
-}
-
-/// The batched leg's CI gate (see [`PerfReport::batch_ok`]): batching
-/// must be bit-exact, and paper-scale workloads additionally pin a
-/// speedup floor over the scalar snapshot leg and an absolute
-/// experiments/second floor against the historical baseline.
-pub fn batch_gate(b: &BatchStats) -> bool {
-    b.identical && b.speedup_vs_snapshot >= b.min_speedup && b.experiments_per_sec >= b.min_eps
-}
-
-/// The streamed-speedup CI gate (see [`PerfReport::streamed_ok`]).
-pub fn streamed_gate(w: &WorkloadReport) -> bool {
-    w.speedup_streamed_vs_buffered >= w.min_streamed_speedup
-}
-
-/// The TVD stanza's CI gate (see [`PerfReport::tvd_ok`]): campaign
-/// outcomes must be a pure function of the fault, independent of how
-/// many workers the pool schedules them across.
-pub fn tvd_gate(t: &TvdStats) -> bool {
-    t.deterministic && t.max_tvd == 0.0 && t.diverging_sites == 0
 }
 
 /// Run the full suite at the chosen tier.
 pub fn run_suite(quick: bool) -> PerfReport {
-    let workloads: Vec<WorkloadReport> = perf_suite(quick).iter().map(run_workload).collect();
-    let all_paths_agree = workloads.iter().all(|w| w.paths_agree);
-    let compose_ok = workloads
-        .iter()
-        .filter_map(|w| w.compose.as_ref())
-        .all(compose_gate);
-    let bits_ok = workloads
-        .iter()
-        .filter_map(|w| w.bits_map.as_ref())
-        .all(bits_gate);
-    let snapshot_ok = workloads
-        .iter()
-        .filter_map(|w| w.snapshot.as_ref())
-        .all(snapshot_gate);
-    let batch_ok = workloads
-        .iter()
-        .filter_map(|w| w.batch.as_ref())
-        .all(batch_gate);
-    let streamed_ok = workloads.iter().all(streamed_gate);
-    let tvd_ok = workloads
-        .iter()
-        .filter_map(|w| w.tvd.as_ref())
-        .all(tvd_gate);
     PerfReport {
         quick,
         threads: rayon::current_num_threads(),
-        workloads,
-        all_paths_agree,
-        compose_ok,
-        bits_ok,
-        snapshot_ok,
-        batch_ok,
-        streamed_ok,
-        tvd_ok,
+        workloads: perf_suite(quick).iter().map(run_workload).collect(),
     }
 }
 
@@ -1618,161 +1522,74 @@ mod tests {
     #[test]
     fn quick_suite_paths_agree() {
         let report = quick_report();
-        assert_eq!(report.workloads.len(), 8);
-        assert!(report.all_paths_agree);
+        let failed: Vec<String> = crate::gates::failures(report)
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        assert!(failed.is_empty(), "{failed:#?}");
+        // the quick tier's shape: every instrumented kernel with its
+        // static, bits and 1-vs-8-thread TVD stanzas; the snapshot leg on
+        // the checkpoint-instrumented kernels and, of those, the 8-lane
+        // batch leg on the lane-batched ones; compose on jacobi
+        let names: Vec<&str> = report.workloads.iter().map(|w| w.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["jacobi", "gemm", "cg", "lu", "fft", "stencil", "matvec", "spmv"]
+        );
         for w in &report.workloads {
-            assert!(w.golden_bytes_compact < w.golden_bytes_full);
-            for p in &w.paths {
-                assert!(p.experiments_per_sec > 0.0, "{}/{}", w.name, p.path);
-            }
-            let sb = w
-                .staticbound
-                .as_ref()
-                .unwrap_or_else(|| panic!("{}: static stanza missing", w.name));
-            assert_eq!(sb.n_injections_static, 0, "{}", w.name);
-            assert!(sb.n_edges > 0, "{}", w.name);
-            assert!(
-                sb.precision >= 0.95,
-                "{}: static precision {}",
-                w.name,
-                sb.precision
-            );
-            assert!(sb.recall > 0.0, "{}", w.name);
-        }
-        let jacobi = &report.workloads[0];
-        let c = jacobi.compose.as_ref().expect("jacobi compose stanza");
-        assert!(report.compose_ok, "compose gate failed: {c:?}");
-        assert!(c.n_sections >= 4, "{} sections", c.n_sections);
-        let i = c.incremental.as_ref().expect("incremental leg");
-        assert_eq!(i.dirty_sections, 1, "edit must dirty exactly one section");
-        assert_eq!(i.reused_sections, c.n_sections - 1);
-        assert!(i.n_injections < c.n_injections);
-        assert!(report.bits_ok, "bit-prune gate failed");
-        assert!(report.snapshot_ok, "snapshot gate failed");
-        assert!(report.streamed_ok, "streamed-speedup gate failed");
-        assert!(report.tvd_ok, "serial-vs-parallel TVD gate failed");
-        for w in &report.workloads {
-            // only the checkpoint-instrumented kernels carry the leg
-            match w.name.as_str() {
-                "jacobi" | "gemm" | "cg" | "lu" => {
-                    let s = w
-                        .snapshot
-                        .as_ref()
-                        .unwrap_or_else(|| panic!("{}: snapshot leg missing", w.name));
-                    assert!(s.identical, "{}: snapshot resume diverged", w.name);
-                    assert!(s.snapshots > 0, "{}", w.name);
-                    assert!(s.store_mb > 0.0, "{}", w.name);
-                }
-                _ => assert!(
-                    w.snapshot.is_none(),
-                    "{}: snapshot leg on a non-snapshot-capable kernel",
-                    w.name
-                ),
-            }
-            // ...and of those, only the lane-batched kernels carry the
-            // batched-execution leg
-            match w.name.as_str() {
-                "jacobi" | "gemm" | "lu" => {
-                    let b = w
-                        .batch
-                        .as_ref()
-                        .unwrap_or_else(|| panic!("{}: batch leg missing", w.name));
-                    assert!(b.identical, "{}: batched execution diverged", w.name);
-                    assert_eq!(b.lanes, 8, "{}", w.name);
-                    assert!(b.experiments_per_sec > 0.0, "{}", w.name);
-                    assert_eq!(
-                        b.exhaustive_experiments,
-                        w.snapshot.as_ref().unwrap().exhaustive_experiments,
-                        "{}: batch and snapshot legs must run the same plan",
-                        w.name
-                    );
-                }
-                _ => assert!(
-                    w.batch.is_none(),
-                    "{}: batch leg on a non-batch-capable kernel",
-                    w.name
-                ),
-            }
-        }
-        assert!(report.batch_ok, "batched-execution gate failed");
-        for w in &report.workloads {
-            let t = w
-                .tvd
-                .as_ref()
-                .unwrap_or_else(|| panic!("{}: tvd stanza missing", w.name));
-            assert_eq!(t.thread_counts, vec![1, 8], "{}", w.name);
-            assert!(t.deterministic, "{}: outcomes depend on pool size", w.name);
-            assert_eq!(t.max_tvd, 0.0, "{}", w.name);
-            assert_eq!(t.diverging_sites, 0, "{}", w.name);
+            let name = w.name.as_str();
+            assert!(w.staticbound.is_some() && w.bits_map.is_some(), "{name}");
             assert_eq!(
-                t.n_experiments,
-                w.n_sites as u64 * u64::from(w.bits),
-                "{}",
-                w.name
+                w.tvd.as_ref().map(|t| &t.thread_counts[..]),
+                Some(&[1, 8][..])
             );
-        }
-        for w in &report.workloads {
-            let b = w
-                .bits_map
-                .as_ref()
-                .unwrap_or_else(|| panic!("{}: bits stanza missing", w.name));
-            assert_eq!(b.violations, 0, "{}: certified bit was not masked", w.name);
-            assert!(b.agree_non_certified, "{}: pruned run diverged", w.name);
-            assert!(
-                b.reduction_factor >= b.min_reduction,
-                "{}: reduction {} < floor {}",
-                w.name,
-                b.reduction_factor,
-                b.min_reduction
+            let snapshot = matches!(name, "jacobi" | "gemm" | "cg" | "lu");
+            assert_eq!(w.snapshot.is_some(), snapshot, "{name}: snapshot leg");
+            let lanes = matches!(name, "jacobi" | "gemm" | "lu").then_some(8);
+            assert_eq!(
+                w.batch.as_ref().map(|b| b.lanes),
+                lanes,
+                "{name}: batch leg"
             );
-            assert!(b.pruned_experiments < b.unpruned_experiments, "{}", w.name);
+            assert_eq!(w.compose.is_some(), name == "jacobi", "{name}: compose");
         }
+        let c = report.workloads[0].compose.as_ref().unwrap();
+        assert!(c.n_sections >= 4, "{} sections", c.n_sections);
+        assert!(c.incremental.is_some());
     }
 
     #[test]
     fn report_serialises() {
         let report = quick_report().clone();
-        let doc = merge_tier(None, &report);
-        let schema_of =
-            |d: &serde_json::Value| d.get("schema").and_then(|s| s.as_str().map(String::from));
-        let tier_of =
-            |d: &serde_json::Value, t: &str| d.get("tiers").and_then(|v| v.get(t)).cloned();
-        assert_eq!(schema_of(&doc).as_deref(), Some(BENCH_SCHEMA));
-        assert!(tier_of(&doc, "quick").is_some_and(|v| v.is_object()));
-        assert!(tier_of(&doc, "full").is_none());
-        // a second merge of the other tier must not clobber the first
+        let json = |d: &BenchDoc| serde_json::to_string_pretty(d).unwrap();
+        let doc = BenchDoc::merge(None, report.clone());
+        assert_eq!(doc.schema, BENCH_SCHEMA);
+        assert!(doc.tiers.full.is_none());
+        // a typed round trip reproduces the document
+        let back = BenchDoc::parse(&json(&doc)).unwrap();
+        assert_eq!(json(&back), json(&doc));
+        let quick = back.tier("quick").unwrap();
+        assert_eq!(quick.workloads.len(), report.workloads.len());
+        assert_eq!(
+            quick.workloads[0].compose.as_ref().unwrap().n_sections,
+            report.workloads[0].compose.as_ref().unwrap().n_sections
+        );
+        // merging the other tier keeps the first
         let mut full = report.clone();
         full.quick = false;
-        let doc = merge_tier(Some(doc), &full);
-        assert!(tier_of(&doc, "quick").is_some_and(|v| v.is_object()));
-        assert!(tier_of(&doc, "full").is_some_and(|v| v.is_object()));
-        // a foreign schema is discarded, not migrated
-        let stale: serde_json::Value =
-            serde_json::from_str(r#"{"schema": "ftb-bench/extraction-v4"}"#).unwrap();
-        let doc = merge_tier(Some(stale), &report);
-        assert_eq!(schema_of(&doc).as_deref(), Some(BENCH_SCHEMA));
-        let json = serde_json::to_string_pretty(&report).unwrap();
-        assert!(json.contains("jacobi"));
-        assert!(json.contains("\"staticbound\""));
-        assert!(json.contains("\"n_injections_static\": 0"));
-        assert!(json.contains("\"compose\""));
-        assert!(json.contains("\"dirty_sections\": 1"));
-        assert!(json.contains("\"bits_map\""));
-        assert!(json.contains("\"reduction_factor\""));
-        assert!(json.contains("\"agree_non_certified\""));
-        assert!(json.contains("\"bits_ok\""));
-        assert!(json.contains("\"snapshot\""));
-        assert!(json.contains("\"speedup_vs_streamed\""));
-        assert!(json.contains("\"snapshot_ok\""));
-        assert!(json.contains("\"batch\""));
-        assert!(json.contains("\"speedup_vs_snapshot\""));
-        assert!(json.contains("\"batch_ok\""));
-        assert!(json.contains("\"streamed_ok\""));
-        assert!(json.contains("\"tvd\""));
-        assert!(json.contains("\"max_tvd\""));
-        assert!(json.contains("\"tvd_ok\""));
-        for name in ["lu", "fft", "stencil", "matvec", "spmv"] {
-            assert!(json.contains(&format!("\"{name}\"")), "{name} missing");
-        }
+        let doc = BenchDoc::merge(Some(back), full);
+        assert!(doc.tier("quick").is_some() && doc.tier("full").is_some());
+        // a foreign schema is refused, not migrated
+        let e = BenchDoc::parse(r#"{"schema": "ftb-bench/extraction-v4"}"#).unwrap_err();
+        assert!(e.contains("extraction-v4"), "{e}");
+        // an infinite reduction factor survives the trip
+        let mut inf = report;
+        inf.workloads[0].bits_map.as_mut().unwrap().reduction_factor = f64::INFINITY;
+        let back = BenchDoc::parse(&json(&BenchDoc::merge(None, inf))).unwrap();
+        let b = back.tier("quick").unwrap().workloads[0]
+            .bits_map
+            .as_ref()
+            .unwrap();
+        assert_eq!(b.reduction_factor, f64::INFINITY);
     }
 }

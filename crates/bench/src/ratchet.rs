@@ -2,23 +2,18 @@
 //!
 //! Compares a freshly measured tier of the extraction suite against the
 //! same tier of the committed `BENCH_ppopp21.json` and fails on any
-//! throughput metric that regressed past a tolerance band. The metric
-//! set is extracted structurally from the report JSON (higher is always
-//! better), so metrics absent from the committed baseline — a new
-//! workload, a new stanza — are skipped rather than failed: the ratchet
-//! only tightens once a number has been committed.
+//! throughput metric that regressed past a tolerance band. Every metric
+//! is higher-is-better; metrics absent from the committed baseline — a
+//! new workload, a new stanza — are skipped rather than failed: the
+//! ratchet only tightens once a number has been committed.
 //!
 //! CI runners are noisy and differ from the machine that produced the
-//! committed baseline, which is why the default band is a generous 20%,
-//! why the suite measures each ratcheted leg best-of-N
-//! (`PerfWorkload::timing_repeats`), and why the `bench_ratchet` binary
-//! takes the per-metric max over several fresh runs before comparing —
-//! a regression verdict means even the best of every fresh sample
-//! missed the band. The speedup rows (streamed-vs-buffered,
-//! snapshot-vs-streamed) additionally divide the machine out, so they
-//! stay meaningful when baseline and runner hardware differ.
+//! committed baseline, hence the generous default band (20%), the
+//! best-of-N timing of each ratcheted leg (`PerfWorkload::timing_repeats`)
+//! and the per-metric max over several fresh runs in `bench_ratchet`.
+//! The speedup rows additionally divide the machine out.
 
-use serde_json::Value;
+use crate::perf::PerfReport;
 
 /// One metric's baseline/fresh pair and its verdict.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,52 +30,38 @@ pub struct MetricDelta {
     pub regressed: bool,
 }
 
-/// Pull the ratcheted metric set out of one tier's report. Every metric
-/// is higher-is-better; anything missing or non-numeric is skipped.
-pub fn extract_metrics(tier: &Value) -> Vec<(String, f64)> {
+/// The ratcheted metric set of one tier's report. Every metric is
+/// higher-is-better.
+pub fn extract_metrics(tier: &PerfReport) -> Vec<(String, f64)> {
     let mut out = Vec::new();
-    let Some(workloads) = tier.get("workloads").and_then(Value::as_array) else {
-        return out;
-    };
-    for w in workloads {
-        let Some(name) = w.get("name").and_then(Value::as_str) else {
-            continue;
-        };
-        for p in w
-            .get("paths")
-            .and_then(Value::as_array)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-        {
-            let (Some(path), Some(eps)) = (
-                p.get("path").and_then(Value::as_str),
-                p.get("experiments_per_sec").and_then(Value::as_f64),
-            ) else {
-                continue;
-            };
-            out.push((format!("{name}/{path}/exp_per_sec"), eps));
+    for w in &tier.workloads {
+        let name = &w.name;
+        for p in &w.paths {
+            out.push((
+                format!("{name}/{}/exp_per_sec", p.path),
+                p.experiments_per_sec,
+            ));
         }
-        if let Some(s) = w
-            .get("speedup_streamed_vs_buffered")
-            .and_then(Value::as_f64)
-        {
-            out.push((format!("{name}/speedup_streamed_vs_buffered"), s));
+        out.push((
+            format!("{name}/speedup_streamed_vs_buffered"),
+            w.speedup_streamed_vs_buffered,
+        ));
+        if let Some(s) = &w.snapshot {
+            out.push((
+                format!("{name}/snapshot/exp_per_sec"),
+                s.experiments_per_sec,
+            ));
+            out.push((
+                format!("{name}/snapshot/speedup_vs_streamed"),
+                s.speedup_vs_streamed,
+            ));
         }
-        if let Some(snap) = w.get("snapshot").filter(|s| s.is_object()) {
-            if let Some(eps) = snap.get("experiments_per_sec").and_then(Value::as_f64) {
-                out.push((format!("{name}/snapshot/exp_per_sec"), eps));
-            }
-            if let Some(s) = snap.get("speedup_vs_streamed").and_then(Value::as_f64) {
-                out.push((format!("{name}/snapshot/speedup_vs_streamed"), s));
-            }
-        }
-        if let Some(batch) = w.get("batch").filter(|b| b.is_object()) {
-            if let Some(eps) = batch.get("experiments_per_sec").and_then(Value::as_f64) {
-                out.push((format!("{name}/batch/exp_per_sec"), eps));
-            }
-            if let Some(s) = batch.get("speedup_vs_snapshot").and_then(Value::as_f64) {
-                out.push((format!("{name}/batch/speedup_vs_snapshot"), s));
-            }
+        if let Some(b) = &w.batch {
+            out.push((format!("{name}/batch/exp_per_sec"), b.experiments_per_sec));
+            out.push((
+                format!("{name}/batch/speedup_vs_snapshot"),
+                b.speedup_vs_snapshot,
+            ));
         }
     }
     out
@@ -148,39 +129,13 @@ pub fn markdown_table(deltas: &[MetricDelta], tolerance: f64) -> String {
 mod tests {
     use super::*;
 
-    fn tier() -> Value {
-        serde_json::from_str(
-            r#"{
-            "workloads": [
-                {
-                    "name": "jacobi",
-                    "paths": [
-                        { "path": "buffered", "experiments_per_sec": 100.0 },
-                        { "path": "streamed", "experiments_per_sec": 150.0 }
-                    ],
-                    "speedup_streamed_vs_buffered": 1.5,
-                    "snapshot": {
-                        "experiments_per_sec": 1500.0,
-                        "speedup_vs_streamed": 10.0
-                    },
-                    "batch": {
-                        "experiments_per_sec": 4500.0,
-                        "speedup_vs_snapshot": 3.0
-                    }
-                },
-                { "name": "gemm", "paths": [], "snapshot": null, "batch": null }
-            ]
-        }"#,
-        )
-        .unwrap()
-    }
-
     #[test]
     fn extracts_path_speedup_and_snapshot_metrics() {
-        let m = extract_metrics(&tier());
+        let quick = crate::gates::tests::committed().tiers.quick.unwrap();
+        let m = extract_metrics(&quick);
         let names: Vec<&str> = m.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
-            names,
+            names[..7],
             [
                 "jacobi/buffered/exp_per_sec",
                 "jacobi/streamed/exp_per_sec",
@@ -191,7 +146,20 @@ mod tests {
                 "jacobi/batch/speedup_vs_snapshot",
             ]
         );
-        assert_eq!(m[2].1, 1.5);
+        assert_eq!(m[2].1, quick.workloads[0].speedup_streamed_vs_buffered);
+        // a workload without snapshot and batch legs ratchets its paths only
+        let fft: Vec<&str> = names
+            .into_iter()
+            .filter(|n| n.starts_with("fft/"))
+            .collect();
+        assert_eq!(
+            fft,
+            [
+                "fft/buffered/exp_per_sec",
+                "fft/streamed/exp_per_sec",
+                "fft/speedup_streamed_vs_buffered",
+            ]
+        );
     }
 
     #[test]

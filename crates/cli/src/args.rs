@@ -30,7 +30,8 @@ COMMANDS:
                  compositional boundary: segment the golden run into
                  sections, run per-section campaigns, compose them through
                  error-transfer summaries; incremental re-analysis via a
-                 sectioned ledger (--checkpoint / --resume)
+                 sectioned ledger (--checkpoint: every matching section
+                 record is reused, only changed sections re-run)
     analyze bits
                  bit-level vulnerability map: forward interval analysis
                  over the dependence graph classifies every (site, bit)
@@ -55,15 +56,26 @@ lu. Results are bit-identical to from-scratch execution.
 Each command accepts the kernel options plus the options it reads;
 any other option is refused.
 
-KERNEL OPTIONS (defaults in parentheses):
+KERNEL OPTIONS (defaults in parentheses; an option the selected kernel
+does not read is refused):
     --kernel NAME          kernel to analyse (required)
     --grid N               cg/stencil/spmv/jacobi grid dimension (8 / 12 / 10 / 6)
     --csr                  cg only: assemble an explicit CSR matrix (MiniFE
                            semantics; matrix entries become injectable)
+    --rtol F               cg only: relative residual target (1e-4)
+    --max-iters N          cg only: iteration cap (4 x grid^2)
     --n N                  lu/matvec/gemm matrix dimension (16 / 24 / 12)
     --block N              lu block size (4)
     --n1 N --n2 N          fft factorisation (16 x 16)
-    --sweeps N             stencil sweeps (8)
+    --sweeps N             stencil/jacobi sweeps (8 / 30)
+    --fine N               jacobi only: nonzero traces every off-diagonal
+                           accumulation as its own instruction (0)
+    --resid-every N        jacobi only: compute the residual every N
+                           sweeps, >= 1 (1)
+    --tweak-sweep N        jacobi only: weighted-relaxation edit to sweep
+                           N's body (the incremental re-analysis demo)
+    --tweak-omega F        with --tweak-sweep: relaxation weight of the
+                           tweaked sweep, in (0, 1] (0.5)
     --f32                  32-bit data elements (default for cg)
     --f64                  64-bit data elements
     --seed N               input/sampling seed (42)
@@ -85,9 +97,6 @@ ANALYSIS OPTIONS:
     --secant               analyze compose: additionally bound each
                            section's transfer amplification with the DDG
                            secant quotient (instrumented kernels only)
-    --tweak-sweep N        jacobi only: weighted-relaxation edit to sweep
-                           N's body (the incremental re-analysis demo)
-    --tweak-omega F        relaxation weight of the tweaked sweep (0.5)
     --widen F              analyze bits: relative input widening for the
                            forward interval pass, >= 0 (0 = envelopes
                            around the concrete golden run)
@@ -233,7 +242,8 @@ const VALUE_FLAGS: [&str; 28] = [
     "threads",
 ];
 
-/// Flags every command takes: they configure the kernel.
+/// Flags every command takes: they configure the kernel. Each kernel
+/// reads only its own ([`kernel_flags`]).
 const KERNEL_FLAGS: [&str; 17] = [
     "kernel",
     "grid",
@@ -253,6 +263,28 @@ const KERNEL_FLAGS: [&str; 17] = [
     "f64",
     "seed",
 ];
+
+/// The kernel flags `kernel` reads besides `kernel`, `seed`, `f32` and
+/// `f64`; `None` for an unknown kernel. Any other kernel flag is refused.
+fn kernel_flags(kernel: &str) -> Option<&'static [&'static str]> {
+    Some(match kernel {
+        "cg" => &["grid", "rtol", "max-iters", "csr"],
+        "lu" => &["n", "block"],
+        "fft" => &["n1", "n2"],
+        "stencil" => &["grid", "sweeps"],
+        "matvec" | "gemm" => &["n"],
+        "spmv" => &["grid"],
+        "jacobi" => &[
+            "grid",
+            "sweeps",
+            "fine",
+            "resid-every",
+            "tweak-sweep",
+            "tweak-omega",
+        ],
+        _ => return None,
+    })
+}
 
 /// Flags that configure `--bit-prune`'s certification, on the commands
 /// where pruning is optional.
@@ -294,8 +326,8 @@ fn command_flags(command: &str) -> &'static [&'static str] {
             "no-validate",
             "json",
         ],
-        // USAGE pairs the sectioned ledger with --resume, though its
-        // matching records are reused either way
+        // the sectioned ledger reuses every matching record, so there
+        // is no --resume switch
         "analyze-compose" => &[
             "tolerance",
             "rate",
@@ -304,7 +336,6 @@ fn command_flags(command: &str) -> &'static [&'static str] {
             "max-sections",
             "secant",
             "checkpoint",
-            "resume",
             "json",
         ],
         "analyze-bits" => &[
@@ -336,14 +367,22 @@ fn command_flags(command: &str) -> &'static [&'static str] {
     }
 }
 
-/// Refuse every flag `command` would ignore: one it never reads, or one
-/// that only qualifies another flag that is absent.
+/// Refuse every flag `command` would ignore: one it never reads, a kernel
+/// flag the selected kernel never reads, or one that only qualifies
+/// another flag that is absent.
 fn refuse_inapplicable(command: &str, flags: &HashMap<String, String>) -> Result<(), CliError> {
     let shown = command.replace('-', " ");
+    let kernel = flags.get("kernel").map_or("", String::as_str);
+    let kernel_reads = kernel_flags(kernel);
     let prune_optional = matches!(command, "exhaustive" | "adaptive");
     // (flag, the flag it qualifies, whether that one is present)
     let qualifiers = [
         ("resume", "--checkpoint", flags.contains_key("checkpoint")),
+        (
+            "tweak-omega",
+            "--tweak-sweep",
+            flags.contains_key("tweak-sweep"),
+        ),
         (
             "budget",
             "--domain affine",
@@ -355,6 +394,13 @@ fn refuse_inapplicable(command: &str, flags: &HashMap<String, String>) -> Result
     for key in given {
         if !KERNEL_FLAGS.contains(&key) && !command_flags(command).contains(&key) {
             return Err(err(format!("--{key} does not apply to '{shown}'")));
+        }
+        let every_kernel = ["kernel", "seed", "f32", "f64"].contains(&key);
+        if KERNEL_FLAGS.contains(&key)
+            && !every_kernel
+            && kernel_reads.is_some_and(|reads| !reads.contains(&key))
+        {
+            return Err(err(format!("--{key} does not apply to kernel '{kernel}'")));
         }
         if let Some((_, needed, _)) = qualifiers
             .iter()
@@ -1137,11 +1183,51 @@ mod tests {
                 "campaign --kernel matvec --resume",
                 "--resume does not apply to 'campaign' without --checkpoint",
             ),
+            (
+                "analyze compose --kernel jacobi --checkpoint s.jsonl --resume",
+                "--resume does not apply to 'analyze compose'",
+            ),
+            (
+                "golden --kernel lu --grid 99 --sweeps 3",
+                "--grid does not apply to kernel 'lu'",
+            ),
+            (
+                "golden --kernel lu --tweak-omega 0.3",
+                "--tweak-omega does not apply to kernel 'lu'",
+            ),
+            (
+                "analyze compose --kernel jacobi --tweak-omega 0.3",
+                "--tweak-omega does not apply to 'analyze compose' without --tweak-sweep",
+            ),
         ];
         for (line, msg) in cases {
             assert_eq!(parse(&words(line)).unwrap_err().0, msg, "{line}");
             // a parse error: exit 2, before anything runs
             assert_eq!(crate::run(&words(line)), 2, "{line}");
+        }
+    }
+
+    #[test]
+    fn kernel_options_apply_only_to_kernels_that_read_them() {
+        // (kernel, an option it reads, an option it does not)
+        let cases = [
+            ("cg", "--rtol 1e-6", "--n 8"),
+            ("lu", "--block 8", "--sweeps 3"),
+            ("fft", "--n1 8", "--grid 4"),
+            ("stencil", "--sweeps 3", "--n 8"),
+            ("matvec", "--n 8", "--grid 4"),
+            ("spmv", "--grid 6", "--sweeps 3"),
+            ("jacobi", "--resid-every 2", "--csr"),
+            ("gemm", "--n 8", "--block 4"),
+        ];
+        for (kernel, reads, ignores) in cases {
+            let line = format!("golden --kernel {kernel} --seed 3 --f64 {reads}");
+            assert!(parse(&words(&line)).is_ok(), "{line}");
+            let line = format!("golden --kernel {kernel} {ignores}");
+            let flag = ignores.split_whitespace().next().unwrap();
+            let msg = format!("{flag} does not apply to kernel '{kernel}'");
+            assert_eq!(parse(&words(&line)).unwrap_err().0, msg, "{line}");
+            assert_eq!(crate::run(&words(&line)), 2, "{line}");
         }
     }
 
@@ -1164,7 +1250,7 @@ mod tests {
             "analyze static --kernel jacobi --grid 4 --safety 2 --no-validate --filter off \
              --rate 0.1 --json s.json",
             "analyze compose --kernel jacobi --grid 4 --sweeps 10 --tolerance 1e-4 --rate 0.5 \
-             --seed 41 --checkpoint s.jsonl --resume --tweak-sweep 5 --tweak-omega 0.5 \
+             --seed 41 --checkpoint s.jsonl --tweak-sweep 5 --tweak-omega 0.5 \
              --max-sections 8 --safety 2 --no-validate --json c.json",
             "analyze compose --kernel lu --secant",
             "analyze bits --kernel jacobi --grid 4 --sweeps 10 --tolerance 1e-4 \
