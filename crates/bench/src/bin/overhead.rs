@@ -2,10 +2,11 @@
 //! discusses: the golden-trace footprint per kernel, the
 //! instrumentation-overhead of tracing, and the buffered-vs-streamed
 //! propagation extraction trade-off (a full faulty trace per experiment
-//! against a one-sided comparison with the shared compact golden).
+//! against a one-sided comparison with the shared golden run).
 //!
 //! Usage: `cargo run --release -p ftb-bench --bin overhead`
 
+use ftb_bench::perf::full_width_golden_bytes;
 use ftb_bench::{paper_suite, Scale};
 use ftb_inject::{Classifier, Injector};
 use ftb_report::Table;
@@ -19,7 +20,7 @@ fn main() {
     let mut t = Table::new(&[
         "bench",
         "sites",
-        "trace KiB",
+        "full-width KiB",
         "compact KiB",
         "bytes/site",
         "untraced run",
@@ -28,7 +29,7 @@ fn main() {
     for b in &suite {
         let kernel = b.build();
         let g = kernel.golden();
-        let compact = ftb_trace::CompactGolden::from_golden(&g);
+        let full = full_width_golden_bytes(&g);
 
         let time_of = |f: &dyn Fn()| {
             let reps = 20;
@@ -48,11 +49,11 @@ fn main() {
         t.row(&[
             b.name.to_string(),
             g.n_sites().to_string(),
-            format!("{:.1}", g.memory_bytes() as f64 / 1024.0),
+            format!("{:.1}", full as f64 / 1024.0),
             format!(
                 "{:.1} ({:.0}%)",
-                compact.memory_bytes() as f64 / 1024.0,
-                compact.memory_bytes() as f64 / g.memory_bytes() as f64 * 100.0
+                g.memory_bytes() as f64 / 1024.0,
+                g.memory_bytes() as f64 / full as f64 * 100.0
             ),
             format!("{:.1}", g.memory_bytes() as f64 / g.n_sites() as f64),
             format!("{:.1} µs", untraced * 1e6),

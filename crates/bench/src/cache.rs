@@ -21,6 +21,10 @@ fn cache_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("target/ftb-cache"))
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "a kernel config is plain data and always serialises"
+)]
 fn key_of(bench: &Benchmark, kind: &str, extra: &str) -> PathBuf {
     let cfg = serde_json::to_string(&bench.config).expect("config serialises");
     let mut h = DefaultHasher::new();

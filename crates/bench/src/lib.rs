@@ -20,7 +20,7 @@
 //! | CI        | `bench_ratchet`     | gate table on every report + fresh-vs-committed perf delta |
 //! |           | `calibrate`         | tolerance/size calibration helper |
 
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 #![forbid(unsafe_code)]
 
 pub mod cache;

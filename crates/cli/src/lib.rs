@@ -12,7 +12,7 @@
 //! ftb adaptive   --kernel fft --n1 16 --n2 16         # §3.4 adaptive loop
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 #![forbid(unsafe_code)]
 
 pub mod args;

@@ -16,7 +16,7 @@
 //!    DDG's secant edges, seeding source sites at
 //!    `golden ± widen·|golden|`, and reports each site's interval and
 //!    biased-exponent range;
-//! 3. [`slice`] + [`affine`] — the tighter second domain: an influence
+//! 3. [`slice`](mod@slice) + [`affine`] — the tighter second domain: an influence
 //!    slice certifies empty-cone sites outright, and an affine-form
 //!    (zonotope) sweep with shared noise symbols rides the signed
 //!    derivative channel so reconverging paths cancel instead of

@@ -569,6 +569,35 @@ mod tests {
         assert_eq!(nth_set_bit(1 << 63, 0), 63);
     }
 
+    /// §3.5's filter is strict in the incremental fold too: a masked
+    /// run's propagated Δx equal to the site's known SDC minimum does not
+    /// raise the site's threshold to it.
+    #[test]
+    fn step_filter_rejects_a_delta_equal_to_the_site_minimum() {
+        let k = StencilKernel::new(StencilConfig::small());
+        let inj = Injector::new(&k, Classifier::new(1e-6));
+        let (site, bit) = (k.config().grid * k.config().grid + 15, 20);
+        let (masked, prop) = inj.run_one_traced(site, bit);
+        assert!(masked.outcome.is_masked());
+        let (downstream, delta) = prop
+            .iter()
+            .find(|&(s, d)| s > site && d > 0.0)
+            .expect("the flip propagates downstream");
+        let mut state = AdaptiveState::new(&inj, &AdaptiveConfig::default());
+        // the round can only draw (site, bit), and an earlier SDC at the
+        // downstream site had exactly the Δx this run propagates there
+        state.space.masks.fill(0);
+        state.space.masks[site] = 1 << bit;
+        state.min_sdc[downstream] = delta;
+        assert!(state.step(&inj).is_some());
+        assert!(state.samples.contains(site, bit));
+        assert!(
+            state.boundary.threshold(downstream) < delta,
+            "threshold {} reached the known SDC error {delta}",
+            state.boundary.threshold(downstream)
+        );
+    }
+
     #[test]
     fn candidate_space_accounting() {
         let mut s = CandidateSpace::full(2, 32);

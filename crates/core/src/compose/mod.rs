@@ -361,7 +361,7 @@ pub fn compose_analysis(
         .map(|mut s| {
             for li in 0..(s.hi - s.lo) {
                 if s.site_amp[li] <= 0.0 {
-                    let id = golden.static_ids[s.lo + li];
+                    let id = golden.static_id(s.lo + li).0;
                     if let Ok(p) = s.static_amp.binary_search_by_key(&id, |a| a.static_id) {
                         let mut a = s.static_amp[p].amp;
                         if let Some(bounds) = &ddg_amp {

@@ -259,6 +259,41 @@ mod tests {
         }
     }
 
+    /// §3.5's filter is strict: a masked run's propagated Δx that equals
+    /// an error already known to cause SDC at that site must not raise
+    /// the site's threshold to it.
+    #[test]
+    fn per_site_filter_rejects_a_delta_equal_to_the_site_minimum() {
+        let k = StencilKernel::new(StencilConfig::small());
+        let inj = stencil_injector(&k);
+        let site = k.config().grid * k.config().grid + 15;
+        let (masked, prop) = inj.run_one_traced(site, 20);
+        assert_eq!(masked.outcome, Outcome::Masked);
+        let (downstream, delta) = prop
+            .iter()
+            .find(|&(s, d)| s > site && d > 0.0)
+            .expect("the flip propagates downstream");
+        // an SDC record whose injected error is exactly that Δx
+        let sdc = Experiment {
+            site: downstream,
+            bit: 0,
+            injected_err: delta,
+            output_err: 1.0,
+            outcome: Outcome::Sdc,
+        };
+        let mut s = SampleSet::new();
+        s.insert(masked);
+        s.insert(sdc);
+        let off = infer_boundary(&inj, &s, FilterMode::Off);
+        assert_eq!(off.boundary.threshold(downstream), delta);
+        let filtered = infer_boundary(&inj, &s, FilterMode::PerSite);
+        assert!(
+            filtered.boundary.threshold(downstream) < delta,
+            "threshold {} reached the known SDC error {delta}",
+            filtered.boundary.threshold(downstream)
+        );
+    }
+
     #[test]
     fn global_filter_is_at_least_as_strict_as_per_site() {
         let k = StencilKernel::new(StencilConfig::small());

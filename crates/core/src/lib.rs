@@ -50,7 +50,7 @@
 //! assert!(uncertainty > 0.5);
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 #![forbid(unsafe_code)]
 
 pub mod absint;

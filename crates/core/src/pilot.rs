@@ -67,11 +67,8 @@ fn build_groups(golden: &GoldenRun, buckets: usize) -> Vec<Vec<usize>> {
     use std::collections::HashMap;
     // collect sites per static id, in execution order
     let mut per_static: HashMap<u32, Vec<usize>> = HashMap::new();
-    for site in 0..golden.n_sites() {
-        per_static
-            .entry(golden.static_ids[site])
-            .or_default()
-            .push(site);
+    for (site, id) in golden.static_ids(0..golden.n_sites()).enumerate() {
+        per_static.entry(id.0).or_default().push(site);
     }
     let mut ids: Vec<u32> = per_static.keys().copied().collect();
     ids.sort_unstable();

@@ -69,7 +69,7 @@ pub fn validate_static(
             }
         }
     }
-    slacks.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    slacks.sort_by(f64::total_cmp);
     let median_slack = if slacks.is_empty() {
         f64::NAN
     } else {

@@ -135,6 +135,7 @@ impl BatchEngine<'_> {
     /// from the chunk's serving snapshot. Returns experiments in chunk
     /// order, each bit-identical to the scalar resumed run of the same
     /// fault.
+    #[expect(clippy::expect_used, reason = "every lane exits early or completes")]
     pub(crate) fn run_chunk(&self, chunk: &BatchChunk) -> Vec<Experiment> {
         let snap = self.store.get(chunk.snap_idx);
         let state = self.store.state(snap);
@@ -173,10 +174,10 @@ impl BatchEngine<'_> {
             let mut keep = vec![true; lanes];
             let mut any_retired = false;
             for l in 0..lanes {
-                if trap_break && bt.lane_trapped(l) {
+                if let (true, Some(first_nonfinite)) = (trap_break, bt.lane_first_nonfinite(l)) {
                     exits[live[l]] = Some(LaneExit::Trapped {
                         injected_err: bt.lane_injected_err(l),
-                        first_nonfinite: bt.lane_first_nonfinite(l).expect("trapped lane"),
+                        first_nonfinite,
                         output: extract_lane(laned[0], lanes, l),
                         n_dynamic: cursor,
                     });
@@ -415,7 +416,8 @@ impl BatchEngine<'_> {
             .iter()
             .map(|&is_laned| {
                 if is_laned {
-                    laned_devs.next().expect("laned slot deviation")[l]
+                    // a missing row (never: one per laned slot) certifies nothing
+                    laned_devs.next().map_or(f64::INFINITY, |d| d[l])
                 } else {
                     0.0
                 }

@@ -26,8 +26,8 @@ use crate::outcome::{Classifier, Outcome};
 use crate::snapshot::{Snapshot, SnapshotStore, DEFAULT_MAX_SNAPSHOTS};
 use ftb_kernels::{Kernel, MAX_BATCH_LANES};
 use ftb_trace::{
-    propagation, CompactGolden, CompareScratch, FaultSpec, Fnv1a, GoldenRun, Propagation,
-    RecordMode, RunTrace, Tracer,
+    propagation, CompareScratch, FaultSpec, Fnv1a, GoldenRun, Propagation, RecordMode, RunTrace,
+    Tracer,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -50,14 +50,12 @@ const BATCH_BINDING_TAG: u64 = 0x6674_622d_6261_7463;
 /// keep all workers and lanes busy.
 const EXHAUSTIVE_CHUNK: usize = 1 << 16;
 
-/// Bound experiment runner: a kernel, its golden run (full and compact
-/// forms), a classifier, and the execution options (snapshots, certified
-/// exits, lane batching).
+/// Bound experiment runner: a kernel, its golden run (one compact copy,
+/// read by every path), a classifier, and the execution options
+/// (snapshots, certified exits, lane batching).
 pub struct Injector<'k> {
     kernel: &'k dyn Kernel,
     golden: GoldenRun,
-    /// Shared read-only golden buffer for streamed propagation extraction.
-    compact: CompactGolden,
     classifier: Classifier,
     /// The classifier's hang budget for this golden run
     /// ([`Classifier::budget`]): outcome experiments stop executing past
@@ -91,8 +89,7 @@ enum EarlyExit {
 impl<'k> Injector<'k> {
     /// Record the golden run and bind the classifier.
     pub fn new(kernel: &'k dyn Kernel, classifier: Classifier) -> Self {
-        let golden = kernel.golden();
-        Self::with_golden(kernel, golden, classifier)
+        Self::with_golden(kernel, kernel.golden(), classifier)
     }
 
     /// Bind to an already-recorded golden run (avoids re-recording when
@@ -109,14 +106,11 @@ impl<'k> Injector<'k> {
             "hang_factor must be at least 1 (got {})",
             classifier.hang_factor
         );
-        let compact = CompactGolden::from_golden(&golden);
-        let budget = classifier.budget(golden.n_dynamic);
         Injector {
             kernel,
+            budget: classifier.budget(golden.n_dynamic),
             golden,
-            compact,
             classifier,
-            budget,
             snapshots: None,
             certified_exits: false,
             batch_lanes: 1,
@@ -179,7 +173,7 @@ impl<'k> Injector<'k> {
     /// layout, instead of `lanes` separate kernel executions. Results
     /// stay bit-identical to scalar execution: per lane, the batched
     /// engine reproduces the scalar value stream, trap behaviour, early
-    /// exits and classification exactly (see [`crate::batch`]).
+    /// exits and classification exactly (see the private `batch` module).
     ///
     /// Effective only where batching applies — the kernel must be
     /// batch-capable, snapshots must be captured
@@ -243,6 +237,7 @@ impl<'k> Injector<'k> {
     /// lane chunks, the from-scratch leftovers through
     /// [`Injector::run_one`], results scattered back into input order
     /// (so ledgers are byte-identical to scalar execution).
+    #[expect(clippy::expect_used, reason = "the plan covers every fault")]
     fn run_plan_batched(&self, engine: &BatchEngine<'_>, faults: &[FaultSpec]) -> Vec<Experiment> {
         for f in faults {
             assert!(f.site < self.n_sites(), "site {} out of range", f.site);
@@ -305,10 +300,10 @@ impl<'k> Injector<'k> {
         &self.golden
     }
 
-    /// The compact, read-only golden buffer (the shared reference state
-    /// of streamed propagation extraction).
-    pub fn compact_golden(&self) -> &CompactGolden {
-        &self.compact
+    /// Alias of [`Injector::golden`]: the golden run is recorded compact,
+    /// so it is the one compact copy.
+    pub fn compact_golden(&self) -> &GoldenRun {
+        &self.golden
     }
 
     /// The outcome classifier in use.
@@ -415,7 +410,7 @@ impl<'k> Injector<'k> {
     /// Run one experiment and fold its propagation window (`(site, Δx)`
     /// pairs, zero deltas skipped) over the execution prefix `0 .. stop`
     /// through streamed extraction: the faulty run is compared against
-    /// the shared compact golden while it executes. With a snapshot store
+    /// the shared golden run while it executes. With a snapshot store
     /// the run resumes from the latest snapshot at or before `site`,
     /// since the skipped prefix is golden state.
     ///
@@ -442,7 +437,7 @@ impl<'k> Injector<'k> {
     ) -> ExtractionSummary {
         let fault = FaultSpec { site, bit };
         let stopped = stop < self.n_sites();
-        let online = self.compact.n_branches() == 0;
+        let online = self.golden.branches.is_empty();
         SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
             let mut batched = |block: &[(usize, f64)]| {
@@ -450,7 +445,7 @@ impl<'k> Injector<'k> {
                     fold(site, d);
                 }
             };
-            let mut t = Tracer::comparing(fault, &self.compact, &mut scratch);
+            let mut t = Tracer::comparing(fault, &self.golden, &mut scratch);
             if online {
                 t = t.with_delta_sink(&mut batched);
             }

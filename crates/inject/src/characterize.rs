@@ -170,6 +170,7 @@ fn pair_delta(a: &ThreadRun, b: &ThreadRun, bits: u8) -> PairDelta {
 /// # Panics
 /// Panics if `thread_counts` is empty, contains a zero, or a pool
 /// fails to build.
+#[expect(clippy::expect_used, reason = "documented panic")]
 pub fn characterize(injector: &Injector<'_>, thread_counts: &[usize]) -> CharacterizeReport {
     assert!(!thread_counts.is_empty(), "need at least one pool size");
     let bits = injector.bits();

@@ -34,7 +34,7 @@
 //! record the full faulty trace, then compare — is kept as the
 //! reference both paths must reproduce bit for bit.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 #![forbid(unsafe_code)]
 
 pub(crate) mod batch;

@@ -39,7 +39,7 @@ use crate::experiment::Experiment;
 use crate::ledger::{read_records, CampaignBinding, LedgerError, LedgerHeader, LedgerWriter};
 use crate::outcome::Outcome;
 use ftb_stats::sampling::{sample_without_replacement, seeded_rng};
-use ftb_trace::{FaultSpec, Region, SectionMap, StaticId, StaticRegistry};
+use ftb_trace::{FaultSpec, Region, SectionMap, StaticRegistry};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -192,7 +192,7 @@ pub fn run_section_campaign(
 
     // frontier membership of this section, dense over [lo, hi)
     let is_frontier: Vec<bool> = (lo..hi)
-        .map(|s| registry.get(StaticId(golden.static_ids[s])).region != Region::Reduction)
+        .map(|s| registry.get(golden.static_id(s)).region != Region::Reduction)
         .collect();
 
     // sample the section's own sites (stream 0) and inlet probes at the
@@ -268,7 +268,7 @@ pub fn run_section_campaign(
                     deltas.push((li, d));
                     if is_frontier[li] {
                         frontier_max = frontier_max.max(d);
-                        let id = golden.static_ids[s];
+                        let id = golden.static_id(s).0;
                         match slots.binary_search_by_key(&id, |&(i, _)| i) {
                             Ok(p) => slots[p].1 = slots[p].1.max(d),
                             Err(p) => slots.insert(p, (id, d)),
@@ -324,7 +324,7 @@ pub fn run_section_campaign(
         if a <= 0.0 {
             continue;
         }
-        let id = golden.static_ids[lo + li];
+        let id = golden.static_id(lo + li).0;
         match static_amp.binary_search_by_key(&id, |s| s.static_id) {
             Ok(p) => static_amp[p].amp = static_amp[p].amp.max(a),
             Err(p) => static_amp.insert(

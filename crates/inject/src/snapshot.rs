@@ -107,6 +107,7 @@ impl SnapshotStore {
     /// cheap next to the golden run itself, and asserts bitwise
     /// agreement with `golden` so a capture that drifted from the
     /// recorded trace can never serve resumed experiments.
+    #[expect(clippy::expect_used, reason = "pool indices fit u32")]
     pub fn capture(
         kernel: &dyn Kernel,
         golden: &GoldenRun,
@@ -195,8 +196,8 @@ impl SnapshotStore {
             for k in 0..max_snapshots {
                 keep[k * (n - 1) / (max_snapshots - 1).max(1)] = true;
             }
-            let mut it = keep.iter();
-            snapshots.retain(|_| *it.next().unwrap());
+            let mut keep = keep.into_iter();
+            snapshots.retain(|_| keep.next().unwrap_or(false));
         }
 
         // the batch engine shares one copy of each array the kernel

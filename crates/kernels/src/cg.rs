@@ -542,6 +542,7 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::Kernel;
+    use ftb_trace::golden::GoldenValues;
     use ftb_trace::norms::Norm;
     use ftb_trace::{FaultSpec, RecordMode};
 
@@ -569,7 +570,7 @@ mod tests {
         let g = k.golden();
         let n = k.n_unknowns();
         for i in 0..n {
-            assert_eq!(g.values[i], 0.0, "x init site {i} not zero");
+            assert_eq!(g.value(i), 0.0, "x init site {i} not zero");
             assert_eq!(g.static_id(i), sid::INIT_X);
         }
         assert_eq!(g.static_id(n), sid::INIT_B);
@@ -579,7 +580,9 @@ mod tests {
     fn f32_precision_quantizes_all_sites() {
         let k = CgKernel::new(CgConfig::small());
         let g = k.golden();
-        for (i, &v) in g.values.iter().enumerate() {
+        assert!(matches!(g.values_view(), GoldenValues::F32(_)));
+        for i in 0..g.n_sites() {
+            let v = g.value(i);
             assert_eq!(v, v as f32 as f64, "site {i} not an f32 value");
         }
     }
@@ -605,7 +608,7 @@ mod tests {
         let n = k.n_unknowns();
         // find a b-init site with non-trivial magnitude and flip its sign
         let site = (n..2 * n)
-            .max_by(|&a, &b| g.values[a].abs().partial_cmp(&g.values[b].abs()).unwrap())
+            .max_by(|&a, &b| g.value(a).abs().partial_cmp(&g.value(b).abs()).unwrap())
             .unwrap();
         let r = k.run_injected(FaultSpec { site, bit: 31 }, RecordMode::OutputOnly);
         let d = Norm::LInf.distance(&g.output, &r.output);
@@ -673,7 +676,7 @@ mod tests {
         // entry (value 4.0 -> -4.0): the operator changes, so the solve
         // lands somewhere else entirely
         let site = (n..g.n_sites())
-            .find(|&s| g.static_id(s) == sid::INIT_MAT && g.values[s] == 4.0)
+            .find(|&s| g.static_id(s) == sid::INIT_MAT && g.value(s) == 4.0)
             .expect("no diagonal matrix site found");
         let r = k.run_injected(FaultSpec { site, bit: 31 }, RecordMode::OutputOnly);
         let d = Norm::LInf.distance(&g.output, &r.output);

@@ -44,13 +44,15 @@ impl Csr {
         let mut row_counts = vec![0u32; n_rows];
         let mut last: Option<(usize, usize)> = None;
         for (r, c, v) in entries {
-            if last == Some((r, c)) {
-                *vals.last_mut().expect("duplicate implies a prior entry") += v;
-            } else {
-                cols.push(c as u32);
-                vals.push(v);
-                row_counts[r] += 1;
-                last = Some((r, c));
+            match vals.last_mut() {
+                // a duplicate of the previous entry folds into it
+                Some(prev) if last == Some((r, c)) => *prev += v,
+                _ => {
+                    cols.push(c as u32);
+                    vals.push(v);
+                    row_counts[r] += 1;
+                    last = Some((r, c));
+                }
             }
         }
         let mut row_ptr = Vec::with_capacity(n_rows + 1);

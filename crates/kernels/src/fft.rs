@@ -534,7 +534,7 @@ mod tests {
         let k = FftKernel::new(FftConfig::small());
         let plain = k.golden();
         let (with_ddg, ddg) = k.golden_with_ddg();
-        assert_eq!(plain.values, with_ddg.values);
+        assert_eq!(plain, with_ddg);
         assert_eq!(plain.output, with_ddg.output);
         assert!(ddg.is_instrumented());
         assert_eq!(
@@ -553,7 +553,7 @@ mod tests {
         });
         let plain = k.golden();
         let (with_ddg, ddg) = k.golden_with_ddg();
-        assert_eq!(plain.values, with_ddg.values);
+        assert_eq!(plain, with_ddg);
         assert!(ddg.is_instrumented());
     }
 

@@ -45,7 +45,7 @@
 //! a `(kernel-config, seed, fault)` triple reproduces an experiment
 //! bit-for-bit.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 // `deny` rather than `forbid`: the lane-batched sweeps carry runtime
 // SIMD multiversions (`#[target_feature(enable = "avx2")]` clones of
 // safe code), and the feature-detected dispatch call is necessarily an
@@ -437,14 +437,7 @@ mod tests {
         ] {
             let a = cfg.build().golden();
             let b = cfg.build().golden();
-            assert_eq!(
-                a.values,
-                b.values,
-                "{} golden not deterministic",
-                cfg.name()
-            );
-            assert_eq!(a.output, b.output);
-            assert_eq!(a.branches, b.branches);
+            assert_eq!(a, b, "{} golden not deterministic", cfg.name());
         }
     }
 

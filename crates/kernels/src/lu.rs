@@ -534,7 +534,7 @@ mod tests {
         let k = LuKernel::new(LuConfig::small());
         let plain = k.golden();
         let (with_ddg, ddg) = k.golden_with_ddg();
-        assert_eq!(plain.values, with_ddg.values);
+        assert_eq!(plain, with_ddg);
         assert_eq!(plain.output, with_ddg.output);
         assert!(ddg.is_instrumented(), "LU must record output sinks");
     }

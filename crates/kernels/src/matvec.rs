@@ -176,7 +176,7 @@ mod tests {
         let g = k.golden();
         for j in [0, 5, k.config().n - 1] {
             assert_eq!(g.static_id(k.x_site(j)), sid::INIT_X);
-            assert!((g.values[k.x_site(j)] - k.x[j]).abs() < 1e-15);
+            assert!((g.value(k.x_site(j)) - k.x[j]).abs() < 1e-15);
         }
     }
 
@@ -191,7 +191,7 @@ mod tests {
         let bit = 45; // a mid-mantissa flip: clearly nonzero, clearly finite
         let r = k.run_injected(FaultSpec { site, bit }, RecordMode::OutputOnly);
         let measured = Norm::L2.distance(&g.output, &r.output);
-        let eps = ftb_trace::injected_error(Precision::F64, g.values[site], bit);
+        let eps = ftb_trace::injected_error(Precision::F64, g.value(site), bit);
         let predicted = k.l2_constant(col) * eps;
         assert!(
             (measured - predicted).abs() / predicted < 1e-3,
@@ -210,7 +210,7 @@ mod tests {
         let k = MatvecKernel::new(MatvecConfig::small());
         let plain = k.golden();
         let (with_ddg, ddg) = k.golden_with_ddg();
-        assert_eq!(plain.values, with_ddg.values);
+        assert_eq!(plain, with_ddg);
         assert_eq!(plain.output, with_ddg.output);
         assert!(ddg.is_instrumented());
         assert_eq!(ddg.out_sinks.len(), k.config().n);

@@ -178,7 +178,7 @@ mod tests {
         let site = k.x_site(col);
         let bit = 45;
         let r = k.run_injected(FaultSpec { site, bit }, RecordMode::OutputOnly);
-        let eps = injected_error(Precision::F64, g.values[site], bit);
+        let eps = injected_error(Precision::F64, g.value(site), bit);
         let measured = Norm::L2.distance(&g.output, &r.output);
         let predicted = k.l2_constant(col) * eps;
         assert!(
@@ -217,7 +217,7 @@ mod tests {
         let k = SpmvKernel::new(SpmvConfig::small());
         let plain = k.golden();
         let (with_ddg, ddg) = k.golden_with_ddg();
-        assert_eq!(plain.values, with_ddg.values);
+        assert_eq!(plain, with_ddg);
         assert_eq!(plain.output, with_ddg.output);
         assert!(ddg.is_instrumented());
         assert_eq!(ddg.out_sinks.len(), k.matrix.n_rows());

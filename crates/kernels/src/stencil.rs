@@ -249,8 +249,8 @@ mod tests {
             let r = k.run_injected(FaultSpec { site, bit: 52 }, RecordMode::OutputOnly);
             Norm::L2.distance(&g.output, &r.output)
         };
-        let inj_small = ftb_trace::injected_error(Precision::F64, g.values[site], 50);
-        let inj_big = ftb_trace::injected_error(Precision::F64, g.values[site], 52);
+        let inj_small = ftb_trace::injected_error(Precision::F64, g.value(site), 50);
+        let inj_big = ftb_trace::injected_error(Precision::F64, g.value(site), 52);
         let (c1, c2) = (e_small / inj_small, e_big / inj_big);
         assert!(
             (c1 - c2).abs() / c1 < 1e-6,
@@ -273,7 +273,7 @@ mod tests {
         let k = StencilKernel::new(StencilConfig::small());
         let plain = k.golden();
         let (with_ddg, ddg) = k.golden_with_ddg();
-        assert_eq!(plain.values, with_ddg.values);
+        assert_eq!(plain, with_ddg);
         assert_eq!(plain.output, with_ddg.output);
         assert!(ddg.is_instrumented());
         assert_eq!(

@@ -81,6 +81,6 @@ mod tests {
     fn stub_is_deterministic() {
         let a = StubKernel::new(8, 7).golden();
         let b = StubKernel::new(8, 7).golden();
-        assert_eq!(a.values, b.values);
+        assert_eq!(a, b);
     }
 }

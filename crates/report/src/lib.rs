@@ -6,7 +6,7 @@
 //! consecutive dynamic instructions in CG, 147 in LU, 208 in FFT for its
 //! Figure 4), and terminal histogram rendering (Figure 3).
 
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 #![forbid(unsafe_code)]
 
 pub mod bits_table;

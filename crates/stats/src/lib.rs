@@ -13,7 +13,7 @@
 //! Everything here is deterministic given a seed; no global RNG state is
 //! used anywhere in the workspace.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 #![forbid(unsafe_code)]
 
 pub mod ci;

@@ -175,20 +175,13 @@ impl BatchTracer {
         self.injected_errs[l]
     }
 
-    /// Dynamic index of lane `l`'s first non-finite value, if any.
+    /// Dynamic index of lane `l`'s first non-finite value, once its trap
+    /// has fired. Batch lanes have no hang budget: batch-capable kernels
+    /// have fixed trip counts, so a lane never runs longer than the
+    /// golden run.
     #[inline]
     pub fn lane_first_nonfinite(&self, l: usize) -> Option<usize> {
         self.first_nonfinite[l]
-    }
-
-    /// Whether lane `l`'s non-finite trap has fired (the per-lane
-    /// equivalent of the trap half of `Tracer::should_stop`, polled by
-    /// kernels that break at section bottoms). Batch lanes have no hang
-    /// budget: batch-capable kernels have fixed trip counts, so a lane
-    /// never runs longer than the golden run.
-    #[inline]
-    pub fn lane_trapped(&self, l: usize) -> bool {
-        self.first_nonfinite[l].is_some()
     }
 
     /// Drop retired lanes: lane `l` survives iff `keep[l]`. Survivors

@@ -8,7 +8,7 @@
 //! window ends at the dynamic-instruction cursor of the first mismatching
 //! branch event.
 
-use crate::golden::{GoldenRun, RunTrace};
+use crate::golden::{GoldenRun, GoldenValues, RunTrace};
 use serde::{Deserialize, Serialize};
 
 /// Per-dynamic-instruction perturbation of one fault-injected run relative
@@ -86,6 +86,7 @@ pub fn divergence_cursor(golden: &[u64], faulty: &[u64]) -> Option<usize> {
 /// # Panics
 /// Panics if `faulty` carries no fault or was not recorded with
 /// `RecordMode::Full`.
+#[expect(clippy::expect_used, reason = "documented panic")]
 pub fn propagation(golden: &GoldenRun, faulty: &RunTrace) -> Propagation {
     let fault = faulty
         .fault
@@ -106,20 +107,30 @@ pub fn propagation(golden: &GoldenRun, faulty: &RunTrace) -> Propagation {
     }
 
     let injected_at = fault.site.min(compare_len);
-    let errors: Vec<f64> = golden.values[injected_at..compare_len]
-        .iter()
-        .zip(&fvalues[injected_at..compare_len])
-        .map(|(&g, &f)| {
-            let d = (g - f).abs();
-            // a NaN difference (faulty value went non-finite inside the
-            // window) is an unbounded perturbation
-            if d.is_nan() {
-                f64::INFINITY
-            } else {
-                d
-            }
-        })
-        .collect();
+    let window = injected_at..compare_len;
+    let faulty = &fvalues[window.clone()];
+    let delta = |g: f64, f: f64| {
+        let d = (g - f).abs();
+        // a NaN difference (faulty value went non-finite inside the
+        // window) is an unbounded perturbation
+        if d.is_nan() {
+            f64::INFINITY
+        } else {
+            d
+        }
+    };
+    let errors: Vec<f64> = match golden.values_view() {
+        GoldenValues::F32(g) => g[window]
+            .iter()
+            .zip(faulty)
+            .map(|(&g, &f)| delta(f64::from(g), f))
+            .collect(),
+        GoldenValues::F64(g) => g[window]
+            .iter()
+            .zip(faulty)
+            .map(|(&g, &f)| delta(g, f))
+            .collect(),
+    };
 
     Propagation {
         injected_at,

@@ -26,7 +26,7 @@
 //!   data (the `Δx` curve of the paper's Figure 2), truncated at the first
 //!   control-flow divergence.
 //! * [`streamed`] — the one-sided streaming comparison fast path: faulty
-//!   runs compare against a shared read-only [`CompactGolden`] while they
+//!   runs compare against the shared read-only [`GoldenRun`] while they
 //!   execute, with no per-experiment trace buffer.
 //! * [`norms`] — output-error metrics (the paper uses the L∞ norm).
 //! * [`ddg`] — opt-in operand-provenance recording during the golden run:
@@ -38,12 +38,11 @@
 //! the fault check and one optional `Vec` push; instrumentation overhead is
 //! measured in `ftb-bench`'s `bench_trace`/`bench_kernels`.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 #![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod bits;
-pub mod compact;
 pub mod compare;
 pub mod ddg;
 pub mod golden;
@@ -56,7 +55,6 @@ pub mod tracer;
 
 pub use batch::{broadcast_soa, compact_soa, extract_lane, BatchTracer};
 pub use bits::{flip_bit_f32, flip_bit_f64, injected_error, Precision};
-pub use compact::CompactGolden;
 pub use compare::{divergence_cursor, propagation, Propagation};
 pub use ddg::{Ddg, OpKind, StaticEdge};
 pub use golden::{GoldenRun, RunTrace};

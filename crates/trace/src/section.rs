@@ -114,24 +114,23 @@ impl SectionMap {
     /// # Panics
     /// Panics if the golden run recorded no dynamic instructions.
     pub fn phases(golden: &GoldenRun, registry: &StaticRegistry) -> Self {
-        let ids = &golden.static_ids;
-        assert!(!ids.is_empty(), "cannot section an empty run");
-        let region = |id: u32| registry.get(StaticId(id)).region;
+        let n_sites = golden.n_sites();
+        assert!(n_sites > 0, "cannot section an empty run");
         let mut starts = vec![0];
-        for i in 1..ids.len() {
-            let prev = region(ids[i - 1]);
-            let cur = region(ids[i]);
-            let init_boundary = prev == Region::Init && cur != Region::Init;
-            let phase_restart = prev == Region::Reduction && ids[i] < ids[i - 1];
-            let phase_head = ids[i] != ids[i - 1] && registry.get(StaticId(ids[i])).phase_head;
+        let mut ids = golden.static_ids(0..n_sites);
+        let mut prev_id = ids.next().unwrap_or(StaticId(0));
+        for (i, id) in (1..).zip(ids) {
+            let prev = registry.get(prev_id).region;
+            let cur = registry.get(id);
+            let init_boundary = prev == Region::Init && cur.region != Region::Init;
+            let phase_restart = prev == Region::Reduction && id < prev_id;
+            let phase_head = id != prev_id && cur.phase_head;
             if init_boundary || phase_restart || phase_head {
                 starts.push(i);
             }
+            prev_id = id;
         }
-        Self {
-            starts,
-            n_sites: ids.len(),
-        }
+        Self { starts, n_sites }
     }
 
     /// Coalesce adjacent sections until at most `max_sections` remain,
@@ -185,7 +184,9 @@ impl SectionMap {
     pub fn frontier(&self, golden: &GoldenRun, registry: &StaticRegistry, t: usize) -> Vec<usize> {
         let (lo, hi) = self.range(t);
         (lo..hi)
-            .filter(|&s| registry.get(StaticId(golden.static_ids[s])).region != Region::Reduction)
+            .zip(golden.static_ids(lo..hi))
+            .filter(|&(_, id)| registry.get(id).region != Region::Reduction)
+            .map(|(s, _)| s)
             .collect()
     }
 
@@ -200,8 +201,8 @@ impl SectionMap {
         let mut h = Fnv1a::new();
         h.write_u64(lo as u64);
         h.write_u64(hi as u64);
-        for &id in &golden.static_ids[lo..hi] {
-            h.write(&id.to_le_bytes());
+        for id in golden.static_ids(lo..hi) {
+            h.write(&id.0.to_le_bytes());
         }
         h.write_u64(code_version);
         h.finish()

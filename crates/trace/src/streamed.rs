@@ -5,7 +5,7 @@
 //! (a golden re-execution per experiment) as the way around it. This
 //! module takes a third route: the golden trace is recorded
 //! **once** into a shared, read-only
-//! [`CompactGolden`](crate::compact::CompactGolden), and every faulty
+//! [`GoldenRun`](crate::golden::GoldenRun), and every faulty
 //! execution compares its value and branch streams against it *while it
 //! runs* — no second golden thread, no channels, and no per-experiment
 //! full-trace buffer. The only per-experiment state is a
@@ -105,8 +105,8 @@ pub fn streamed_propagation(
 mod tests {
     use super::*;
     use crate::bits::Precision;
-    use crate::compact::CompactGolden;
     use crate::compare::propagation;
+    use crate::golden::GoldenRun;
     use crate::site::StaticId;
     use crate::tracer::{FaultSpec, RecordMode, Tracer};
 
@@ -125,19 +125,18 @@ mod tests {
         vec![acc]
     }
 
-    fn compact(cap: f64) -> CompactGolden {
+    fn compact(cap: f64) -> GoldenRun {
         let mut t = Tracer::golden(Precision::F64);
         let out = capped_sum(&mut t, cap);
-        CompactGolden::from_golden(&t.finish_golden(out))
+        t.finish_golden(out)
     }
 
     fn both_paths(cap: f64, fault: FaultSpec) -> (Propagation, Propagation) {
         let golden = compact(cap);
-        let full = golden.to_golden();
 
         let mut t = Tracer::inject(Precision::F64, fault, RecordMode::Full);
         let out = capped_sum(&mut t, cap);
-        let buffered = propagation(&full, &t.finish(out));
+        let buffered = propagation(&golden, &t.finish(out));
 
         let mut scratch = CompareScratch::new();
         let mut t = Tracer::comparing(fault, &golden, &mut scratch);

@@ -4,10 +4,11 @@
 //! modes by the rest of the library:
 //!
 //! * **Golden recording** ([`Tracer::golden`]) — the fault-free run whose
-//!   full value stream and branch stream become the reference
+//!   value stream and branch stream become the reference
 //!   ([`GoldenRun`]). The paper's §5 "Overhead" discussion notes this is
-//!   the memory cost of the whole approach: one `f64` per dynamic
-//!   instruction.
+//!   the memory cost of the whole approach, so the tracer records it
+//!   compact: one value at the kernel's precision and one static-id byte
+//!   per dynamic instruction (see [`crate::golden`]).
 //! * **Fault injection, full trace** ([`Tracer::inject`] with
 //!   [`RecordMode::Full`]) — the reference propagation extractor: record
 //!   the faulty trace, compare it with the golden one afterwards.
@@ -20,7 +21,7 @@
 //! * **One-sided streamed comparison** ([`Tracer::comparing`]) — propagation
 //!   extraction for the masked experiments that feed Algorithm 1 and
 //!   composition: the run compares its value/branch streams against a
-//!   shared read-only [`CompactGolden`] *while executing*, accumulating
+//!   shared read-only [`GoldenRun`] *while executing*, accumulating
 //!   only the nonzero `(site, Δx)` pairs into a reusable
 //!   [`CompareScratch`] or handing them to an online fold. See
 //!   [`crate::streamed`].
@@ -33,9 +34,8 @@
 //! snapshot store's capture and a resumed experiment's early exits.
 
 use crate::bits::Precision;
-use crate::compact::{CompactGolden, GoldenValues};
 use crate::ddg::{Ddg, DdgBuilder, OpKind};
-use crate::golden::{GoldenRun, RunTrace};
+use crate::golden::{GoldenRun, GoldenValues, Ids, RunTrace, Values};
 use crate::site::StaticId;
 use crate::streamed::{CompareScratch, StreamedWindow};
 use serde::{Deserialize, Serialize};
@@ -103,7 +103,7 @@ const COMPARE_BLOCK: usize = 64;
 /// Live state of a one-sided streamed comparison ([`Tracer::comparing`]).
 /// Value and branch storage are resolved to raw slices up front so the
 /// per-value hot path is a single indexed load, not a walk through
-/// [`CompactGolden`]'s representation enums.
+/// [`GoldenRun`]'s representation enums.
 struct CompareState<'g> {
     gvalues: GoldenValues<'g>,
     gbranches: &'g [u64],
@@ -287,8 +287,12 @@ pub struct Tracer<'g> {
     trap_nonfinite: bool,
     cursor: usize,
     branch_count: usize,
-    values: Vec<f64>,
-    static_ids: Vec<u32>,
+    /// Recorded values: at the kernel's precision in golden mode (the
+    /// resident reference), at full width in a `RecordMode::Full`
+    /// faulty run (per run, and dropped).
+    values: Values,
+    /// Recorded static ids (golden mode only).
+    ids: Ids,
     branches: Vec<u64>,
     first_nonfinite: Option<usize>,
     injected_err: Option<f64>,
@@ -325,8 +329,12 @@ impl<'g> Tracer<'g> {
             trap_nonfinite: true,
             cursor: 0,
             branch_count: 0,
-            values: Vec::new(),
-            static_ids: Vec::new(),
+            values: Values::new(if record_ids {
+                precision
+            } else {
+                Precision::F64
+            }),
+            ids: Ids::new(),
             branches: Vec::new(),
             first_nonfinite: None,
             injected_err: None,
@@ -380,10 +388,10 @@ impl<'g> Tracer<'g> {
     /// Panics if `fault.bit` is out of range for the golden precision.
     pub fn comparing(
         fault: FaultSpec,
-        golden: &'g CompactGolden,
+        golden: &'g GoldenRun,
         scratch: &'g mut CompareScratch,
     ) -> Self {
-        let precision = golden.precision();
+        let precision = golden.precision;
         assert!(
             fault.bit < precision.bits(),
             "bit {} out of range for {:?}",
@@ -396,7 +404,7 @@ impl<'g> Tracer<'g> {
             limit: golden.n_sites(),
             stop: usize::MAX,
             gvalues: golden.values_view(),
-            gbranches: golden.branches_view(),
+            gbranches: &golden.branches,
             scratch,
             branch_idx: 0,
             div_cursor: None,
@@ -427,6 +435,7 @@ impl<'g> Tracer<'g> {
     /// # Panics
     /// Panics if the tracer is not in comparing mode, or if the golden
     /// trace has branch events.
+    #[expect(clippy::expect_used, reason = "documented panic")]
     pub fn with_delta_sink(mut self, sink: DeltaSink<'g>) -> Self {
         let cs = self
             .compare
@@ -453,6 +462,7 @@ impl<'g> Tracer<'g> {
     ///
     /// # Panics
     /// Panics if the tracer is not in comparing mode.
+    #[expect(clippy::expect_used, reason = "documented panic")]
     pub fn with_stop(mut self, stop: usize) -> Self {
         let cs = self
             .compare
@@ -634,7 +644,7 @@ impl<'g> Tracer<'g> {
             self.values.reserve_exact(n_sites);
         }
         if self.record_ids {
-            self.static_ids.reserve_exact(n_sites);
+            self.ids.reserve_exact(n_sites);
         }
         if self.record_branches {
             self.branches.reserve_exact(n_branches);
@@ -665,7 +675,7 @@ impl<'g> Tracer<'g> {
         if self.record_values {
             self.values.push(v);
             if self.record_ids {
-                self.static_ids.push(sid.0);
+                self.ids.push(sid);
             }
         }
         if let Some(ddg) = &mut self.ddg {
@@ -773,7 +783,7 @@ impl<'g> Tracer<'g> {
         self.assert_resume_taken();
         RunTrace {
             values: if self.record_values {
-                Some(self.values)
+                Some(self.values.into_f64())
             } else {
                 None
             },
@@ -805,6 +815,7 @@ impl<'g> Tracer<'g> {
     ///
     /// # Panics
     /// Panics if the tracer was not built with [`Tracer::comparing`].
+    #[expect(clippy::expect_used, reason = "documented panic")]
     pub fn finish_compare(mut self, output: Vec<f64>) -> (RunTrace, StreamedWindow) {
         let mut cs = self
             .compare
@@ -847,6 +858,7 @@ impl<'g> Tracer<'g> {
     /// # Panics
     /// Panics if the tracer was not upgraded with [`Tracer::with_ddg`],
     /// or on any [`Tracer::finish_golden`] violation.
+    #[expect(clippy::expect_used, reason = "documented panic")]
     pub fn finish_golden_with_ddg(mut self, output: Vec<f64>) -> (GoldenRun, Ddg) {
         let builder = *self
             .ddg
@@ -878,7 +890,7 @@ impl<'g> Tracer<'g> {
         GoldenRun {
             precision: self.precision,
             values: self.values,
-            static_ids: self.static_ids,
+            ids: self.ids,
             branches: self.branches,
             output,
             n_dynamic: self.cursor,
@@ -917,8 +929,8 @@ mod tests {
         let out = toy(&mut t);
         let g = t.finish_golden(out);
         assert_eq!(g.n_dynamic, 8);
-        assert_eq!(g.values.len(), 8);
-        assert_eq!(g.static_ids.len(), 8);
+        assert_eq!(g.value(7), 30.0);
+        assert_eq!(g.static_ids(0..8).count(), 8);
         assert_eq!(g.output, vec![30.0]);
     }
 

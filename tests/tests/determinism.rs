@@ -252,8 +252,6 @@ fn golden_runs_identical_across_rebuilds() {
     for (config, _) in tiny_suite() {
         let g1 = config.build().golden();
         let g2 = config.build().golden();
-        assert_eq!(g1.values, g2.values);
-        assert_eq!(g1.branches, g2.branches);
-        assert_eq!(g1.output, g2.output);
+        assert_eq!(g1, g2);
     }
 }

@@ -1,10 +1,10 @@
 //! Integration tests for the extension features: streamed inference,
-//! the pilot-grouping baseline, and compact golden storage — exercised
+//! the pilot-grouping baseline, and compact golden recording — exercised
 //! across kernels rather than on a single fixture.
 
 use ftb_core::prelude::*;
 use ftb_integration::{reference_extraction, tiny_suite, with_analysis};
-use ftb_trace::CompactGolden;
+use ftb_trace::{FaultSpec, RecordMode};
 
 #[test]
 fn pilot_baseline_runs_on_every_kernel() {
@@ -26,16 +26,37 @@ fn pilot_baseline_runs_on_every_kernel() {
     }
 }
 
+/// The golden run is recorded compact; a fault-free `RecordMode::Full`
+/// run records the same stream independently, at full width. Every
+/// golden value must be bit-equal to it.
 #[test]
-fn compact_golden_roundtrips_every_kernel() {
+fn compact_recording_is_lossless_on_every_kernel() {
     for (config, _) in tiny_suite() {
         let kernel = config.build();
         let golden = kernel.golden();
-        let compact = CompactGolden::from_golden(&golden);
-        assert_eq!(compact.to_golden(), golden, "{}", kernel.name());
+        // a fault site past the end of the run is never reached
+        let unreached = FaultSpec {
+            site: golden.n_sites(),
+            bit: 0,
+        };
+        let full = kernel.run_injected(unreached, RecordMode::Full);
+        assert_eq!(full.injected_err, None, "{}", kernel.name());
+        let values = full.values.expect("a Full run records values");
+        assert_eq!(values.len(), golden.n_sites(), "{}", kernel.name());
+        for (s, v) in values.iter().enumerate() {
+            assert_eq!(
+                golden.value(s).to_bits(),
+                v.to_bits(),
+                "{} site {s}",
+                kernel.name()
+            );
+        }
+        assert_eq!(full.branches.as_ref(), Some(&golden.branches));
+        assert_eq!(full.output, golden.output);
+        let full_width = golden.n_sites() * 12 + (golden.branches.len() + golden.output.len()) * 8;
         assert!(
-            compact.memory_bytes() <= golden.memory_bytes(),
-            "{}: compaction grew the trace",
+            golden.memory_bytes() < full_width,
+            "{}: compact recording is no smaller than full width",
             kernel.name()
         );
     }

@@ -21,8 +21,7 @@ use ftb_inject::{
 use ftb_integration::{reference_batch, reference_exhaustive, reference_extraction, tiny_suite};
 use ftb_kernels::{CgConfig, Kernel, KernelConfig};
 use ftb_trace::{
-    propagation, streamed_propagation, CompactGolden, CompareScratch, FaultSpec, Propagation,
-    RecordMode, Tracer,
+    propagation, streamed_propagation, CompareScratch, FaultSpec, Propagation, RecordMode, Tracer,
 };
 use proptest::prelude::*;
 
@@ -242,7 +241,7 @@ fn stopped_extraction_cuts_both_routes_and_divergence() {
         let (scratch, policy) = injector_pair(kernel.as_ref(), *tol);
         let store = policy.snapshot_store().expect("snapshot-capable kernel");
         let n_sites = scratch.n_sites();
-        let branchy = scratch.compact_golden().n_branches() > 0;
+        let branchy = !scratch.golden().branches.is_empty();
         assert_eq!(
             branchy,
             config.name() == "cg",
@@ -287,7 +286,6 @@ fn buffered_and_streamed_agree_when_fault_site_is_never_reached() {
     let (config, _) = &tiny_suite()[4]; // matvec
     let kernel = config.build();
     let golden = kernel.golden();
-    let compact = CompactGolden::from_golden(&golden);
     let fault = FaultSpec {
         site: golden.n_sites() + 7,
         bit: 1,
@@ -297,7 +295,7 @@ fn buffered_and_streamed_agree_when_fault_site_is_never_reached() {
     let buffered: Propagation = propagation(&golden, &buffered_run);
 
     let mut scratch = CompareScratch::new();
-    let mut t = Tracer::comparing(fault, &compact, &mut scratch);
+    let mut t = Tracer::comparing(fault, &golden, &mut scratch);
     let out = kernel.run(&mut t);
     let (streamed_run, window) = t.finish_compare(out);
     let streamed = streamed_propagation(fault.site, window, &scratch);

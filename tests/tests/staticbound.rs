@@ -12,7 +12,7 @@ use ftb_kernels::{
     JacobiKernel, Kernel, LuConfig, LuKernel, MatvecConfig, MatvecKernel, SpmvConfig, SpmvKernel,
     StencilConfig, StencilKernel, SweepTweak,
 };
-use ftb_trace::{Ddg, Fnv1a, Precision};
+use ftb_trace::{Ddg, Fnv1a, GoldenRun, Precision};
 
 fn jacobi_tiny() -> JacobiKernel {
     JacobiKernel::new(JacobiConfig {
@@ -316,11 +316,19 @@ fn ddg_mode_golden_matches_plain_golden() {
     for (label, k) in provenance_table() {
         let plain = k.golden();
         let (with_ddg, ddg) = k.golden_with_ddg();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&plain.values), bits(&with_ddg.values), "{label}");
-        assert_eq!(plain.static_ids, with_ddg.static_ids, "{label}");
-        assert_eq!(plain.branches, with_ddg.branches, "{label}");
-        assert_eq!(bits(&plain.output), bits(&with_ddg.output), "{label}");
+        let bits = |g: &GoldenRun| {
+            (0..g.n_sites())
+                .map(|s| g.value(s).to_bits())
+                .collect::<Vec<_>>()
+        };
+        let out_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&plain), bits(&with_ddg), "{label}");
+        assert_eq!(plain, with_ddg, "{label}");
+        assert_eq!(
+            out_bits(&plain.output),
+            out_bits(&with_ddg.output),
+            "{label}"
+        );
         assert!(ddg.is_instrumented(), "{label}: uninstrumented DDG");
         assert_eq!(ddg.n_sites, plain.n_sites(), "{label}");
     }
@@ -337,12 +345,13 @@ fn stream_digest(k: &dyn Kernel) -> u64 {
         h.write_u64(v.len() as u64);
         v.iter().for_each(|x| h.write_u64(x.to_bits()));
     };
-    floats(&mut h, &golden.values);
-    h.write_u64(golden.static_ids.len() as u64);
+    let n = golden.n_sites();
+    h.write_u64(n as u64);
+    (0..n).for_each(|s| h.write_u64(golden.value(s).to_bits()));
+    h.write_u64(n as u64);
     golden
-        .static_ids
-        .iter()
-        .for_each(|&s| h.write_u64(u64::from(s)));
+        .static_ids(0..n)
+        .for_each(|id| h.write_u64(u64::from(id.0)));
     h.write_u64(golden.branches.len() as u64);
     golden.branches.iter().for_each(|&b| h.write_u64(b));
     floats(&mut h, &golden.output);
