@@ -19,12 +19,13 @@
 //! composition, checked against the [`Injector::run_one_traced`]
 //! reference.
 
-use crate::batch::BatchEngine;
+use crate::batch::{BatchEngine, Job, ScalarWatch};
 use crate::experiment::Experiment;
 use crate::ledger::BatchBinding;
 use crate::outcome::{Classifier, Outcome};
 use crate::snapshot::{Snapshot, SnapshotStore, DEFAULT_MAX_SNAPSHOTS};
 use ftb_kernels::{Kernel, MAX_BATCH_LANES};
+use ftb_trace::norms::Norm;
 use ftb_trace::{
     propagation, CompareScratch, FaultSpec, Fnv1a, GoldenRun, Propagation, RecordMode, RunTrace,
     Tracer,
@@ -66,24 +67,19 @@ pub struct Injector<'k> {
     /// preceding their fault site instead of re-executing from `t = 0`.
     snapshots: Option<SnapshotStore>,
     /// Allow contraction-certificate early exits
-    /// ([`Kernel::masked_exit_bound`]) on snapshot-resumed runs. Off by
+    /// ([`Kernel::masked_exit_bound`]) on monitored runs. Off by
     /// default: a certified exit proves the *outcome code* (Masked) but
     /// reports an upper bound instead of the exact `output_err`, so only
     /// code-only consumers opt in.
     certified_exits: bool,
+    /// The classifier tolerance when a certificate can fire: exits are
+    /// allowed, the norm is L∞, and the kernel offers a certificate at
+    /// some retained boundary. Decided once, so a kernel with no
+    /// certificate costs its runs no deviation scan.
+    certify: Option<f64>,
     /// Lane width for batched execution ([`Injector::with_batch_lanes`]).
     /// `1` (the default) keeps every path scalar.
     batch_lanes: usize,
-}
-
-/// Why a snapshot-resumed run stopped at a boundary before completing.
-enum EarlyExit {
-    /// Live state became bit-identical to a stored golden boundary: the
-    /// suffix replays the golden run exactly, `output_err` is exactly 0.
-    Bitwise,
-    /// The kernel's contraction certificate proved the final deviation
-    /// cannot exceed this bound, which is within tolerance.
-    Certified(f64),
 }
 
 impl<'k> Injector<'k> {
@@ -113,6 +109,7 @@ impl<'k> Injector<'k> {
             classifier,
             snapshots: None,
             certified_exits: false,
+            certify: None,
             batch_lanes: 1,
         }
     }
@@ -133,13 +130,18 @@ impl<'k> Injector<'k> {
 
     /// Capture golden-run boundary snapshots (at most `max_snapshots`,
     /// evenly thinned) and serve every subsequent experiment from the
-    /// snapshot immediately preceding its fault site. A no-op when the
-    /// kernel is not snapshot-capable. Results stay bit-identical to
-    /// from-scratch execution: the skipped prefix is golden state the
-    /// faulty run would have reproduced bit-for-bit.
+    /// snapshot immediately preceding its fault site. A fault before the
+    /// first retained boundary runs from scratch. Either way, outcome
+    /// runs are watched by the boundary monitor: at each retained
+    /// boundary past the fault, a state bit-identical to golden stops
+    /// the run as `(Masked, 0.0)`. A no-op when the kernel is not
+    /// snapshot-capable. Results stay bit-identical to from-scratch
+    /// execution: the skipped prefix is golden state the faulty run
+    /// would have reproduced bit-for-bit, and a reconverged run would
+    /// replay the golden suffix.
     pub fn with_snapshots(mut self, max_snapshots: usize) -> Self {
         self.snapshots = SnapshotStore::capture(self.kernel, &self.golden, max_snapshots);
-        self
+        self.decide_certificate()
     }
 
     /// The snapshot store serving resumed experiments, if one was
@@ -148,8 +150,9 @@ impl<'k> Injector<'k> {
         self.snapshots.as_ref()
     }
 
-    /// Allow contraction-certificate early exits on snapshot-resumed
-    /// runs: at each boundary the kernel may *prove*
+    /// Allow contraction-certificate early exits on monitored runs
+    /// ([`Injector::with_snapshots`]): at each boundary the kernel may
+    /// *prove*
     /// ([`Kernel::masked_exit_bound`]) that the final-output deviation
     /// cannot exceed the classifier tolerance, in which case the
     /// experiment exits immediately as `Masked` — the same outcome code
@@ -165,6 +168,25 @@ impl<'k> Injector<'k> {
     /// certificate-capable kernels; otherwise a silent no-op.
     pub fn with_certified_exits(mut self) -> Self {
         self.certified_exits = true;
+        self.decide_certificate()
+    }
+
+    /// Decide once whether certificate exits can fire, asking the kernel
+    /// for a bound on the unperturbed state at each retained boundary (a
+    /// kernel's refusals depend on the step, not on the deviations).
+    fn decide_certificate(mut self) -> Self {
+        let tol = self.classifier.tolerance;
+        let offered = |s: &Snapshot| {
+            let zeros = vec![0.0; s.n_arrays()];
+            self.kernel
+                .masked_exit_bound(s.step, &zeros, s.suffix_mags(), tol)
+                .is_some()
+        };
+        let live = self.certified_exits && matches!(self.classifier.norm, Norm::LInf);
+        let store = self.snapshots.as_ref().filter(|_| live);
+        self.certify = store
+            .is_some_and(|st| (0..st.len()).any(|i| offered(st.get(i))))
+            .then_some(tol);
         self
     }
 
@@ -199,21 +221,23 @@ impl<'k> Injector<'k> {
         self.batch_lanes
     }
 
-    /// The batch engine, if batching applies to this injector at all
-    /// (`lanes ≥ 2`, batch-capable kernel, captured snapshots).
-    fn batch_engine(&self) -> Option<BatchEngine<'_>> {
-        if self.batch_lanes < 2 || !self.kernel.batch_capable() {
-            return None;
-        }
-        let store = self.snapshots.as_ref()?;
+    /// The engine whose boundary checks monitor every outcome run, if
+    /// they have a monitor (a snapshot store was captured).
+    fn engine(&self) -> Option<BatchEngine<'_>> {
         Some(BatchEngine {
             kernel: self.kernel,
             golden: &self.golden,
             classifier: &self.classifier,
-            store,
-            certified_exits: self.certified_exits,
+            store: self.snapshots.as_ref()?,
+            certify: self.certify,
             lanes: self.batch_lanes,
         })
+    }
+
+    /// The batch engine, if batching applies to this injector at all
+    /// (`lanes ≥ 2`, batch-capable kernel, captured snapshots).
+    fn batch_engine(&self) -> Option<BatchEngine<'_>> {
+        (self.engine()).filter(|_| self.batch_lanes >= 2 && self.kernel.batch_capable())
     }
 
     /// Ledger-side identity of the batched-execution configuration:
@@ -233,53 +257,25 @@ impl<'k> Injector<'k> {
         })
     }
 
-    /// Run a plan through the batch engine: snapshot-served faults in
-    /// lane chunks, the from-scratch leftovers through
-    /// [`Injector::run_one`], results scattered back into input order
-    /// (so ledgers are byte-identical to scalar execution).
-    #[expect(clippy::expect_used, reason = "the plan covers every fault")]
+    /// Run a plan through the batch engine as one self-scheduled job
+    /// list: snapshot-served faults in lane chunks, and each fault
+    /// before the first retained boundary as a scalar job through
+    /// [`Injector::run_one`] (from scratch, under the boundary monitor).
+    /// Results are scattered back into input order, so ledgers are
+    /// byte-identical to scalar execution.
     fn run_plan_batched(&self, engine: &BatchEngine<'_>, faults: &[FaultSpec]) -> Vec<Experiment> {
         for f in faults {
             assert!(f.site < self.n_sites(), "site {} out of range", f.site);
         }
-        let (chunks, scalars) = engine.plan(faults);
-        let batched: Vec<_> = chunks.par_iter().map(|c| engine.run_chunk(c)).collect();
-        let loose: Vec<_> = scalars
-            .par_iter()
-            .map(|&i| self.run_one(faults[i].site, faults[i].bit))
+        let mut done: Vec<(usize, Experiment)> = (engine.plan(faults).par_iter())
+            .flat_map_iter(|job| match job {
+                Job::Lanes(c) => c.idxs.iter().copied().zip(engine.run_chunk(c)).collect(),
+                Job::Scalar(i) => vec![(*i, self.run_one(faults[*i].site, faults[*i].bit))],
+            })
             .collect();
-        let mut out: Vec<Option<Experiment>> = vec![None; faults.len()];
-        for (chunk, exps) in chunks.iter().zip(&batched) {
-            for (&i, e) in chunk.idxs.iter().zip(exps) {
-                out[i] = Some(*e);
-            }
-        }
-        for (&i, e) in scalars.iter().zip(&loose) {
-            out[i] = Some(*e);
-        }
-        out.into_iter()
-            .map(|e| e.expect("plan position covered by a chunk or a scalar run"))
-            .collect()
-    }
-
-    /// The boundary-monitor certificate check: with certified exits
-    /// enabled, measure the live state's deviation from the golden
-    /// boundary and ask the kernel to bound the final-output deviation.
-    /// Accepts only a finite bound within the classifier tolerance.
-    fn certified_exit(
-        &self,
-        store: &SnapshotStore,
-        cursor: usize,
-        step: u64,
-        arrays: &[&[f64]],
-    ) -> Option<f64> {
-        if !self.certified_exits || !matches!(self.classifier.norm, ftb_trace::norms::Norm::LInf) {
-            return None;
-        }
-        let budget = self.classifier.tolerance;
-        let (devs, mags) = store.state_deviations(cursor, arrays)?;
-        let bound = self.kernel.masked_exit_bound(step, &devs, mags, budget)?;
-        (bound.is_finite() && bound <= budget).then_some(bound)
+        // the jobs hold each plan position exactly once
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, e)| e).collect()
     }
 
     /// The serving snapshot for a fault, if resumed execution applies:
@@ -322,24 +318,18 @@ impl<'k> Injector<'k> {
     }
 
     /// The experiment record of a run of `fault`: classified by the
-    /// classifier when the run completed, or synthesised from a
-    /// snapshot-resumed run's boundary early exit.
-    fn classified(&self, fault: FaultSpec, run: &RunTrace, exit: Option<EarlyExit>) -> Experiment {
+    /// classifier when the run completed, or synthesised from the
+    /// boundary monitor's early exit (always Masked, with the exit's
+    /// `output_err`).
+    fn classified(&self, fault: FaultSpec, run: &RunTrace, exit: Option<f64>) -> Experiment {
         // kernels stop before the boundary callback when a traced value
         // went non-finite, so an early-exited run is clean
         debug_assert!(exit.is_none() || run.first_nonfinite.is_none());
-        let (outcome, output_err) = match exit {
-            None => self.classifier.classify(&self.golden, run),
-            Some(EarlyExit::Bitwise) => (Outcome::Masked, 0.0),
-            Some(EarlyExit::Certified(bound)) => (Outcome::Masked, bound),
-        };
-        Experiment {
-            site: fault.site,
-            bit: fault.bit,
-            injected_err: run.injected_err.unwrap_or(0.0),
-            output_err,
-            outcome,
-        }
+        let verdict = exit.map_or_else(
+            || self.classifier.classify(&self.golden, run),
+            |err| (Outcome::Masked, err),
+        );
+        Experiment::new(fault, run.injected_err, verdict)
     }
 
     /// Run one experiment (outcome only — the fast path). The run stops
@@ -350,47 +340,44 @@ impl<'k> Injector<'k> {
     /// # Panics
     /// Panics if `site` is out of range.
     pub fn run_one(&self, site: usize, bit: u8) -> Experiment {
-        assert!(site < self.n_sites(), "site {site} out of range");
         let fault = FaultSpec { site, bit };
-        if let Some(e) = self.try_run_one_resumed(fault) {
-            return e;
-        }
-        let mut t = Tracer::inject(self.kernel.precision(), fault, RecordMode::OutputOnly)
-            .with_budget(self.budget);
-        let out = self.kernel.run(&mut t);
-        self.classified(fault, &t.finish(out), None)
+        let (run, exit) = self.run_outcome(fault);
+        self.classified(fault, &run, exit)
     }
 
-    /// Outcome-only experiment resumed from the snapshot preceding its
-    /// fault site, with two boundary early exits once the fault has
-    /// executed: bitwise reconvergence (live state bit-identical to a
-    /// stored golden boundary — the rest of the run would replay the
-    /// golden suffix exactly, so the experiment is `(Masked, 0.0)`,
-    /// precisely what from-scratch execution would classify) and, when
-    /// enabled, the contraction certificate
-    /// ([`Injector::with_certified_exits`]). `None` when no snapshot
-    /// serves the site.
-    fn try_run_one_resumed(&self, fault: FaultSpec) -> Option<Experiment> {
-        let (store, snap) = self.resume_for(fault)?;
-        let mut exit = None;
-        let mut monitor = |cursor: usize, _: usize, step: u64, arrays: &[&[f64]]| {
-            if cursor <= fault.site {
-                return false;
-            }
-            if store.state_matches(cursor, arrays) {
-                exit = Some(EarlyExit::Bitwise);
-            } else if let Some(b) = self.certified_exit(store, cursor, step, arrays) {
-                exit = Some(EarlyExit::Certified(b));
-            }
-            exit.is_some()
+    /// The one execution path of an outcome run. It resumes from the
+    /// snapshot preceding the fault site when one serves it, and runs
+    /// from scratch otherwise. Whenever a snapshot store exists it
+    /// installs the boundary monitor ([`ScalarWatch`]), which stops the
+    /// run at the first retained boundary past the fault where the state
+    /// has reconverged bitwise (the rest would replay the golden suffix,
+    /// so the record is `(Masked, 0.0)`, precisely what running on would
+    /// classify) or, when enabled, where the contraction certificate
+    /// ([`Injector::with_certified_exits`]) proves the outcome Masked.
+    fn run_outcome(&self, fault: FaultSpec) -> (RunTrace, Option<f64>) {
+        assert!(
+            fault.site < self.n_sites(),
+            "site {} out of range",
+            fault.site
+        );
+        let resume = self.resume_for(fault);
+        let mut watch = (self.engine()).map(|e| ScalarWatch::new(e, fault.site, resume.is_none()));
+        let mut hook = |cursor: usize, _: usize, step: u64, arrays: &[&[f64]]| {
+            watch
+                .as_mut()
+                .is_some_and(|w| w.boundary(cursor, step, arrays))
         };
         let mut t = Tracer::inject(self.kernel.precision(), fault, RecordMode::OutputOnly)
-            .resume_at(snap.cursor, snap.branch_count, store.state(snap))
-            .with_budget(self.budget)
-            .with_boundary_hook(&mut monitor);
+            .with_budget(self.budget);
+        if let Some((store, snap)) = resume {
+            t = t.resume_at(snap.cursor, snap.branch_count, store.state(snap));
+        }
+        if self.snapshots.is_some() {
+            t = t.with_boundary_hook(&mut hook);
+        }
         let out = self.kernel.run(&mut t);
         let run = t.finish(out);
-        Some(self.classified(fault, &run, exit))
+        (run, watch.and_then(|w| w.exit))
     }
 
     /// Run one experiment from scratch with full tracing and extract its
@@ -475,8 +462,11 @@ impl<'k> Injector<'k> {
     /// input order — the single execution path of every outcome campaign
     /// (samplers, Monte-Carlo, ledger chunks, the exhaustive table).
     /// With batching configured ([`Injector::with_batch_lanes`]),
-    /// snapshot-served faults run as lane-batched sweeps; leftovers run
-    /// scalar from scratch.
+    /// snapshot-served faults run as lane-batched sweeps and faults
+    /// before the first retained boundary as scalar runs from scratch,
+    /// one self-scheduled job list. Under a snapshot store every run,
+    /// lane or scalar, resumed or from scratch, has the boundary monitor
+    /// ([`Injector::with_snapshots`]).
     pub fn run_many(&self, faults: &[FaultSpec]) -> Vec<Experiment> {
         if let Some(engine) = self.batch_engine() {
             return self.run_plan_batched(&engine, faults);
@@ -789,6 +779,48 @@ mod tests {
         let expected = reference(&scratch, &faults);
         assert_eq!(expected, scratch.run_many(&faults), "from scratch diverged");
         assert_eq!(expected, inj.run_many(&faults), "snapshot-resumed diverged");
+    }
+
+    /// A pre-boundary jacobi fault runs from scratch under the monitor:
+    /// a low bit of the initial iterate reconverges within a sweep, so
+    /// the run stops at the first retained boundary past step 0, while
+    /// a flip of the read-only `b` runs to completion — even this one,
+    /// whose iterate `x` matches golden at a retained boundary, since
+    /// `b` never does. Both records equal the unmonitored run's.
+    #[test]
+    fn pre_boundary_faults_stop_at_reconvergence_or_run_to_completion() {
+        use ftb_kernels::{JacobiConfig, JacobiKernel};
+        let k = JacobiKernel::new(JacobiConfig {
+            sweeps: 12,
+            ..JacobiConfig::small()
+        });
+        let scratch = Injector::new(&k, Classifier::new(1e-6));
+        let inj = Injector::new(&k, Classifier::new(1e-6)).with_snapshots(4);
+        let store = inj.snapshot_store().unwrap();
+        let n = k.config().grid * k.config().grid;
+        assert!(
+            store.for_site(2 * n - 1).is_none(),
+            "x and b loads precede the boundaries"
+        );
+        let reconverged = FaultSpec { site: 0, bit: 0 };
+        let (run, exit) = inj.run_outcome(reconverged);
+        assert_eq!(exit, Some(0.0), "a bitwise exit");
+        let first_past_init = store.get(1);
+        assert!(
+            first_past_init.step > 1,
+            "thinning keeps step 0, then skips"
+        );
+        assert_eq!(run.n_dynamic, first_past_init.cursor);
+        let read_only = FaultSpec {
+            site: n + 5,
+            bit: 0,
+        };
+        let (run, exit) = inj.run_outcome(read_only);
+        assert!(exit.is_none());
+        assert_eq!(run.n_dynamic, inj.golden().n_dynamic);
+        for f in [reconverged, read_only] {
+            assert_eq!(inj.run_one(f.site, f.bit), scratch.run_one(f.site, f.bit));
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Experiment records.
 
 use crate::outcome::Outcome;
+use ftb_trace::FaultSpec;
 use serde::{Deserialize, Serialize};
 
 /// One completed fault-injection experiment.
@@ -22,6 +23,18 @@ pub struct Experiment {
 }
 
 impl Experiment {
+    /// The record of a run of `fault` that realised `injected` (`None`:
+    /// the fault never fired) and was judged `(outcome, output_err)`.
+    pub(crate) fn new(fault: FaultSpec, injected: Option<f64>, verdict: (Outcome, f64)) -> Self {
+        Experiment {
+            site: fault.site,
+            bit: fault.bit,
+            injected_err: injected.unwrap_or(0.0),
+            output_err: verdict.1,
+            outcome: verdict.0,
+        }
+    }
+
     /// Sort key grouping experiments by site then bit.
     #[inline]
     pub fn key(&self) -> (usize, u8) {

@@ -24,8 +24,9 @@
 //! 2. **Reconvergence** — an injected run whose live state becomes
 //!    bitwise identical to a stored golden snapshot *after* the fault
 //!    site has executed will replay the golden suffix exactly, so its
-//!    outcome is `(Masked, 0.0)` with no further execution. Callers test
-//!    this with [`SnapshotStore::state_matches`].
+//!    outcome is `(Masked, 0.0)` with no further execution. The boundary
+//!    monitor of every outcome run tests this at each retained boundary
+//!    past the fault.
 //!
 //! A third invariant serves lane-batched execution: every array a
 //! batch-capable kernel marks read-only
@@ -79,6 +80,11 @@ impl Snapshot {
     /// input, see [`ftb_kernels::Kernel::masked_exit_bound`]).
     pub(crate) fn suffix_mags(&self) -> &[f64] {
         &self.suffix_mags
+    }
+
+    /// Number of state arrays.
+    pub(crate) fn n_arrays(&self) -> usize {
+        self.arrays.len()
     }
 }
 
@@ -310,7 +316,7 @@ impl SnapshotStore {
     }
 
     /// The retained boundary at exactly cursor `cursor`, if one survived
-    /// thinning (the lane-batched engine's reconvergence lookup).
+    /// thinning (the boundary monitor's reconvergence lookup).
     pub(crate) fn boundary_at(&self, cursor: usize) -> Option<&Snapshot> {
         let i = self.snapshots.partition_point(|s| s.cursor < cursor);
         self.snapshots.get(i).filter(|s| s.cursor == cursor)
@@ -333,64 +339,15 @@ impl SnapshotStore {
                 .collect(),
         }
     }
-
-    /// Does the golden state at exactly boundary-cursor `cursor` match
-    /// `arrays` bitwise? Used as the reconvergence test by resumed
-    /// experiments: a bitwise match after the fault site proves the rest
-    /// of the run replays the golden suffix.
-    pub fn state_matches(&self, cursor: usize, arrays: &[&[f64]]) -> bool {
-        let i = self.snapshots.partition_point(|s| s.cursor < cursor);
-        let Some(s) = self.snapshots.get(i) else {
-            return false;
-        };
-        s.cursor == cursor
-            && s.arrays.len() == arrays.len()
-            && s.arrays
-                .iter()
-                .zip(arrays)
-                .all(|(&pi, a)| bits_eq(&self.pool[pi as usize], a))
-    }
-
-    /// Per-array L∞ deviations of `arrays` from the golden boundary
-    /// state at exactly cursor `cursor`, paired with that boundary's
-    /// golden suffix-magnitude bounds — the inputs of the contraction
-    /// certificate ([`ftb_kernels::Kernel::masked_exit_bound`]). `None`
-    /// when no snapshot sits at this cursor or the state shapes differ;
-    /// a non-finite faulty element yields an infinite deviation (which
-    /// no certificate can accept).
-    pub fn state_deviations(&self, cursor: usize, arrays: &[&[f64]]) -> Option<(Vec<f64>, &[f64])> {
-        let i = self.snapshots.partition_point(|s| s.cursor < cursor);
-        let s = self.snapshots.get(i)?;
-        if s.cursor != cursor || s.arrays.len() != arrays.len() {
-            return None;
-        }
-        let mut devs = Vec::with_capacity(arrays.len());
-        for (&pi, a) in s.arrays.iter().zip(arrays) {
-            let g = &self.pool[pi as usize];
-            if g.len() != a.len() {
-                return None;
-            }
-            let mut m = 0.0f64;
-            for (x, y) in g.iter().zip(*a) {
-                let d = (x - y).abs();
-                if d.is_nan() {
-                    m = f64::INFINITY;
-                    break;
-                }
-                m = m.max(d);
-            }
-            devs.push(m);
-        }
-        Some((devs, s.suffix_mags.as_slice()))
-    }
 }
 
 /// Reorder an experiment plan section-major: stable-sort by the serving
 /// snapshot so one warm snapshot serves a whole contiguous batch before
 /// the next is touched. Faults with no serving snapshot (pre-first-boundary
-/// sites, run from `t = 0`) come first; within each group the original
-/// order is preserved, so a site-major exhaustive plan — whose serving
-/// snapshot is already monotone in the site — passes through unchanged.
+/// sites, run from `t = 0` under the same boundary monitor as resumed
+/// runs) come first; within each group the original order is preserved,
+/// so a site-major exhaustive plan — whose serving snapshot is already
+/// monotone in the site — passes through unchanged.
 pub fn schedule_snapshot_major(plan: &[FaultSpec], store: &SnapshotStore) -> Vec<FaultSpec> {
     let mut out = plan.to_vec();
     out.sort_by_key(|f| store.for_site(f.site).map_or(0, |(i, _)| i + 1));
@@ -489,22 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn state_matches_is_exact_cursor_and_bitwise() {
-        let k = kernel();
-        let g = k.golden();
-        let store = SnapshotStore::capture(&k, &g, usize::MAX).unwrap();
-        let snap = &store.snapshots[3];
-        let st = store.state(snap);
-        let views: Vec<&[f64]> = st.arrays.iter().map(|a| a.as_slice()).collect();
-        assert!(store.state_matches(snap.cursor, &views));
-        assert!(!store.state_matches(snap.cursor + 1, &views));
-        let mut bent = st.clone();
-        bent.arrays[0][0] = f64::from_bits(bent.arrays[0][0].to_bits() ^ 1);
-        let views: Vec<&[f64]> = bent.arrays.iter().map(|a| a.as_slice()).collect();
-        assert!(!store.state_matches(snap.cursor, &views));
-    }
-
-    #[test]
     fn digest_binds_golden_identity() {
         let k = kernel();
         let g = k.golden();
@@ -558,33 +499,6 @@ mod tests {
                 .unwrap();
             assert_eq!(s.suffix_mags, full.suffix_mags);
         }
-    }
-
-    #[test]
-    fn state_deviations_measure_linf_from_golden() {
-        let k = kernel();
-        let g = k.golden();
-        let store = SnapshotStore::capture(&k, &g, usize::MAX).unwrap();
-        let snap = &store.snapshots[3];
-        let st = store.state(snap);
-        let views: Vec<&[f64]> = st.arrays.iter().map(|a| a.as_slice()).collect();
-        let (devs, mags) = store.state_deviations(snap.cursor, &views).unwrap();
-        assert!(devs.iter().all(|&d| d == 0.0));
-        assert_eq!(mags, snap.suffix_mags.as_slice());
-        // off-boundary cursor: no certificate inputs
-        assert!(store.state_deviations(snap.cursor + 1, &views).is_none());
-        // a perturbation shows up as exactly its L∞ distance
-        let mut bent = st.clone();
-        bent.arrays[0][5] += 3e-4;
-        let views: Vec<&[f64]> = bent.arrays.iter().map(|a| a.as_slice()).collect();
-        let (devs, _) = store.state_deviations(snap.cursor, &views).unwrap();
-        assert!((devs[0] - 3e-4).abs() < 1e-12);
-        assert_eq!(devs[1], 0.0);
-        // non-finite state must yield an unacceptable (infinite) deviation
-        bent.arrays[0][0] = f64::NAN;
-        let views: Vec<&[f64]> = bent.arrays.iter().map(|a| a.as_slice()).collect();
-        let (devs, _) = store.state_deviations(snap.cursor, &views).unwrap();
-        assert_eq!(devs[0], f64::INFINITY);
     }
 
     #[test]

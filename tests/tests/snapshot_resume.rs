@@ -13,7 +13,7 @@
 use ftb_core::prelude::*;
 use ftb_inject::{
     monte_carlo_plan, read_ledger, schedule_snapshot_major, CampaignBinding, ChunkedCampaign,
-    Experiment, LedgerError,
+    Experiment, LedgerError, DEFAULT_MAX_SNAPSHOTS,
 };
 use ftb_integration::reference_batch;
 use ftb_kernels::{
@@ -116,6 +116,76 @@ fn certified_exits_keep_exhaustive_table_identical() {
         .with_snapshots(usize::MAX)
         .exhaustive();
     assert_eq!(scratch, certified);
+}
+
+/// A record with its floats as raw bits, so `-0.0`/`0.0` and NaN
+/// payloads count.
+fn record_bits(e: &Experiment) -> (usize, u8, u64, u64, u8) {
+    (
+        e.site,
+        e.bit,
+        e.injected_err.to_bits(),
+        e.output_err.to_bits(),
+        e.outcome.code(),
+    )
+}
+
+/// Every fault before the first retained boundary — each site before
+/// it, times every bit — runs from scratch under the boundary monitor,
+/// and its record is bit-identical to the unmonitored run's, on every
+/// snapshot-capable kernel. Those sites are the kernels' input loads
+/// (jacobi's `x` and read-only `b`, gemm's read-only A and B, lu's
+/// matrix, cg's setup), so a fault in a read-only array must never exit
+/// on a match of the mutated arrays alone.
+#[test]
+fn pre_boundary_faults_match_from_scratch_bitwise() {
+    let kernels: [(&str, Box<dyn Kernel>, f64); 4] = [
+        ("jacobi", Box::new(kernel()), 1e-6),
+        (
+            "gemm",
+            Box::new(GemmKernel::new(GemmConfig {
+                n: 6,
+                ..GemmConfig::small()
+            })),
+            1e-6,
+        ),
+        (
+            "lu",
+            Box::new(LuKernel::new(LuConfig {
+                n: 8,
+                block: 4,
+                ..LuConfig::small()
+            })),
+            3e-5,
+        ),
+        (
+            "cg",
+            Box::new(CgKernel::new(CgConfig {
+                grid: 4,
+                ..CgConfig::small()
+            })),
+            1e-3,
+        ),
+    ];
+    for (name, k, tol) in kernels {
+        let classifier = Classifier::new(tol);
+        let scratch = Injector::new(k.as_ref(), classifier);
+        let policy = Injector::new(k.as_ref(), classifier).with_execution_policy();
+        let single = Injector::new(k.as_ref(), classifier).with_snapshots(DEFAULT_MAX_SNAPSHOTS);
+        let store = single.snapshot_store().expect("snapshot-capable");
+        let first = (0..scratch.n_sites())
+            .find(|&site| store.for_site(site).is_some())
+            .expect("a retained boundary");
+        assert!(first > 0, "{name}: no site before the first boundary");
+        let faults: Vec<FaultSpec> = (0..first)
+            .flat_map(|site| (0..scratch.bits()).map(move |bit| FaultSpec { site, bit }))
+            .collect();
+        let want: Vec<_> = scratch.run_many(&faults).iter().map(record_bits).collect();
+        for (path, inj) in [("policy", &policy), ("1 lane", &single)] {
+            let got: Vec<_> = inj.run_many(&faults).iter().map(record_bits).collect();
+            assert!(got == want, "{name}: {path} diverged from scratch");
+        }
+    }
 }
 
 /// A snapshot-backed ledger campaign killed mid-section (the chunk
